@@ -1,7 +1,7 @@
 """Command-line driver: run benchmarks, convergence sweeps, and AP probes.
 
 Exit codes: 0 success, 1 failed diagnostic probe, 2 non-physical state,
-3 pressure-solve divergence, 4 bad configuration or usage.
+3 pressure operator not positive definite, 4 bad configuration or usage.
 """
 
 from __future__ import annotations
@@ -51,7 +51,8 @@ def _parse_ints(text: str) -> list[int]:
         raise ConfigError(f"bad int list {text!r}") from exc
 
 
-def _load_config_file(path: str) -> dict[str, str]:
+def _load_config_file(path: str, known: set[str]) -> dict[str, str]:
+    """Flat ``key = value`` lines; every key must name a flag in ``known``."""
     values: dict[str, str] = {}
     try:
         text = Path(path).read_text()
@@ -64,7 +65,10 @@ def _load_config_file(path: str) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key not in known:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        values[key] = value.strip()
     return values
 
 
@@ -76,6 +80,17 @@ def _resolve(ns: argparse.Namespace, file_cfg: dict[str, str], key: str, default
     if key in file_cfg:
         return convert(file_cfg[key])
     return default
+
+
+def _scheme_overrides(ns: argparse.Namespace, file_cfg: dict[str, str]) -> dict:
+    """SolverConfig fields set by flag or config file."""
+    overrides = {}
+    for key, attr, convert in (("cfl", "k_cfl", float), ("theta", "theta", float),
+                               ("order", "order", int)):
+        value = _resolve(ns, file_cfg, key, None, convert)
+        if value is not None:
+            overrides[attr] = value
+    return overrides
 
 
 def build_parser() -> _Parser:
@@ -90,7 +105,6 @@ def build_parser() -> _Parser:
         p.add_argument("--cfl", type=float)
         p.add_argument("--theta", type=float)
         p.add_argument("--order", type=int, choices=(1, 2))
-        p.add_argument("--elliptic-tol", type=float, dest="elliptic_tol")
         p.add_argument("--out-dir", dest="out_dir")
 
     p_run = sub.add_parser("run", help="run one benchmark case")
@@ -120,12 +134,7 @@ def cmd_run(ns, file_cfg) -> int:
     eps = _resolve(ns, file_cfg, "eps", 1.0, float)
     nx = _resolve(ns, file_cfg, "nx", 64, int)
     ny = _resolve(ns, file_cfg, "ny", nx, int)
-    overrides = {}
-    for key, attr in (("cfl", "k_cfl"), ("theta", "theta"), ("order", "order"),
-                      ("elliptic_tol", "elliptic_tol")):
-        value = _resolve(ns, file_cfg, key, None, float if key != "order" else int)
-        if value is not None:
-            overrides[attr] = value
+    overrides = _scheme_overrides(ns, file_cfg)
     dt_override = _resolve(ns, file_cfg, "dt_override", None, str)
     if dt_override is not None:
         overrides["dt_override"] = _parse_dt_override(dt_override)
@@ -173,12 +182,7 @@ def cmd_convergence(ns, file_cfg) -> int:
     n_spec = _resolve(ns, file_cfg, "n_list", "32,64", str)
     t_final = _resolve(ns, file_cfg, "t_final", None, float)
     out_dir = _resolve(ns, file_cfg, "out_dir", None, str)
-    overrides = {}
-    for key, attr in (("cfl", "k_cfl"), ("theta", "theta"), ("order", "order"),
-                      ("elliptic_tol", "elliptic_tol")):
-        value = _resolve(ns, file_cfg, key, None, float if key != "order" else int)
-        if value is not None:
-            overrides[attr] = value
+    overrides = _scheme_overrides(ns, file_cfg)
 
     table = convergence_study(
         case, _parse_floats(eps_spec), _parse_ints(n_spec), t_final=t_final, **overrides
@@ -236,7 +240,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
-        file_cfg = _load_config_file(ns.config) if getattr(ns, "config", None) else {}
+        known = set(vars(ns)) - {"command", "config"}  # the subcommand's flags
+        file_cfg = _load_config_file(ns.config, known) if getattr(ns, "config", None) else {}
         if ns.command == "run":
             return cmd_run(ns, file_cfg)
         if ns.command == "convergence":

@@ -5,27 +5,32 @@ Each semi-implicit stage turns the pressure update into a linear system
     (I - sigma * Lap_h) p = rhs,
 
 with the compact 5-point Laplacian and sigma = dt^2 * gamma * p_min /
-(eps^2 * rho_max).  The operator is symmetric positive definite for
-sigma >= 0 and stays so for the slightly negative sigma that can occur at
-large Mach numbers as long as |sigma| * lambda_max(-Lap_h) < 1; the solver
-verifies that bound instead of requiring sigma > 0.
+(eps^2 * rho_max).  On the uniform grid, with periodic or mirrored (outflow)
+ghosts, the operator has constant coefficients and separates by axis, so one
+fixed orthonormal eigenbasis per axis diagonalizes it exactly (the fast
+diagonalization method of Lynch, Rice & Thomas, 1964).  The solve is a
+transform to that basis, a division by 1 + sigma * lambda, and the transform
+back.  The operator is positive definite for sigma >= 0 and stays so for the
+slightly negative sigma that can occur at large Mach numbers while every
+1 + sigma * lambda is positive; the solver checks exactly those divisors
+instead of requiring sigma > 0.
 
-The constant mode is handled exactly: with periodic or mirrored (outflow)
-ghosts the Laplacian annihilates constants, so the mean of the solution
-equals the mean of the right-hand side.  The conjugate-gradient iteration
-therefore runs on the mean-free deviation, which keeps the solve accurate at
-very small Mach numbers where the physical pressure fluctuation sits many
-orders of magnitude below the background value.
+The constant mode is split off: the Laplacian annihilates constants under
+both ghost rules, so the mean of the solution equals the mean of the
+right-hand side.  The transforms therefore act on the mean-free deviation,
+which keeps the solve accurate at very small Mach numbers where the physical
+pressure fluctuation sits many orders of magnitude below the background value.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoConvergence
-from .grid import OUTFLOW, GridSpec, fill_ghost_array
+from .grid import PERIODIC, GridSpec, padded
 from .state import PrimitiveField, SolverConfig
 from .stiff import discrete_divergence
 
@@ -58,14 +63,7 @@ def operator_divergence(op: np.ndarray, grid: GridSpec) -> np.ndarray:
     the ghost layers by the grid's boundary rule first (exact wrap for
     periodic, zeroth-order extrapolation for outflow).
     """
-    core = grid.interior
-    u = grid.zeros()
-    v = grid.zeros()
-    u[core] = op[U_COMP]
-    v[core] = op[V_COMP]
-    fill_ghost_array(u, grid)
-    fill_ghost_array(v, grid)
-    return discrete_divergence(u, v, grid)
+    return discrete_divergence(padded(op[U_COMP], grid), padded(op[V_COMP], grid), grid)
 
 
 def predictor_pressure_system(
@@ -130,87 +128,51 @@ def corrector_pressure_system(
     return HelmholtzSystem(sigma, rhs, grid)
 
 
-def _laplacian_max_eigenvalue(grid: GridSpec) -> float:
-    return 4.0 / grid.dx**2 + 4.0 / grid.dy**2
+@functools.lru_cache(maxsize=32)
+def _axis_basis(n: int, h: float, periodic: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal eigenbasis (columns) and eigenvalues of the 1-D operator
+    -(q[j-1] - 2 q[j] + q[j+1]) / h^2 under one axis's ghost rule.
 
-
-def _jacobi_diagonal(sigma: float, grid: GridSpec) -> np.ndarray:
-    d = np.full((grid.nx, grid.ny), 1.0 + 2.0 * sigma * (1.0 / grid.dx**2 + 1.0 / grid.dy**2))
-    # Mirrored ghosts drop one off-diagonal neighbor at outflow boundaries.
-    if grid.bc_x == OUTFLOW:
-        d[0, :] -= sigma / grid.dx**2
-        d[-1, :] -= sigma / grid.dx**2
-    if grid.bc_y == OUTFLOW:
-        d[:, 0] -= sigma / grid.dy**2
-        d[:, -1] -= sigma / grid.dy**2
-    return d
-
-
-def solve_helmholtz(
-    sys: HelmholtzSystem,
-    guess: np.ndarray | None,
-    tol: float,
-    max_iter: int,
-    jacobi: bool = False,
-) -> tuple[np.ndarray, int, float]:
-    """Solve (I - sigma*Lap_h) q = rhs by conjugate gradients.
-
-    Returns (solution, iterations, residual) with residual <= tol*||rhs||_2,
-    measured in the 2-norm over interior cells; raises NoConvergence
-    otherwise.  ``guess`` warm-starts the iteration.
+    Periodic wrap is diagonalized by the Hartley basis cas(2 pi j k / n);
+    the mirrored outflow ghost is homogeneous Neumann, diagonalized by the
+    DCT-II basis cos(pi k (j + 1/2) / n).  The arrays are shared read-only.
     """
-    grid = sys.grid
-    sigma = sys.sigma
-    if sigma < 0.0 and 1.0 + sigma * _laplacian_max_eigenvalue(grid) <= 1e-8:
-        raise NoConvergence(0, np.inf, "shifted operator lost positive definiteness (dt too large?)")
-
-    rhs_norm = float(np.linalg.norm(sys.rhs))
-    mean = float(sys.rhs.mean())
-    if rhs_norm == 0.0:
-        return np.zeros_like(sys.rhs), 0, 0.0
-    target = tol * rhs_norm
-
-    work = grid.zeros()
-    core = grid.interior
-
-    def apply_op(d: np.ndarray) -> np.ndarray:
-        work[core] = d
-        fill_ghost_array(work, grid)
-        return d - sigma * compact_laplacian(work, grid)
-
-    b = sys.rhs - mean
-    if guess is not None:
-        x = guess - float(guess.mean())
+    j = np.arange(n)
+    if periodic:
+        angle = 2.0 * np.pi * (np.outer(j, j) % n) / n
+        Q = (np.cos(angle) + np.sin(angle)) / np.sqrt(n)
+        lam = (2.0 - 2.0 * np.cos(2.0 * np.pi * j / n)) / h**2
     else:
-        x = np.zeros_like(b)
-    r = b - apply_op(x)
-    inv_diag = 1.0 / _jacobi_diagonal(sigma, grid) if jacobi else None
+        angle = np.pi * (np.outer(2 * j + 1, j) % (4 * n)) / (2 * n)
+        Q = np.cos(angle) * np.sqrt(2.0 / n)
+        Q[:, 0] /= np.sqrt(2.0)
+        lam = (2.0 - 2.0 * np.cos(np.pi * j / n)) / h**2
+    Q.setflags(write=False)
+    lam.setflags(write=False)
+    return Q, lam
 
-    res = float(np.linalg.norm(r))
-    it = 0
-    if res > target:
-        z = r * inv_diag if jacobi else r
-        p = z.copy()
-        rz = float((r * z).sum())
-        while it < max_iter:
-            ap = apply_op(p)
-            alpha = rz / float((p * ap).sum())
-            x += alpha * p
-            r -= alpha * ap
-            it += 1
-            res = float(np.linalg.norm(r))
-            if res <= target or it % 64 == 0:
-                # Guard against recurrence drift before accepting.
-                r = b - apply_op(x)
-                res = float(np.linalg.norm(r))
-                if res <= target:
-                    break
-            z = r * inv_diag if jacobi else r
-            rz_new = float((r * z).sum())
-            p = z + (rz_new / rz) * p
-            rz = rz_new
-        if res > target:
-            raise NoConvergence(it, res / rhs_norm)
 
-    x -= x.mean()  # remove round-off drift; the exact deviation is mean-free
-    return x + mean, it, res
+def solve_helmholtz(sys: HelmholtzSystem) -> tuple[np.ndarray, int, float]:
+    """Solve (I - sigma*Lap_h) q = rhs directly in the per-axis eigenbases.
+
+    Returns (solution, 0, residual): there are no iterations, and the
+    residual is the 2-norm of rhs - (I - sigma*Lap_h) q over interior cells,
+    from one operator application.  Raises NoConvergence when the operator is
+    not positive definite by the 1e-8 margin.
+    """
+    grid, sigma = sys.grid, sys.sigma
+    Qx, lam_x = _axis_basis(grid.nx, grid.dx, grid.bc_x == PERIODIC)
+    Qy, lam_y = _axis_basis(grid.ny, grid.dy, grid.bc_y == PERIODIC)
+    diag = 1.0 + sigma * (lam_x[:, None] + lam_y[None, :])
+    if diag.min() <= 1e-8:
+        raise NoConvergence(
+            "shifted operator not positive definite (dt too large?): "
+            f"sigma={sigma:.6g}, min(1 + sigma*lambda)={diag.min():.6g}"
+        )
+
+    mean = float(sys.rhs.mean())
+    q = Qx @ ((Qx.T @ (sys.rhs - mean) @ Qy) / diag) @ Qy.T + mean
+
+    lap = compact_laplacian(padded(q, grid), grid)
+    residual = float(np.linalg.norm(sys.rhs - (q - sigma * lap)))
+    return q, 0, residual

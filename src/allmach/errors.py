@@ -7,16 +7,7 @@ class NonPhysicalState(Exception):
 
 
 class NoConvergence(Exception):
-    """Raised when the pressure solve fails to reach its residual target.
+    """Raised when the shifted pressure operator is not positive definite.
 
-    Usually means the time step is too large for the assembled system, or the
-    system itself is broken.
+    Usually means the time step is too large for the assembled system.
     """
-
-    def __init__(self, iterations: int, residual: float, message: str = ""):
-        self.iterations = iterations
-        self.residual = residual
-        text = f"no convergence after {iterations} iterations (residual {residual:.3e})"
-        if message:
-            text = f"{text}: {message}"
-        super().__init__(text)

@@ -92,6 +92,13 @@ def fill_ghost_array(a: np.ndarray, grid: GridSpec) -> np.ndarray:
     return a
 
 
+def padded(interior: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Padded copy of an interior scalar field, ghosts filled by the grid's rule."""
+    a = grid.zeros()
+    a[grid.interior] = interior
+    return fill_ghost_array(a, grid)
+
+
 def fill_ghosts(fld, grid: GridSpec):
     """Fill the ghost layers of every component of a field, in place.
 

@@ -30,7 +30,7 @@ from .elliptic import (
     predictor_pressure_system,
     solve_helmholtz,
 )
-from .grid import GridSpec, fill_ghosts
+from .grid import GridSpec, fill_ghosts, padded
 from .nonstiff import (
     InterfaceSpeeds,
     SplitScalars,
@@ -74,7 +74,7 @@ class StepReport:
     """Per-step diagnostics."""
 
     dt: float
-    elliptic_iters: tuple[int, int]
+    solve_residuals: tuple[float, ...]  # one per pressure solve
     max_mod_speed: float
     max_full_speed: float
     max_divergence: float
@@ -90,7 +90,7 @@ class RunReport:
     dts: list[float] = field(default_factory=list)
     max_divergences: list[float] = field(default_factory=list)
     pressure_fluctuations: list[float] = field(default_factory=list)
-    elliptic_iters: list[tuple[int, int]] = field(default_factory=list)
+    solve_residuals: list[tuple[float, ...]] = field(default_factory=list)
 
     def record(self, t: float, rep: StepReport) -> None:
         self.steps += 1
@@ -98,7 +98,7 @@ class RunReport:
         self.dts.append(rep.dt)
         self.max_divergences.append(rep.max_divergence)
         self.pressure_fluctuations.append(rep.pressure_fluctuation)
-        self.elliptic_iters.append(rep.elliptic_iters)
+        self.solve_residuals.append(rep.solve_residuals)
 
 
 @dataclass
@@ -179,14 +179,6 @@ def post_process(
     return fill_ghosts(blended, grid)
 
 
-def _padded_pressure(p_int: np.ndarray, grid: GridSpec) -> np.ndarray:
-    from .grid import fill_ghost_array
-
-    p = grid.zeros()
-    p[grid.interior] = p_int
-    return fill_ghost_array(p, grid)
-
-
 def _diagnostics(Vf: PrimitiveField, grid: GridSpec) -> tuple[float, float]:
     core = grid.interior
     div = discrete_divergence(Vf.u, Vf.v, grid)
@@ -217,7 +209,6 @@ def si_dec_step(
     stage_n = build_stage(Vn, grid, cfg)
     if dt is None:
         dt = compute_dt(Vn, stage_n.scalars, grid, cfg)
-    max_iter = cfg.max_iter_for(grid)
 
     c_mod = modified_sound_speed(
         Vn.rho[core], Vn.p[core], stage_n.scalars, cfg.epsilon, cfg.gamma
@@ -230,12 +221,10 @@ def si_dec_step(
     V_star.rho[core] = Vn.rho[core] - dt * stage_n.nonstiff[RHO_C]
 
     sys1 = predictor_pressure_system(Vn, stage_n.nonstiff, stage_n.scalars, dt, cfg, grid)
-    p_star, it1, _ = solve_helmholtz(
-        sys1, Vn.p[core], cfg.elliptic_tol, max_iter, cfg.elliptic_jacobi
-    )
+    p_star, _, res1 = solve_helmholtz(sys1)
     V_star.p[core] = p_star
 
-    p_pad = _padded_pressure(p_star, grid)
+    p_pad = padded(p_star, grid)
     gx, gy = central_gradient(p_pad, grid)
     coef_n = 1.0 / (eps2 * stage_n.scalars.rho_max)
     V_star.u[core] = Vn.u[core] - dt * stage_n.nonstiff[U_C] - dt * coef_n * gx
@@ -253,7 +242,7 @@ def si_dec_step(
 
     if cfg.order == 1:
         max_div, p_fluct = _diagnostics(V_star, grid)
-        report = StepReport(dt, (it1, 0), max_mod, max_full, max_div, p_fluct)
+        report = StepReport(dt, (res1,), max_mod, max_full, max_div, p_fluct)
         return DualState(V_star, U_star, state.t + dt), report
 
     # Corrector: trapezoidal explicit parts, second pressure solve.
@@ -267,12 +256,10 @@ def si_dec_step(
     sys2 = corrector_pressure_system(
         Vn, stage_n.nonstiff, stage_s.nonstiff, L_nn, L_ss, stage_s.scalars, dt, cfg, grid
     )
-    p_new, it2, _ = solve_helmholtz(
-        sys2, V_star.p[core], cfg.elliptic_tol, max_iter, cfg.elliptic_jacobi
-    )
+    p_new, _, res2 = solve_helmholtz(sys2)
     V_new.p[core] = p_new
 
-    p_pad = _padded_pressure(p_new, grid)
+    p_pad = padded(p_new, grid)
     gx, gy = central_gradient(p_pad, grid)
     coef_s = 1.0 / (eps2 * stage_s.scalars.rho_max)
     V_new.u[core] = (
@@ -301,7 +288,7 @@ def si_dec_step(
     V_new = post_process(V_new, U_new, grid, cfg).validate(grid)
 
     max_div, p_fluct = _diagnostics(V_new, grid)
-    report = StepReport(dt, (it1, it2), max_mod, max_full, max_div, p_fluct)
+    report = StepReport(dt, (res1, res2), max_mod, max_full, max_div, p_fluct)
     return DualState(V_new, U_new, state.t + dt), report
 
 

@@ -39,9 +39,6 @@ class SolverConfig:
     eps0: float = 0.15
     eps1: float = 0.4
     alpha: float = 14.0
-    elliptic_tol: float = 1e-10
-    elliptic_max_iter: Optional[int] = None
-    elliptic_jacobi: bool = False
     order: int = 2
     dt_override: Optional[tuple[int, float]] = None
 
@@ -60,11 +57,6 @@ class SolverConfig:
             raise ValueError("alpha must be positive")
         if self.order not in (1, 2):
             raise ValueError("order must be 1 or 2")
-
-    def max_iter_for(self, grid: GridSpec) -> int:
-        if self.elliptic_max_iter is not None:
-            return self.elliptic_max_iter
-        return 10 * (grid.nx + grid.ny)
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import pytest
+
 from allmach import cli
 from allmach.errors import NoConvergence, NonPhysicalState
 from allmach.snapshots import snapshot_read
@@ -59,6 +61,17 @@ def test_config_file_supplies_values_and_flags_win(tmp_path):
     assert header["eps"] == 0.1  # file beats default
 
 
+@pytest.mark.parametrize(
+    "line, key", [("epss = 0.1", "epss"), ("elliptic-tol = 1e-3", "elliptic_tol")]
+)
+def test_config_file_unknown_key_is_config_error(tmp_path, capsys, line, key):
+    # a misspelt or removed key must not be silently ignored
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"case = gresho\nnx = 8\nt-final = 0.01\n{line}\n")
+    assert cli.main(["run", "--config", str(cfg_file)]) == 4
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+
+
 def test_missing_config_file_is_config_error(tmp_path):
     assert cli.main(["run", "--config", str(tmp_path / "absent.cfg")]) == 4
 
@@ -83,7 +96,7 @@ def test_nonphysical_state_maps_to_exit_2(monkeypatch, capsys):
 
 def test_no_convergence_maps_to_exit_3(monkeypatch):
     monkeypatch.setattr(
-        cli, "cmd_run", lambda ns, fc: (_ for _ in ()).throw(NoConvergence(5, 1.0))
+        cli, "cmd_run", lambda ns, fc: (_ for _ in ()).throw(NoConvergence("boom"))
     )
     assert cli.main(["run", "--case", "gresho"]) == 3
 

@@ -163,13 +163,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
 
-    def test_elliptic_iteration_cap_scales_with_grid(self):
-        cfg = SolverConfig(epsilon=0.5)
-        assert cfg.max_iter_for(GridSpec(64, 32, 0.0, 1.0, 0.0, 1.0)) == 960
-        assert SolverConfig(epsilon=0.5, elliptic_max_iter=5).max_iter_for(
-            GridSpec(64, 32, 0.0, 1.0, 0.0, 1.0)
-        ) == 5
-
 
 class TestValidation:
     def test_negative_pressure_detected(self, grid):
