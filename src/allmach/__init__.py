@@ -7,116 +7,21 @@ conservative copy sharp across shocks, and a Mach-dependent blend picks the
 right one after every stage.
 """
 
-from .benchmarks import (
-    CASES,
-    BenchmarkCase,
-    ErrorTable,
-    convergence_study,
-    l1_error,
-    local_mach,
-    run_case,
-    vorticity,
-)
-from .conservative import assemble_conservative_rhs, conservative_flux, conservative_speeds
-from .elliptic import (
-    HelmholtzSystem,
-    compact_laplacian,
-    corrector_pressure_system,
-    predictor_pressure_system,
-    solve_helmholtz,
-)
+from .benchmarks import CASES, convergence_study, l1_error, run_case
 from .errors import NoConvergence, NonPhysicalState
-from .grid import OUTFLOW, PERIODIC, GridSpec, fill_ghosts
-from .integrator import (
-    DualState,
-    RunReport,
-    StepReport,
-    compute_dt,
-    post_process,
-    run,
-    si_dec_step,
-    switching_weight,
-)
-from .nonstiff import (
-    InterfaceSpeeds,
-    SplitScalars,
-    assemble_nonstiff,
-    modified_sound_speed,
-    nonstiff_speeds,
-    split_scalars,
-)
-from .reconstruction import (
-    InterfaceValues,
-    SlopeField,
-    compute_slopes,
-    limited_interfaces,
-    minmod,
-    reconstruct_interfaces,
-)
-from .snapshots import snapshot_read, snapshot_write
-from .state import (
-    ConservativeField,
-    PrimitiveField,
-    SolverConfig,
-    cons_to_prim,
-    prim_to_cons,
-)
-from .stiff import StiffScalars, assemble_stiff, central_gradient, discrete_divergence
+from .integrator import DualState, run
+from .snapshots import snapshot_write
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CASES",
-    "BenchmarkCase",
-    "ConservativeField",
     "DualState",
-    "ErrorTable",
-    "GridSpec",
-    "HelmholtzSystem",
-    "InterfaceSpeeds",
-    "InterfaceValues",
     "NoConvergence",
     "NonPhysicalState",
-    "OUTFLOW",
-    "PERIODIC",
-    "PrimitiveField",
-    "RunReport",
-    "SlopeField",
-    "SolverConfig",
-    "SplitScalars",
-    "StepReport",
-    "StiffScalars",
-    "assemble_conservative_rhs",
-    "assemble_nonstiff",
-    "assemble_stiff",
-    "central_gradient",
-    "compact_laplacian",
-    "compute_dt",
-    "compute_slopes",
-    "cons_to_prim",
-    "conservative_flux",
-    "conservative_speeds",
     "convergence_study",
-    "corrector_pressure_system",
-    "discrete_divergence",
-    "fill_ghosts",
     "l1_error",
-    "limited_interfaces",
-    "local_mach",
-    "minmod",
-    "modified_sound_speed",
-    "nonstiff_speeds",
-    "post_process",
-    "predictor_pressure_system",
-    "prim_to_cons",
-    "reconstruct_interfaces",
     "run",
     "run_case",
-    "si_dec_step",
-    "snapshot_read",
     "snapshot_write",
-    "solve_helmholtz",
-    "split_scalars",
-    "switching_weight",
-    "vorticity",
 ]

@@ -16,6 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .errors import NoConvergence, NonPhysicalState
 from .grid import OUTFLOW, PERIODIC, GridSpec, fill_ghosts
 from .integrator import DualState, RunReport, run
 from .state import PrimitiveField, SolverConfig
@@ -29,21 +30,18 @@ _GAUSS3 = ((-math.sqrt(0.6), 5.0 / 18.0), (0.0, 8.0 / 18.0), (math.sqrt(0.6), 5.
 def evaluate_field(grid: GridSpec, fn: PointState, quadrature: str = "midpoint") -> PrimitiveField:
     """Sample a pointwise state onto interior cell averages."""
     X, Y = grid.cell_centers()
+    out = PrimitiveField.zeros(grid)
+    core = out.array[grid.interior]
     if quadrature == "midpoint":
-        rho, u, v, p = (np.asarray(c, dtype=float) + np.zeros_like(X) for c in fn(X, Y))
+        core[...] = [np.asarray(c, dtype=float) + np.zeros_like(X) for c in fn(X, Y)]
     elif quadrature == "gauss3":
-        acc = [np.zeros_like(X) for _ in range(4)]
         for ax, wx in _GAUSS3:
             for ay, wy in _GAUSS3:
                 vals = fn(X + 0.5 * grid.dx * ax, Y + 0.5 * grid.dy * ay)
-                for a, c in zip(acc, vals):
+                for a, c in zip(core, vals):
                     a += 2.0 * wx * 2.0 * wy * 0.25 * (np.asarray(c, dtype=float) + np.zeros_like(X))
-        rho, u, v, p = acc
     else:
         raise ValueError(f"unknown quadrature {quadrature!r}")
-    out = PrimitiveField.zeros(grid)
-    for dst, src in zip(out.components(), (rho, u, v, p)):
-        dst[grid.interior] = src
     return fill_ghosts(out, grid)
 
 
@@ -358,7 +356,8 @@ def convergence_study(
 ) -> ErrorTable:
     """Errors against the exact solution over a mesh/Mach sweep.
 
-    A failing run marks its row and the study continues.
+    A run that blows up or whose pressure solve fails marks its row and the
+    study continues; a configuration error propagates.
     """
     if not case.has_exact:
         raise ValueError(f"case {case.name!r} has no exact solution")
@@ -376,7 +375,7 @@ def convergence_study(
                 grid, state, _, _ = run_case(case, eps, n, n, t_final=t_end, **overrides)
                 exact = case.exact_state(grid, eps, t_end)
                 errors = l1_error(state.V, exact, grid)
-            except Exception as exc:  # noqa: BLE001 - row-level fault isolation
+            except (NonPhysicalState, NoConvergence) as exc:
                 rows.append(ErrorRow(n, eps, np.full(4, np.nan), failed=str(exc)))
                 previous = None
                 continue

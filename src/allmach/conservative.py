@@ -5,36 +5,18 @@ by telescoping.  Interface states are transformed from the reconstructed
 primitive traces; the one-sided speeds use the full sound speed, which grows
 like 1/eps, so this operator alone would be impractical at low Mach numbers.
 It supplies the shock-correct solution branch at moderate and high Mach
-numbers.
+numbers.  Like the nonstiff operator, it is written once along axis 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NonPhysicalState
-from .grid import GridSpec
-from .nonstiff import AXIS_X, AXIS_Y, _one_sided, cu_flux
-from .reconstruction import RHO, P, InterfaceValues, limited_interfaces
-from .state import (
-    PrimitiveField,
-    SolverConfig,
-    pressure_from_conserved,
-    prim_stack_to_cons,
-    total_energy,
-)
-
-
-@dataclass
-class ConsInterfaceSpeeds:
-    """One-sided speeds built with the full sound speed (1/eps scaling)."""
-
-    a_minus: np.ndarray  # (nx+1, ny)
-    a_plus: np.ndarray
-    b_minus: np.ndarray  # (nx, ny+1)
-    b_plus: np.ndarray
+from .grid import GridSpec, along
+from .nonstiff import cu_flux, one_sided_speeds
+from .reconstruction import P, RHO, U, V, Traces, limited_interfaces
+from .state import PrimitiveField, SolverConfig, prim_to_cons, primitive_values, total_energy
 
 
 def sound_speed(rho, p, cfg: SolverConfig):
@@ -42,81 +24,68 @@ def sound_speed(rho, p, cfg: SolverConfig):
 
 
 def flux_from_primitive(Vs: np.ndarray, cfg: SolverConfig, axis: int) -> np.ndarray:
-    """Exact conservative flux evaluated from a stacked primitive state."""
-    rho, u, v, p = Vs
-    E = total_energy(rho, u, v, p, cfg)
-    if axis == AXIS_X:
-        return np.stack((rho * u, rho * u * u + p / cfg.epsilon**2, rho * u * v, u * (E + p)))
-    return np.stack((rho * v, rho * u * v, rho * v * v + p / cfg.epsilon**2, v * (E + p)))
+    """Exact conservative flux along ``axis`` evaluated from a stacked
+    primitive state."""
+    rho, un, p = Vs[RHO], Vs[U + axis], Vs[P]
+    F = np.empty_like(Vs)
+    F[RHO] = rho * un
+    F[U + axis] = rho * un * un + p / cfg.epsilon**2
+    F[V - axis] = rho * Vs[U] * Vs[V]
+    F[P] = un * (total_energy(*Vs, cfg) + p)
+    return F
 
 
 def conservative_flux(Us: np.ndarray, cfg: SolverConfig, axis: int) -> np.ndarray:
     """Exact flux of a stacked conservative state; pressure recovered from
     the equation of state.  Raises NonPhysicalState on non-positive p."""
-    rho, mx, my, E = Us
-    p = pressure_from_conserved(rho, mx, my, E, cfg)
-    if np.any(np.asarray(p) <= 0.0):
+    Vs = primitive_values(Us, cfg)
+    if np.any(Vs[P] <= 0.0):
         raise NonPhysicalState("non-positive pressure in conservative flux")
-    return flux_from_primitive(np.stack((rho, mx / rho, my / rho, p)), cfg, axis)
+    return flux_from_primitive(Vs, cfg, axis)
 
 
-def conservative_speeds(iv: InterfaceValues, cfg: SolverConfig) -> ConsInterfaceSpeeds:
-    """Speed estimates from the full-system eigenvalues u +- c."""
-    a_minus, a_plus = _one_sided(
-        iv.x_minus[1], iv.x_plus[1],
-        sound_speed(iv.x_minus[RHO], iv.x_minus[P], cfg),
-        sound_speed(iv.x_plus[RHO], iv.x_plus[P], cfg),
-        cfg.delta,
+def conservative_speeds(traces: Traces, cfg: SolverConfig, axis: int):
+    """Speed estimates from the full-system eigenvalues u_n +- c."""
+    minus, plus = traces
+    return one_sided_speeds(
+        minus, plus,
+        sound_speed(minus[RHO], minus[P], cfg),
+        sound_speed(plus[RHO], plus[P], cfg),
+        cfg.delta, axis,
     )
-    b_minus, b_plus = _one_sided(
-        iv.y_minus[2], iv.y_plus[2],
-        sound_speed(iv.y_minus[RHO], iv.y_minus[P], cfg),
-        sound_speed(iv.y_plus[RHO], iv.y_plus[P], cfg),
-        cfg.delta,
-    )
-    return ConsInterfaceSpeeds(a_minus, a_plus, b_minus, b_plus)
 
 
-def cu_flux_conservative(
-    iv: InterfaceValues, speeds: ConsInterfaceSpeeds, cfg: SolverConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Central-upwind fluxes of the conservative system at all interfaces.
+def cu_flux_conservative(traces: Traces, cfg: SolverConfig, axis: int) -> np.ndarray:
+    """Central-upwind fluxes of the conservative system at the interfaces
+    normal to ``axis``, shape (4, n+1, m) with the axis first.
 
     Interface states are the transforms of the reconstructed primitive
     traces; the anti-diffusion term reuses the same one-sided speeds.
     """
-    uxm = prim_stack_to_cons(iv.x_minus, cfg)
-    uxp = prim_stack_to_cons(iv.x_plus, cfg)
-    fx = cu_flux(
-        uxm, uxp,
-        flux_from_primitive(iv.x_minus, cfg, AXIS_X),
-        flux_from_primitive(iv.x_plus, cfg, AXIS_X),
-        speeds.a_minus, speeds.a_plus,
+    minus, plus = traces
+    s_minus, s_plus = conservative_speeds(traces, cfg, axis)
+    return cu_flux(
+        prim_to_cons(minus, cfg), prim_to_cons(plus, cfg),
+        flux_from_primitive(minus, cfg, axis), flux_from_primitive(plus, cfg, axis),
+        s_minus, s_plus,
     )
-    uym = prim_stack_to_cons(iv.y_minus, cfg)
-    uyp = prim_stack_to_cons(iv.y_plus, cfg)
-    fy = cu_flux(
-        uym, uyp,
-        flux_from_primitive(iv.y_minus, cfg, AXIS_Y),
-        flux_from_primitive(iv.y_plus, cfg, AXIS_Y),
-        speeds.b_minus, speeds.b_plus,
-    )
-    return fx, fy
 
 
 def assemble_conservative_rhs(
     Vf: PrimitiveField,
     grid: GridSpec,
     cfg: SolverConfig,
-    iv: InterfaceValues | None = None,
+    traces: list[Traces] | None = None,
 ) -> np.ndarray:
     """Semi-discrete rate dU/dt = -div(fluxes), shape (4, nx, ny).
 
     Exactly telescoping under periodic boundaries: the componentwise sum
     over the domain vanishes to round-off.
     """
-    if iv is None:
-        _, iv = limited_interfaces(Vf, grid, cfg.theta)
-    speeds = conservative_speeds(iv, cfg)
-    fx, fy = cu_flux_conservative(iv, speeds, cfg)
-    return -(fx[:, 1:, :] - fx[:, :-1, :]) / grid.dx - (fy[:, :, 1:] - fy[:, :, :-1]) / grid.dy
+    if traces is None:
+        traces = limited_interfaces(Vf, grid, cfg.theta)
+    D = np.zeros((4, grid.nx, grid.ny))
+    for axis, tr in enumerate(traces):
+        f = cu_flux_conservative(tr, cfg, axis)
+        along(D, axis)[...] -= (f[:, 1:] - f[:, :-1]) / grid.spacing(axis)
+    return D

@@ -1,7 +1,8 @@
 """Uniform Cartesian grid geometry and ghost-cell boundary handling.
 
-Scalar fields live on ghost-padded arrays of shape ``(nx + 2*ghost,
-ny + 2*ghost)`` with axis 0 along x and axis 1 along y.  The ghost depth is
+Fields live on ghost-padded arrays whose last two axes have shape
+``(nx + 2*ghost, ny + 2*ghost)``, x before y; a state stacks its four
+components in front, ``(4, nx + 2*ghost, ny + 2*ghost)``.  The ghost depth is
 fixed to 2: interface reconstruction at a physical boundary needs a limited
 slope in the first ghost cell, which in turn needs one further neighbor.
 """
@@ -16,6 +17,8 @@ PERIODIC = "periodic"
 OUTFLOW = "outflow"
 
 GHOST_DEPTH = 2
+
+AXIS_X, AXIS_Y = 0, 1
 
 
 @dataclass(frozen=True)
@@ -54,10 +57,13 @@ class GridSpec:
         return (self.nx + 2 * g, self.ny + 2 * g)
 
     @property
-    def interior(self) -> tuple[slice, slice]:
-        """Slice pair selecting the interior of a padded array."""
+    def interior(self) -> tuple:
+        """Index selecting the interior cells of a padded scalar or stacked array."""
         g = self.ghost
-        return (slice(g, g + self.nx), slice(g, g + self.ny))
+        return (..., slice(g, g + self.nx), slice(g, g + self.ny))
+
+    def spacing(self, axis: int) -> float:
+        return (self.dx, self.dy)[axis]
 
     def zeros(self) -> np.ndarray:
         return np.zeros(self.shape)
@@ -69,26 +75,31 @@ class GridSpec:
         return np.meshgrid(x, y, indexing="ij")
 
 
+def along(a: np.ndarray, axis: int) -> np.ndarray:
+    """View of ``a`` with the given grid axis in front of the other one.
+
+    Dimension-by-dimension kernels are written once along x; they run along
+    y on this transposed view of their inputs and outputs.
+    """
+    return a if axis == AXIS_X else a.swapaxes(-2, -1)
+
+
 def fill_ghost_array(a: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Fill the ghost layers of one padded scalar array in place.
+    """Fill the ghost layers of a padded scalar or stacked array in place.
 
     Periodic axes copy wrapped interior values; outflow axes extrapolate the
     nearest interior cell at zeroth order.  Filling x then y makes corner
     ghosts consistent with both axes.  Idempotent.
     """
     g = grid.ghost
-    if grid.bc_x == PERIODIC:
-        a[:g, :] = a[-2 * g:-g, :]
-        a[-g:, :] = a[g:2 * g, :]
-    else:
-        a[:g, :] = a[g:g + 1, :]
-        a[-g:, :] = a[-g - 1:-g, :]
-    if grid.bc_y == PERIODIC:
-        a[:, :g] = a[:, -2 * g:-g]
-        a[:, -g:] = a[:, g:2 * g]
-    else:
-        a[:, :g] = a[:, g:g + 1]
-        a[:, -g:] = a[:, -g - 1:-g]
+    for axis, bc in ((AXIS_X, grid.bc_x), (AXIS_Y, grid.bc_y)):
+        b = along(a, axis)
+        if bc == PERIODIC:
+            b[..., :g, :] = b[..., -2 * g:-g, :]
+            b[..., -g:, :] = b[..., g:2 * g, :]
+        else:
+            b[..., :g, :] = b[..., g:g + 1, :]
+            b[..., -g:, :] = b[..., -g - 1:-g, :]
     return a
 
 
@@ -100,11 +111,7 @@ def padded(interior: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 def fill_ghosts(fld, grid: GridSpec):
-    """Fill the ghost layers of every component of a field, in place.
-
-    Accepts anything exposing ``components()`` (PrimitiveField,
-    ConservativeField) and returns it for chaining.
-    """
-    for a in fld.components():
-        fill_ghost_array(a, grid)
+    """Fill the ghost layers of a PrimitiveField or ConservativeField in
+    place and return it for chaining."""
+    fill_ghost_array(fld.array, grid)
     return fld

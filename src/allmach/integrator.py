@@ -31,15 +31,8 @@ from .elliptic import (
     solve_helmholtz,
 )
 from .grid import GridSpec, fill_ghosts, padded
-from .nonstiff import (
-    InterfaceSpeeds,
-    SplitScalars,
-    assemble_nonstiff,
-    modified_sound_speed,
-    nonstiff_speeds,
-    split_scalars,
-)
-from .reconstruction import InterfaceValues, SlopeField, limited_interfaces
+from .nonstiff import SplitScalars, assemble_nonstiff, modified_sound_speed, split_scalars
+from .reconstruction import limited_interfaces
 from .state import (
     ConservativeField,
     PrimitiveField,
@@ -65,7 +58,7 @@ class DualState:
         cls, Vf: PrimitiveField, grid: GridSpec, cfg: SolverConfig, t: float = 0.0
     ) -> "DualState":
         fill_ghosts(Vf, grid).validate(grid)
-        U = fill_ghosts(prim_to_cons(Vf, cfg), grid)
+        U = fill_ghosts(ConservativeField(prim_to_cons(Vf.array, cfg)), grid)
         return cls(Vf, U, t)
 
 
@@ -103,12 +96,9 @@ class RunReport:
 
 @dataclass
 class StageBuffers:
-    """Reconstruction, speeds, and operator fields of one stage."""
+    """Split scalars and operator fields of one stage."""
 
     scalars: SplitScalars
-    slopes: SlopeField
-    iv: InterfaceValues
-    speeds: InterfaceSpeeds
     nonstiff: np.ndarray
     cons_rhs: np.ndarray
 
@@ -116,11 +106,10 @@ class StageBuffers:
 def build_stage(Vf: PrimitiveField, grid: GridSpec, cfg: SolverConfig) -> StageBuffers:
     """One reconstruction pass feeding both operators of a stage."""
     scalars = split_scalars(Vf, grid, cfg.epsilon)
-    slopes, iv = limited_interfaces(Vf, grid, cfg.theta)
-    speeds = nonstiff_speeds(iv, scalars, cfg)
-    R = assemble_nonstiff(Vf, grid, cfg, scalars, iv=iv, speeds=speeds)
-    D = assemble_conservative_rhs(Vf, grid, cfg, iv=iv)
-    return StageBuffers(scalars, slopes, iv, speeds, R, D)
+    traces = limited_interfaces(Vf, grid, cfg.theta)
+    R = assemble_nonstiff(Vf, grid, cfg, scalars, traces)
+    D = assemble_conservative_rhs(Vf, grid, cfg, traces)
+    return StageBuffers(scalars, R, D)
 
 
 def compute_dt(
@@ -173,10 +162,7 @@ def post_process(
     if s == 1.0:
         return V_raw
     from_U = cons_to_prim(U, grid, cfg)
-    blended = PrimitiveField(
-        *((1.0 - s) * a + s * b for a, b in zip(from_U.components(), V_raw.components()))
-    )
-    return fill_ghosts(blended, grid)
+    return fill_ghosts(PrimitiveField((1.0 - s) * from_U.array + s * V_raw.array), grid)
 
 
 def _diagnostics(Vf: PrimitiveField, grid: GridSpec) -> tuple[float, float]:
@@ -231,8 +217,7 @@ def si_dec_step(
     V_star.v[core] = Vn.v[core] - dt * stage_n.nonstiff[V_C] - dt * coef_n * gy
 
     U_star = ConservativeField.zeros(grid)
-    for comp, a, rate in zip(U_star.components(), Un.components(), stage_n.cons_rhs):
-        comp[core] = a[core] + dt * rate
+    U_star.array[core] = Un.array[core] + dt * stage_n.cons_rhs
     fill_ghosts(U_star, grid)
     if blend_uses_U:
         U_star.validate(grid, cfg)
@@ -276,10 +261,7 @@ def si_dec_step(
     )
 
     U_new = ConservativeField.zeros(grid)
-    for comp, a, rn, rs in zip(
-        U_new.components(), Un.components(), stage_n.cons_rhs, stage_s.cons_rhs
-    ):
-        comp[core] = a[core] + 0.5 * dt * (rn + rs)
+    U_new.array[core] = Un.array[core] + 0.5 * dt * (stage_n.cons_rhs + stage_s.cons_rhs)
     fill_ghosts(U_new, grid)
     if blend_uses_U:
         U_new.validate(grid, cfg)

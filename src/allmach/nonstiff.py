@@ -7,7 +7,9 @@ This module assembles that subsystem's update rate with a path-conservative
 central-upwind discretization: limited interface traces, one-sided local
 speeds built from a modified sound speed, central-upwind fluxes with a
 built-in anti-diffusion term, and nonconservative products evaluated along a
-linear path with the midpoint rule.
+linear path with the midpoint rule.  Each of these pieces is written once,
+along axis 0, and runs along y on transposed views with the roles of the
+normal and tangential velocity exchanged.
 
 Operator fields returned here are stacked interior arrays of shape
 (4, nx, ny) ordered (rho, u, v, p).
@@ -20,17 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPhysicalState
-from .grid import GridSpec
-from .reconstruction import (
-    RHO,
-    P,
-    InterfaceValues,
-    limited_interfaces,
-    minmod,
-)
+from .grid import GridSpec, along
+from .reconstruction import P, RHO, U, V, Traces, limited_interfaces, minmod
 from .state import PrimitiveField, SolverConfig
-
-AXIS_X, AXIS_Y = 0, 1
 
 
 @dataclass(frozen=True)
@@ -67,41 +61,35 @@ def modified_sound_speed(rho, p, scalars: SplitScalars, eps: float, gamma: float
     return np.sqrt(radicand) / eps
 
 
-@dataclass
-class InterfaceSpeeds:
-    """One-sided local propagation speeds, floored away from zero by delta."""
-
-    a_minus: np.ndarray  # (nx+1, ny)
-    a_plus: np.ndarray
-    b_minus: np.ndarray  # (nx, ny+1)
-    b_plus: np.ndarray
-
-
-def _one_sided(w_minus, w_plus, c_minus, c_plus, delta):
-    lo = np.minimum(w_minus - c_minus, w_plus - c_plus)
-    hi = np.maximum(w_minus + c_minus, w_plus + c_plus)
+def one_sided_speeds(minus, plus, c_minus, c_plus, delta, axis):
+    """Local speeds of the waves leaving each interface normal to ``axis``
+    to the left and right, from the normal velocity plus/minus a sound
+    speed, floored away from zero by delta."""
+    un_minus, un_plus = minus[U + axis], plus[U + axis]
+    lo = np.minimum(un_minus - c_minus, un_plus - c_plus)
+    hi = np.maximum(un_minus + c_minus, un_plus + c_plus)
     return np.minimum(lo, -delta), np.maximum(hi, delta)
 
 
-def nonstiff_speeds(iv: InterfaceValues, scalars: SplitScalars, cfg: SolverConfig) -> InterfaceSpeeds:
-    """Speed estimates from the split-subsystem eigenvalues u +- c_tilde."""
-    cxm = modified_sound_speed(iv.x_minus[RHO], iv.x_minus[P], scalars, cfg.epsilon, cfg.gamma)
-    cxp = modified_sound_speed(iv.x_plus[RHO], iv.x_plus[P], scalars, cfg.epsilon, cfg.gamma)
-    a_minus, a_plus = _one_sided(iv.x_minus[1], iv.x_plus[1], cxm, cxp, cfg.delta)
-    cym = modified_sound_speed(iv.y_minus[RHO], iv.y_minus[P], scalars, cfg.epsilon, cfg.gamma)
-    cyp = modified_sound_speed(iv.y_plus[RHO], iv.y_plus[P], scalars, cfg.epsilon, cfg.gamma)
-    b_minus, b_plus = _one_sided(iv.y_minus[2], iv.y_plus[2], cym, cyp, cfg.delta)
-    return InterfaceSpeeds(a_minus, a_plus, b_minus, b_plus)
+def nonstiff_speeds(traces: Traces, scalars: SplitScalars, cfg: SolverConfig, axis: int):
+    """Speed estimates from the split-subsystem eigenvalues u_n +- c_tilde."""
+    minus, plus = traces
+    return one_sided_speeds(
+        minus, plus,
+        modified_sound_speed(minus[RHO], minus[P], scalars, cfg.epsilon, cfg.gamma),
+        modified_sound_speed(plus[RHO], plus[P], scalars, cfg.epsilon, cfg.gamma),
+        cfg.delta, axis,
+    )
 
 
 def nonstiff_flux(Vs: np.ndarray, axis: int) -> np.ndarray:
-    """Flux of the split subsystem: (rho*u, u^2/2, 0, 0) along x and
-    (rho*v, 0, v^2/2, 0) along y."""
-    rho, u, v, _ = Vs
-    zero = np.zeros_like(rho)
-    if axis == AXIS_X:
-        return np.stack((rho * u, 0.5 * u * u, zero, zero))
-    return np.stack((rho * v, zero, 0.5 * v * v, zero))
+    """Flux of the split subsystem along ``axis``: (rho*u, u^2/2, 0, 0)
+    along x and (rho*v, 0, v^2/2, 0) along y."""
+    un = Vs[U + axis]
+    F = np.zeros_like(Vs)
+    F[RHO] = Vs[RHO] * un
+    F[U + axis] = 0.5 * un * un
+    return F
 
 
 def antidiffusion(v_minus, v_plus, f_minus, f_plus, s_minus, s_plus):
@@ -127,80 +115,42 @@ def cu_flux(v_minus, v_plus, f_minus, f_plus, s_minus, s_plus):
     ) * (v_plus - v_minus - dv)
 
 
-def cu_flux_primitive(iv: InterfaceValues, speeds: InterfaceSpeeds) -> tuple[np.ndarray, np.ndarray]:
-    """Central-upwind fluxes of the split subsystem at all interfaces."""
-    fx = cu_flux(
-        iv.x_minus, iv.x_plus,
-        nonstiff_flux(iv.x_minus, AXIS_X), nonstiff_flux(iv.x_plus, AXIS_X),
-        speeds.a_minus, speeds.a_plus,
-    )
-    fy = cu_flux(
-        iv.y_minus, iv.y_plus,
-        nonstiff_flux(iv.y_minus, AXIS_Y), nonstiff_flux(iv.y_plus, AXIS_Y),
-        speeds.b_minus, speeds.b_plus,
-    )
-    return fx, fy
-
-
-def _bmat_apply(Vs: np.ndarray, w: np.ndarray, scalars: SplitScalars, cfg: SolverConfig) -> np.ndarray:
-    """Action of the nonstiff nonconservative x-matrix on a state increment.
+def _bmat_apply(
+    Vs: np.ndarray, w: np.ndarray, scalars: SplitScalars, cfg: SolverConfig, axis: int
+) -> np.ndarray:
+    """Action of the nonstiff nonconservative matrix along ``axis`` on a
+    state increment.
 
     Rows: nothing for rho; the density-weighted pressure-gradient coefficient
-    for u; advection of v; and (p - p_min)-weighted dilatation plus pressure
-    advection for p.
+    for the normal velocity; advection of the tangential velocity; and
+    (p - p_min)-weighted dilatation plus pressure advection for p.
     """
-    rho, u, _, p = Vs
+    normal, tangential = U + axis, V - axis
+    rho, un, p = Vs[RHO], Vs[normal], Vs[P]
     q = (scalars.rho_max - rho) / (cfg.epsilon**2 * rho * scalars.rho_max)
     g = cfg.gamma * (p - scalars.p_min)
-    return np.stack((
-        np.zeros_like(rho),
-        -q * w[3],
-        -u * w[2],
-        -g * w[1] - u * w[3],
-    ))
-
-
-def _cmat_apply(Vs: np.ndarray, w: np.ndarray, scalars: SplitScalars, cfg: SolverConfig) -> np.ndarray:
-    """Action of the nonstiff nonconservative y-matrix on a state increment."""
-    rho, _, v, p = Vs
-    q = (scalars.rho_max - rho) / (cfg.epsilon**2 * rho * scalars.rho_max)
-    g = cfg.gamma * (p - scalars.p_min)
-    return np.stack((
-        np.zeros_like(rho),
-        -v * w[1],
-        -q * w[3],
-        -g * w[2] - v * w[3],
-    ))
+    out = np.zeros_like(w)
+    out[normal] = -q * w[P]
+    out[tangential] = -un * w[tangential]
+    out[P] = -g * w[normal] - un * w[P]
+    return out
 
 
 def nonconservative_terms(
-    iv: InterfaceValues,
-    Vf: PrimitiveField,
-    scalars: SplitScalars,
-    cfg: SolverConfig,
-    grid: GridSpec,
-):
-    """Path-conservative products: per-cell terms and interface fluctuations.
+    traces: Traces, Vbar: np.ndarray, scalars: SplitScalars, cfg: SolverConfig, axis: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Path-conservative products along ``axis``: per-cell terms and
+    interface fluctuations.
 
-    Cell terms apply the matrices at the cell average to the in-cell jump of
-    the reconstruction; fluctuations use a linear path between the interface
-    traces evaluated by the midpoint rule.
-
-    Returns (b_cell, c_cell, b_psi, c_psi) with shapes (4, nx, ny),
-    (4, nx, ny), (4, nx+1, ny), (4, nx, ny+1).
+    Cell terms apply the matrix at the cell average ``Vbar`` (interior,
+    axis first) to the in-cell jump of the reconstruction; fluctuations use
+    a linear path between the interface traces evaluated by the midpoint
+    rule.  Returns (cell, psi) with shapes (4, n, m) and (4, n+1, m).
     """
-    core = (slice(None),) + grid.interior
-    Vbar = Vf.stacked()[core]
-    jump_x = iv.x_minus[:, 1:, :] - iv.x_plus[:, :-1, :]
-    jump_y = iv.y_minus[:, :, 1:] - iv.y_plus[:, :, :-1]
-    b_cell = _bmat_apply(Vbar, jump_x, scalars, cfg)
-    c_cell = _cmat_apply(Vbar, jump_y, scalars, cfg)
-
-    mid_x = 0.5 * (iv.x_minus + iv.x_plus)
-    mid_y = 0.5 * (iv.y_minus + iv.y_plus)
-    b_psi = _bmat_apply(mid_x, iv.x_plus - iv.x_minus, scalars, cfg)
-    c_psi = _cmat_apply(mid_y, iv.y_plus - iv.y_minus, scalars, cfg)
-    return b_cell, c_cell, b_psi, c_psi
+    minus, plus = traces
+    cell = _bmat_apply(Vbar, minus[:, 1:] - plus[:, :-1], scalars, cfg, axis)
+    psi = _bmat_apply(0.5 * (minus + plus), plus - minus, scalars, cfg, axis)
+    return cell, psi
 
 
 def assemble_nonstiff(
@@ -208,37 +158,32 @@ def assemble_nonstiff(
     grid: GridSpec,
     cfg: SolverConfig,
     scalars: SplitScalars,
-    iv: InterfaceValues | None = None,
-    speeds: InterfaceSpeeds | None = None,
+    traces: list[Traces] | None = None,
 ) -> np.ndarray:
     """Full explicit operator of one stage, shape (4, nx, ny).
 
     For smooth fields this approximates, to second order, the divergence of
     the mass flux, the velocity advection plus the density-weighted pressure
     gradient, and the pressure advection plus (p - p_min)-weighted
-    dilatation.  Pass ``iv``/``speeds`` to reuse reconstructions shared with
-    the conservative operator.
+    dilatation.  Pass ``traces`` to reuse the reconstruction shared with the
+    conservative operator.
     """
-    if iv is None:
-        _, iv = limited_interfaces(Vf, grid, cfg.theta)
-    if speeds is None:
-        speeds = nonstiff_speeds(iv, scalars, cfg)
-
-    fx, fy = cu_flux_primitive(iv, speeds)
-    b_cell, c_cell, b_psi, c_psi = nonconservative_terms(iv, Vf, scalars, cfg, grid)
-
-    den_a = speeds.a_plus - speeds.a_minus
-    den_b = speeds.b_plus - speeds.b_minus
-    rx = (
-        fx[:, 1:, :] - fx[:, :-1, :]
-        - b_cell
-        - (speeds.a_plus[:-1, :] / den_a[:-1, :]) * b_psi[:, :-1, :]
-        + (speeds.a_minus[1:, :] / den_a[1:, :]) * b_psi[:, 1:, :]
-    ) / grid.dx
-    ry = (
-        fy[:, :, 1:] - fy[:, :, :-1]
-        - c_cell
-        - (speeds.b_plus[:, :-1] / den_b[:, :-1]) * c_psi[:, :, :-1]
-        + (speeds.b_minus[:, 1:] / den_b[:, 1:]) * c_psi[:, :, 1:]
-    ) / grid.dy
-    return rx + ry
+    if traces is None:
+        traces = limited_interfaces(Vf, grid, cfg.theta)
+    Vbar = Vf.array[grid.interior]
+    R = np.zeros_like(Vbar)
+    for axis, tr in enumerate(traces):
+        minus, plus = tr
+        s_minus, s_plus = nonstiff_speeds(tr, scalars, cfg, axis)
+        f = cu_flux(
+            minus, plus, nonstiff_flux(minus, axis), nonstiff_flux(plus, axis), s_minus, s_plus
+        )
+        cell, psi = nonconservative_terms(tr, along(Vbar, axis), scalars, cfg, axis)
+        den = s_plus - s_minus
+        along(R, axis)[...] += (
+            f[:, 1:] - f[:, :-1]
+            - cell
+            - (s_plus[:-1] / den[:-1]) * psi[:, :-1]
+            + (s_minus[1:] / den[1:]) * psi[:, 1:]
+        ) / grid.spacing(axis)
+    return R

@@ -6,180 +6,125 @@ pass feeds both the primitive-form and the conservative-form operators:
 conservative interface states are obtained by transforming the reconstructed
 primitive values.
 
-Slopes are computed on the interior plus the first ghost ring so that the
-interfaces on the physical boundary have two-sided values.
+Every kernel here works along axis 0 of its (transposed, for y) input; see
+``grid.along``.  Slopes are computed on the interior plus the first ghost
+ring so that the interfaces on the physical boundary have two-sided values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NonPhysicalState
-from .grid import GridSpec
+from .grid import AXIS_X, AXIS_Y, GridSpec, along
 from .state import PrimitiveField
 
 RHO, U, V, P = 0, 1, 2, 3
 
+# Traces of one axis: (minus, plus), the states left and right of each
+# interface normal to that axis, each of shape (4, n+1, m) with the axis
+# first (n cells along it, m across it).
+Traces = tuple[np.ndarray, np.ndarray]
 
-def minmod(*zs):
+
+def minmod(*zs, out=None):
     """Minimum of the arguments if all positive, maximum if all negative,
-    zero otherwise.  Componentwise on arrays; plain float on scalars."""
+    zero otherwise.  Componentwise on arrays, written into ``out`` when
+    given; plain float on scalars."""
     if len(zs) < 2:
         raise ValueError("minmod needs at least two arguments")
-    stacked = np.stack(np.broadcast_arrays(*(np.asarray(z, dtype=float) for z in zs)))
-    out = np.where(
-        (stacked > 0.0).all(axis=0),
-        stacked.min(axis=0),
-        np.where((stacked < 0.0).all(axis=0), stacked.max(axis=0), 0.0),
-    )
-    if out.ndim == 0:
-        return float(out)
-    return out
+    lo = np.asarray(np.minimum(zs[0], zs[1], out=out))
+    hi = np.asarray(np.maximum(zs[0], zs[1]))
+    for z in zs[2:]:
+        np.minimum(lo, z, out=lo)
+        np.maximum(hi, z, out=hi)
+    # The arguments share a sign exactly when their minimum and maximum do,
+    # so at most one of the two clipped terms is nonzero.
+    np.maximum(lo, 0.0, out=lo)
+    np.minimum(hi, 0.0, out=hi)
+    lo += hi
+    return float(lo) if lo.ndim == 0 else lo
 
 
-@dataclass
-class SlopeField:
-    """Limited slopes per component, aligned with the padded field arrays.
-
-    Valid on the interior plus one ghost ring; the outermost ring is zero.
-    """
-
-    vx: np.ndarray  # (4, nx+2g, ny+2g)
-    vy: np.ndarray
-
-
-@dataclass
-class InterfaceValues:
-    """One-sided primitive states at cell interfaces.
-
-    ``x_minus[:, i, k]`` / ``x_plus[:, i, k]`` are the left/right traces at
-    the i-th vertical interface (i = 0..nx), similarly ``y_minus``/``y_plus``
-    at horizontal interfaces.
-    """
-
-    x_minus: np.ndarray  # (4, nx+1, ny)
-    x_plus: np.ndarray
-    y_minus: np.ndarray  # (4, nx, ny+1)
-    y_plus: np.ndarray
-
-
-def _minmod3_inplace(a, b, c, out):
-    np.minimum(a, b, out=out)
-    np.minimum(out, c, out=out)
-    neg = np.maximum(np.maximum(a, b), c)
-    all_pos = (a > 0.0) & (b > 0.0) & (c > 0.0)
-    all_neg = (a < 0.0) & (b < 0.0) & (c < 0.0)
-    out[~all_pos] = 0.0
-    out[all_neg] = neg[all_neg]
-    return out
-
-
-def compute_slopes(Vf: PrimitiveField, grid: GridSpec, theta: float) -> SlopeField:
-    """Generalized-minmod slopes of every primitive component.
+def compute_slopes(Vf: PrimitiveField, grid: GridSpec, theta: float) -> np.ndarray:
+    """Generalized-minmod slopes of every primitive component along each
+    axis, shape (2, 4, nx+2g, ny+2g): ``slopes[AXIS_X]`` holds d/dx.
 
     Ghosts of ``Vf`` must be filled.  Produces values on all padded cells
     except the outermost ring (left at zero).
     """
-    Vs = Vf.stacked()
-    vx = np.zeros_like(Vs)
-    vy = np.zeros_like(Vs)
-    inner = (slice(None), slice(1, -1), slice(1, -1))
-    left = (slice(None), slice(0, -2), slice(1, -1))
-    right = (slice(None), slice(2, None), slice(1, -1))
-    down = (slice(None), slice(1, -1), slice(0, -2))
-    up = (slice(None), slice(1, -1), slice(2, None))
-
-    c = Vs[inner]
-    _minmod3_inplace(
-        theta * (c - Vs[left]) / grid.dx,
-        (Vs[right] - Vs[left]) / (2.0 * grid.dx),
-        theta * (Vs[right] - c) / grid.dx,
-        vx[inner],
-    )
-    _minmod3_inplace(
-        theta * (c - Vs[down]) / grid.dy,
-        (Vs[up] - Vs[down]) / (2.0 * grid.dy),
-        theta * (Vs[up] - c) / grid.dy,
-        vy[inner],
-    )
-    return SlopeField(vx, vy)
+    slopes = np.zeros((2,) + Vf.array.shape)
+    for axis in (AXIS_X, AXIS_Y):
+        Vs, h = along(Vf.array, axis), grid.spacing(axis)
+        c, left, right = Vs[:, 1:-1, 1:-1], Vs[:, :-2, 1:-1], Vs[:, 2:, 1:-1]
+        minmod(
+            theta * (c - left) / h,
+            (right - left) / (2.0 * h),
+            theta * (right - c) / h,
+            out=along(slopes[axis], axis)[:, 1:-1, 1:-1],
+        )
+    return slopes
 
 
-def _interface_values(Vs: np.ndarray, slopes: SlopeField, grid: GridSpec) -> InterfaceValues:
-    g, nx, ny = grid.ghost, grid.nx, grid.ny
-    hx, hy = 0.5 * grid.dx, 0.5 * grid.dy
-    lx = (slice(None), slice(g - 1, g + nx), slice(g, g + ny))
-    rx = (slice(None), slice(g, g + nx + 1), slice(g, g + ny))
-    ly = (slice(None), slice(g, g + nx), slice(g - 1, g + ny))
-    ry = (slice(None), slice(g, g + nx), slice(g, g + ny + 1))
-    return InterfaceValues(
-        x_minus=Vs[lx] + hx * slopes.vx[lx],
-        x_plus=Vs[rx] - hx * slopes.vx[rx],
-        y_minus=Vs[ly] + hy * slopes.vy[ly],
-        y_plus=Vs[ry] - hy * slopes.vy[ry],
-    )
+def _traces(Vf: PrimitiveField, slopes: np.ndarray, grid: GridSpec) -> list[Traces]:
+    """Piecewise-linear values at interface midpoints, per axis."""
+    g = grid.ghost
+    out = []
+    for axis in (AXIS_X, AXIS_Y):
+        Vs, s, half = along(Vf.array, axis), along(slopes[axis], axis), 0.5 * grid.spacing(axis)
+        left = (slice(None), slice(g - 1, -g), slice(g, -g))  # owners of the minus traces
+        right = (slice(None), slice(g, 1 - g), slice(g, -g))
+        out.append((Vs[left] + half * s[left], Vs[right] - half * s[right]))
+    return out
 
 
 def reconstruct_interfaces(
-    Vf: PrimitiveField, slopes: SlopeField, grid: GridSpec
-) -> InterfaceValues:
+    Vf: PrimitiveField, slopes: np.ndarray, grid: GridSpec
+) -> list[Traces]:
     """Evaluate the piecewise-linear reconstruction at interface midpoints.
 
     Raises NonPhysicalState if any reconstructed density or pressure is
     non-positive; callers wanting a slope fallback should use
     ``limited_interfaces`` instead.
     """
-    iv = _interface_values(Vf.stacked(), slopes, grid)
-    for side in (iv.x_minus, iv.x_plus, iv.y_minus, iv.y_plus):
-        if (side[RHO] <= 0.0).any() or (side[P] <= 0.0).any():
-            raise NonPhysicalState("reconstructed density or pressure non-positive")
-    return iv
+    traces = _traces(Vf, slopes, grid)
+    if _offending_cells(traces, grid).any():
+        raise NonPhysicalState("reconstructed density or pressure non-positive")
+    return traces
 
 
-def _offending_cells(iv: InterfaceValues, grid: GridSpec, comp: int) -> np.ndarray:
-    """Padded-cell mask of cells whose trace of component ``comp`` is
-    non-positive on any of their four interfaces."""
-    g, nx, ny = grid.ghost, grid.nx, grid.ny
-    mask = np.zeros(grid.shape, dtype=bool)
-    bad = iv.x_minus[comp] <= 0.0  # (nx+1, ny): owner cell is left of interface
-    mask[g - 1:g + nx, g:g + ny] |= bad
-    bad = iv.x_plus[comp] <= 0.0
-    mask[g:g + nx + 1, g:g + ny] |= bad
-    bad = iv.y_minus[comp] <= 0.0
-    mask[g:g + nx, g - 1:g + ny] |= bad
-    bad = iv.y_plus[comp] <= 0.0
-    mask[g:g + nx, g:g + ny + 1] |= bad
+def _offending_cells(traces: list[Traces], grid: GridSpec) -> np.ndarray:
+    """Mask shaped like the padded state: the density and pressure entries of
+    cells whose trace of that component is non-positive on any of their
+    four interfaces."""
+    g = grid.ghost
+    mask = np.zeros((4,) + grid.shape, dtype=bool)
+    for axis, (minus, plus) in enumerate(traces):
+        owners = along(mask, axis)[:, g - 1:1 - g, g:-g]
+        for comp in (RHO, P):
+            owners[comp, :-1] |= minus[comp] <= 0.0
+            owners[comp, 1:] |= plus[comp] <= 0.0
     return mask
 
 
-def limited_interfaces(
-    Vf: PrimitiveField, grid: GridSpec, theta: float
-) -> tuple[SlopeField, InterfaceValues]:
-    """Reconstruction with a positivity fallback.
+def limited_interfaces(Vf: PrimitiveField, grid: GridSpec, theta: float) -> list[Traces]:
+    """Reconstruction with a positivity fallback, traces per axis.
 
     If a reconstructed density or pressure is non-positive at some interface,
-    the offending cell's slope for that component is recomputed with
-    theta = 1; if still non-positive the slope is zeroed, which falls back to
+    the offending cell's slopes for that component are recomputed with
+    theta = 1; if still non-positive they are zeroed, which falls back to
     the (positive) cell average.  For valid input fields the fallback is a
     no-op: minmod traces are bounded by neighboring cell averages.
     """
     slopes = compute_slopes(Vf, grid, theta)
-    Vs = Vf.stacked()
-    iv = _interface_values(Vs, slopes, grid)
+    traces = _traces(Vf, slopes, grid)
     for fallback_theta in (1.0, None):
-        masks = {c: _offending_cells(iv, grid, c) for c in (RHO, P)}
-        if not any(m.any() for m in masks.values()):
+        mask = _offending_cells(traces, grid)
+        if not mask.any():
             break
         if fallback_theta is None:
-            for comp, m in masks.items():
-                slopes.vx[comp][m] = 0.0
-                slopes.vy[comp][m] = 0.0
+            np.copyto(slopes, 0.0, where=mask)
         else:
-            retry = compute_slopes(Vf, grid, fallback_theta)
-            for comp, m in masks.items():
-                slopes.vx[comp][m] = retry.vx[comp][m]
-                slopes.vy[comp][m] = retry.vy[comp][m]
-        iv = _interface_values(Vs, slopes, grid)
-    return slopes, iv
+            np.copyto(slopes, compute_slopes(Vf, grid, fallback_theta), where=mask)
+        traces = _traces(Vf, slopes, grid)
+    return traces

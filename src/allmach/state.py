@@ -2,8 +2,9 @@
 
 Two representations of the gas state are carried side by side: primitive
 (density, velocity, pressure) and conservative (density, momentum, total
-energy).  Both store each component as its own padded scalar array so stencil
-passes sweep one component at a time.
+energy).  Each stores its four components in one ghost-padded array,
+component first, so transforms, ghost fills and updates act on the whole
+state at once.
 
 The nondimensional equation of state ties them together:
 
@@ -47,6 +48,10 @@ class SolverConfig:
             raise ValueError("epsilon must lie in (0, 1]")
         if self.gamma <= 1.0:
             raise ValueError("gamma must exceed 1")
+        if self.k_cfl <= 0.0:
+            raise ValueError("k_cfl must be positive")
+        if self.dt_override is not None and (self.dt_override[0] < 0 or self.dt_override[1] <= 0.0):
+            raise ValueError("dt_override needs a non-negative count and a positive step")
         if not 1.0 <= self.theta <= 2.0:
             raise ValueError("theta must lie in [1, 2]")
         if self.delta <= 0.0:
@@ -59,36 +64,48 @@ class SolverConfig:
             raise ValueError("order must be 1 or 2")
 
 
-@dataclass
-class PrimitiveField:
-    """Cell averages of (rho, u, v, p) on a ghost-padded grid."""
+class _Field:
+    """Cell averages of four components in one ghost-padded array of shape
+    (4, nx+2g, ny+2g); the named components are writable views into it."""
 
-    rho: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    p: np.ndarray
+    def __init__(self, array: np.ndarray):
+        self.array = array
 
     def components(self):
-        return (self.rho, self.u, self.v, self.p)
+        return tuple(self.array)
 
-    def stacked(self) -> np.ndarray:
-        """Component-major view, shape (4, nx+2g, ny+2g)."""
-        return np.stack(self.components())
-
-    def copy(self) -> "PrimitiveField":
-        return PrimitiveField(*(a.copy() for a in self.components()))
+    def copy(self):
+        return type(self)(self.array.copy())
 
     @classmethod
-    def zeros(cls, grid: GridSpec) -> "PrimitiveField":
-        return cls(grid.zeros(), grid.zeros(), grid.zeros(), grid.zeros())
+    def zeros(cls, grid: GridSpec):
+        return cls(np.zeros((4,) + grid.shape))
+
+
+def _component(index: int) -> property:
+    def write(fld, value):
+        fld.array[index] = value
+
+    return property(lambda fld: fld.array[index], write)
+
+
+def _check_finite(fld: _Field, names, grid: GridSpec) -> None:
+    finite = np.isfinite(fld.array[grid.interior]).all(axis=(1, 2))
+    for name, ok in zip(names, finite):
+        if not ok:
+            raise NonPhysicalState(f"non-finite {name}")
+
+
+class PrimitiveField(_Field):
+    """Cell averages of (rho, u, v, p) on a ghost-padded grid."""
+
+    rho, u, v, p = (_component(i) for i in range(4))
 
     def validate(self, grid: GridSpec) -> "PrimitiveField":
         """Raise NonPhysicalState unless interior cells are finite with
         positive density and pressure."""
         core = grid.interior
-        for name, a in zip(("rho", "u", "v", "p"), self.components()):
-            if not np.isfinite(a[core]).all():
-                raise NonPhysicalState(f"non-finite {name}")
+        _check_finite(self, ("rho", "u", "v", "p"), grid)
         if (self.rho[core] <= 0.0).any():
             raise NonPhysicalState("non-positive density")
         if (self.p[core] <= 0.0).any():
@@ -96,33 +113,14 @@ class PrimitiveField:
         return self
 
 
-@dataclass
-class ConservativeField:
+class ConservativeField(_Field):
     """Cell averages of (rho, rho*u, rho*v, E) on the same grid."""
 
-    rho: np.ndarray
-    mx: np.ndarray
-    my: np.ndarray
-    E: np.ndarray
-
-    def components(self):
-        return (self.rho, self.mx, self.my, self.E)
-
-    def stacked(self) -> np.ndarray:
-        return np.stack(self.components())
-
-    def copy(self) -> "ConservativeField":
-        return ConservativeField(*(a.copy() for a in self.components()))
-
-    @classmethod
-    def zeros(cls, grid: GridSpec) -> "ConservativeField":
-        return cls(grid.zeros(), grid.zeros(), grid.zeros(), grid.zeros())
+    rho, mx, my, E = (_component(i) for i in range(4))
 
     def validate(self, grid: GridSpec, cfg: SolverConfig) -> "ConservativeField":
         core = grid.interior
-        for name, a in zip(("rho", "mx", "my", "E"), self.components()):
-            if not np.isfinite(a[core]).all():
-                raise NonPhysicalState(f"non-finite {name}")
+        _check_finite(self, ("rho", "mx", "my", "E"), grid)
         rho = self.rho[core]
         if (rho <= 0.0).any():
             raise NonPhysicalState("non-positive density")
@@ -137,20 +135,25 @@ def total_energy(rho, u, v, p, cfg: SolverConfig):
     return p / (cfg.gamma - 1.0) + 0.5 * cfg.epsilon**2 * rho * (u * u + v * v)
 
 
-def pressure_from_conserved(rho, mx, my, E, cfg: SolverConfig):
-    """Invert the equation of state.  No positivity check here."""
-    kinetic = 0.5 * cfg.epsilon**2 * (mx * mx + my * my) / rho
-    return (cfg.gamma - 1.0) * (E - kinetic)
+def prim_to_cons(Vs: np.ndarray, cfg: SolverConfig) -> np.ndarray:
+    """Transform stacked (rho, u, v, p) values, shape (4, ...), to
+    (rho, rho*u, rho*v, E)."""
+    Us = np.empty_like(Vs)
+    Us[0] = Vs[0]
+    Us[1:3] = Vs[0] * Vs[1:3]
+    Us[3] = total_energy(*Vs, cfg)
+    return Us
 
 
-def prim_to_cons(V: PrimitiveField, cfg: SolverConfig) -> ConservativeField:
-    """Primitive to conservative transform, componentwise on whole arrays."""
-    return ConservativeField(
-        V.rho.copy(),
-        V.rho * V.u,
-        V.rho * V.v,
-        total_energy(V.rho, V.u, V.v, V.p, cfg),
-    )
+def primitive_values(Us: np.ndarray, cfg: SolverConfig) -> np.ndarray:
+    """Invert the equation of state on stacked conservative values.  No
+    positivity check here."""
+    Vs = np.empty_like(Us)
+    Vs[0] = Us[0]
+    Vs[1:3] = Us[1:3] / Us[0]
+    u, v = Vs[1], Vs[2]
+    Vs[3] = (cfg.gamma - 1.0) * (Us[3] - 0.5 * cfg.epsilon**2 * Us[0] * (u * u + v * v))
+    return Vs
 
 
 def cons_to_prim(U: ConservativeField, grid: GridSpec, cfg: SolverConfig) -> PrimitiveField:
@@ -163,15 +166,7 @@ def cons_to_prim(U: ConservativeField, grid: GridSpec, cfg: SolverConfig) -> Pri
     if (U.rho[core] <= 0.0).any() or not np.isfinite(U.rho[core]).all():
         raise NonPhysicalState("non-positive density in conservative state")
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = U.mx / U.rho
-        v = U.my / U.rho
-        p = (cfg.gamma - 1.0) * (U.E - 0.5 * cfg.epsilon**2 * U.rho * (u * u + v * v))
-    if (p[core] <= 0.0).any() or not np.isfinite(p[core]).all():
+        V = PrimitiveField(primitive_values(U.array, cfg))
+    if (V.p[core] <= 0.0).any() or not np.isfinite(V.p[core]).all():
         raise NonPhysicalState("non-positive recovered pressure")
-    return PrimitiveField(U.rho.copy(), u, v, p)
-
-
-def prim_stack_to_cons(Vs: np.ndarray, cfg: SolverConfig) -> np.ndarray:
-    """Transform a stacked (4, ...) primitive state array to conservative."""
-    rho, u, v, p = Vs
-    return np.stack((rho, rho * u, rho * v, total_energy(rho, u, v, p, cfg)))
+    return V

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec
+from .grid import AXIS_X, AXIS_Y, GridSpec, along
 from .nonstiff import SplitScalars
 from .state import PrimitiveField, SolverConfig
 
@@ -32,21 +32,21 @@ class StiffScalars:
         )
 
 
+def _central_difference(a: np.ndarray, grid: GridSpec, axis: int) -> np.ndarray:
+    """Second-order central difference along ``axis`` of a padded scalar
+    field, on interior cells."""
+    g, b = grid.ghost, along(a, axis)
+    return along(b[g + 1:1 - g, g:-g] - b[g - 1:-g - 1, g:-g], axis) / (2.0 * grid.spacing(axis))
+
+
 def central_gradient(p: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Second-order central gradient of a padded scalar field (interior)."""
-    g, nx, ny = grid.ghost, grid.nx, grid.ny
-    px = (p[g + 1:g + nx + 1, g:g + ny] - p[g - 1:g + nx - 1, g:g + ny]) / (2.0 * grid.dx)
-    py = (p[g:g + nx, g + 1:g + ny + 1] - p[g:g + nx, g - 1:g + ny - 1]) / (2.0 * grid.dy)
-    return px, py
+    return _central_difference(p, grid, AXIS_X), _central_difference(p, grid, AXIS_Y)
 
 
 def discrete_divergence(u: np.ndarray, v: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Central-difference divergence of a padded vector field (interior)."""
-    g, nx, ny = grid.ghost, grid.nx, grid.ny
-    return (
-        (u[g + 1:g + nx + 1, g:g + ny] - u[g - 1:g + nx - 1, g:g + ny]) / (2.0 * grid.dx)
-        + (v[g:g + nx, g + 1:g + ny + 1] - v[g:g + nx, g - 1:g + ny - 1]) / (2.0 * grid.dy)
-    )
+    return _central_difference(u, grid, AXIS_X) + _central_difference(v, grid, AXIS_Y)
 
 
 def assemble_stiff(coeffs: StiffScalars, Vf: PrimitiveField, grid: GridSpec) -> np.ndarray:
@@ -57,10 +57,8 @@ def assemble_stiff(coeffs: StiffScalars, Vf: PrimitiveField, grid: GridSpec) -> 
     extrema freeze the linearization, ``Vf`` the stage being differentiated.
     """
     px, py = central_gradient(Vf.p, grid)
-    div = discrete_divergence(Vf.u, Vf.v, grid)
-    return np.stack((
-        np.zeros_like(px),
-        coeffs.inv_eps2_rhomax * px,
-        coeffs.inv_eps2_rhomax * py,
-        coeffs.gamma_pmin * div,
-    ))
+    L = np.zeros((4, grid.nx, grid.ny))
+    L[1] = coeffs.inv_eps2_rhomax * px
+    L[2] = coeffs.inv_eps2_rhomax * py
+    L[3] = coeffs.gamma_pmin * discrete_divergence(Vf.u, Vf.v, grid)
+    return L

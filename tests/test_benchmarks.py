@@ -207,10 +207,26 @@ class TestErrorMachinery:
         machine = table.format_delimited()
         assert machine.startswith("n eps")
 
-    def test_failed_row_does_not_stop_study(self):
-        table = convergence_study(CASES["vortex"], [2.0, 1.0], [16], t_final=0.01)
-        assert table.rows[0].failed
+    def test_failed_row_does_not_stop_study(self, monkeypatch):
+        import allmach.benchmarks as benchmarks
+        from allmach.errors import NonPhysicalState
+
+        calls = []
+
+        def first_row_blows_up(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise NonPhysicalState("non-positive density")
+            return run_case(*args, **kwargs)
+
+        monkeypatch.setattr(benchmarks, "run_case", first_row_blows_up)
+        table = convergence_study(CASES["vortex"], [0.5, 1.0], [16], t_final=0.01)
+        assert table.rows[0].failed == "non-positive density"
         assert not table.rows[1].failed
+
+    def test_config_error_is_not_a_failed_row(self):
+        with pytest.raises(ValueError):
+            convergence_study(CASES["vortex"], [2.0, 1.0], [16], t_final=0.01)
 
     def test_study_requires_exact_solution(self):
         with pytest.raises(ValueError):

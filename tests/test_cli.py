@@ -111,6 +111,21 @@ def test_blowup_run_exits_with_failure_code(tmp_path):
     assert code in (2, 3)
 
 
+def test_negative_cfl_is_config_error(capsys):
+    # a non-positive CFL number must not reach the stepper (0 never advances)
+    code = cli.main(["run", "--case", "gresho", "--nx", "8", "--t-final", "0.01", "--cfl", "-0.5"])
+    assert code == 4
+    assert "k_cfl must be positive" in capsys.readouterr().err
+
+
+def test_convergence_config_error_exits_4(capsys):
+    code = cli.main([
+        "convergence", "--case", "vortex", "--n-list", "8", "--t-final", "0.01", "--theta", "3",
+    ])
+    assert code == 4
+    assert "theta must lie in [1, 2]" in capsys.readouterr().err
+
+
 def test_usage_error_exits_4():
     assert cli.main(["run", "--bogus-flag"]) == 4
 

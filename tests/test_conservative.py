@@ -9,10 +9,9 @@ from allmach.conservative import (
     flux_from_primitive,
 )
 from allmach.errors import NonPhysicalState
-from allmach.grid import GridSpec, fill_ghosts
-from allmach.nonstiff import AXIS_X, AXIS_Y
+from allmach.grid import AXIS_X, AXIS_Y, GridSpec, fill_ghosts
 from allmach.reconstruction import limited_interfaces
-from allmach.state import PrimitiveField, SolverConfig, prim_stack_to_cons
+from allmach.state import PrimitiveField, SolverConfig, prim_to_cons
 
 
 class TestFlux:
@@ -25,7 +24,7 @@ class TestFlux:
         cfg = SolverConfig(epsilon=1.0, gamma=1.4)
         # (rho,u,v,p) = (1,2,1,1): E = 2.5 + 0.5*5 = 5
         V = np.array([1.0, 2.0, 1.0, 1.0])
-        U = prim_stack_to_cons(V, cfg)
+        U = prim_to_cons(V, cfg)
         assert U[3] == pytest.approx(5.0)
         F = conservative_flux(U, cfg, AXIS_X)
         assert np.allclose(F, [2.0, 5.0, 2.0, 12.0], rtol=1e-14)
@@ -33,7 +32,7 @@ class TestFlux:
     def test_mach_scaling_of_pressure_flux(self):
         cfg = SolverConfig(epsilon=0.5, gamma=1.4)
         V = np.array([1.0, 2.0, 1.0, 1.0])
-        U = prim_stack_to_cons(V, cfg)
+        U = prim_to_cons(V, cfg)
         E = 2.5 + (0.25 / 2.0) * 5.0
         assert U[3] == pytest.approx(E)
         F = conservative_flux(U, cfg, AXIS_X)
@@ -43,7 +42,7 @@ class TestFlux:
     def test_y_flux_matches_primitive_path(self):
         cfg = SolverConfig(epsilon=0.7, gamma=1.4)
         V = np.array([1.3, 0.4, -0.8, 2.0])
-        U = prim_stack_to_cons(V, cfg)
+        U = prim_to_cons(V, cfg)
         assert np.allclose(
             conservative_flux(U, cfg, AXIS_Y), flux_from_primitive(V, cfg, AXIS_Y), rtol=1e-13
         )
@@ -56,33 +55,32 @@ class TestFlux:
 
 
 class TestSpeeds:
-    def make_iv(self, rho, u, p):
-        from allmach.reconstruction import InterfaceValues
-
+    def make_traces(self, rho, u, p):
         one = np.ones((1, 1))
         st = np.stack((rho * one, u * one, u * one, p * one))
-        return InterfaceValues(st, st.copy(), st.copy(), st.copy())
+        return st, st.copy()
 
     def test_static_sonic(self):
         cfg = SolverConfig(epsilon=1.0, gamma=1.4)
-        iv = self.make_iv(1.4, 0.0, 1.0)  # c = sqrt(1.4/1.4) = 1
-        sp = conservative_speeds(iv, cfg)
-        assert sp.a_minus[0, 0] == pytest.approx(-1.0)
-        assert sp.a_plus[0, 0] == pytest.approx(1.0)
+        tr = self.make_traces(1.4, 0.0, 1.0)  # c = sqrt(1.4/1.4) = 1
+        a_minus, a_plus = conservative_speeds(tr, cfg, AXIS_X)
+        assert a_minus[0, 0] == pytest.approx(-1.0)
+        assert a_plus[0, 0] == pytest.approx(1.0)
 
     def test_low_mach_speeds_scale_inversely(self):
         cfg = SolverConfig(epsilon=0.1, gamma=1.4)
-        iv = self.make_iv(1.4, 0.0, 1.0)
-        sp = conservative_speeds(iv, cfg)
-        assert sp.a_minus[0, 0] == pytest.approx(-10.0)
-        assert sp.b_plus[0, 0] == pytest.approx(10.0)
+        tr = self.make_traces(1.4, 0.0, 1.0)
+        a_minus, _ = conservative_speeds(tr, cfg, AXIS_X)
+        _, b_plus = conservative_speeds(tr, cfg, AXIS_Y)
+        assert a_minus[0, 0] == pytest.approx(-10.0)
+        assert b_plus[0, 0] == pytest.approx(10.0)
 
     def test_supersonic_floor(self):
         cfg = SolverConfig(epsilon=1.0, gamma=1.4)
-        iv = self.make_iv(1.4, 5.0, 1.0)  # c = 1
-        sp = conservative_speeds(iv, cfg)
-        assert sp.a_minus[0, 0] == -cfg.delta
-        assert sp.a_plus[0, 0] == pytest.approx(6.0)
+        tr = self.make_traces(1.4, 5.0, 1.0)  # c = 1
+        a_minus, a_plus = conservative_speeds(tr, cfg, AXIS_X)
+        assert a_minus[0, 0] == -cfg.delta
+        assert a_plus[0, 0] == pytest.approx(6.0)
 
 
 class TestAssembledOperator:
@@ -100,12 +98,12 @@ class TestAssembledOperator:
     def test_periodic_telescoping_sum(self):
         rng = np.random.default_rng(10)
         grid = GridSpec(12, 12, 0.0, 1.0, 0.0, 1.0)
-        V = PrimitiveField(
-            rho=0.5 + rng.random(grid.shape),
-            u=rng.standard_normal(grid.shape),
-            v=rng.standard_normal(grid.shape),
-            p=0.5 + rng.random(grid.shape),
-        )
+        V = PrimitiveField(np.stack((
+            0.5 + rng.random(grid.shape),
+            rng.standard_normal(grid.shape),
+            rng.standard_normal(grid.shape),
+            0.5 + rng.random(grid.shape),
+        )))
         fill_ghosts(V, grid)
         cfg = SolverConfig(epsilon=0.8, gamma=1.4)
         D = assemble_conservative_rhs(V, grid, cfg)
@@ -156,8 +154,9 @@ class TestAssembledOperator:
         V.v[:] = -0.3
         V.p[:] = 1.5
         cfg = SolverConfig(epsilon=0.9, gamma=1.4)
-        _, iv = limited_interfaces(V, grid, cfg.theta)
-        speeds = conservative_speeds(iv, cfg)
-        fx, fy = cu_flux_conservative(iv, speeds, cfg)
-        exact_fx = flux_from_primitive(np.array([1.2, 0.5, -0.3, 1.5]), cfg, AXIS_X)
-        assert np.allclose(fx, exact_fx[:, None, None], rtol=1e-13)
+        traces = limited_interfaces(V, grid, cfg.theta)
+        state = np.array([1.2, 0.5, -0.3, 1.5])
+        for axis in (AXIS_X, AXIS_Y):
+            f = cu_flux_conservative(traces[axis], cfg, axis)
+            exact = flux_from_primitive(state, cfg, axis)
+            assert np.allclose(f, exact[:, None, None], rtol=1e-13)

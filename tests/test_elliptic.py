@@ -79,12 +79,12 @@ class TestPredictorSystem:
         rng = np.random.default_rng(6)
         grid = GridSpec(8, 8, 0.0, 1.0, 0.0, 1.0)
         cfg = SolverConfig(epsilon=0.5, gamma=1.4)
-        V = PrimitiveField(
-            rho=0.5 + rng.random(grid.shape),
-            u=rng.standard_normal(grid.shape),
-            v=rng.standard_normal(grid.shape),
-            p=0.5 + rng.random(grid.shape),
-        )
+        V = PrimitiveField(np.stack((
+            0.5 + rng.random(grid.shape),
+            rng.standard_normal(grid.shape),
+            rng.standard_normal(grid.shape),
+            0.5 + rng.random(grid.shape),
+        )))
         fill_ghosts(V, grid)
         R = rng.standard_normal((4, 8, 8))
         s = SplitScalars(3.0, 0.1)
@@ -114,12 +114,12 @@ class TestCorrectorSystem:
         rng = np.random.default_rng(12)
         grid = GridSpec(8, 8, 0.0, 1.0, 0.0, 1.0)
         cfg = SolverConfig(epsilon=0.5, gamma=1.4)
-        V = PrimitiveField(
-            rho=0.5 + rng.random(grid.shape),
-            u=rng.standard_normal(grid.shape),
-            v=rng.standard_normal(grid.shape),
-            p=0.5 + rng.random(grid.shape),
-        )
+        V = PrimitiveField(np.stack((
+            0.5 + rng.random(grid.shape),
+            rng.standard_normal(grid.shape),
+            rng.standard_normal(grid.shape),
+            0.5 + rng.random(grid.shape),
+        )))
         fill_ghosts(V, grid)
         R = rng.standard_normal((4, 8, 8))
         L = rng.standard_normal((4, 8, 8))

@@ -12,7 +12,13 @@ from allmach.integrator import (
     switching_weight,
 )
 from allmach.nonstiff import SplitScalars, split_scalars
-from allmach.state import PrimitiveField, SolverConfig, cons_to_prim, prim_to_cons
+from allmach.state import (
+    ConservativeField,
+    PrimitiveField,
+    SolverConfig,
+    cons_to_prim,
+    prim_to_cons,
+)
 
 
 def uniform_state(grid, cfg, rho=1.0, u=0.0, v=0.0, p=1.0):
@@ -89,21 +95,21 @@ class TestSwitchingWeight:
 class TestPostProcess:
     def make_pair(self, grid, cfg):
         rng = np.random.default_rng(13)
-        V = PrimitiveField(
-            rho=0.5 + rng.random(grid.shape),
-            u=rng.standard_normal(grid.shape),
-            v=rng.standard_normal(grid.shape),
-            p=0.5 + rng.random(grid.shape),
-        )
+        V = PrimitiveField(np.stack((
+            0.5 + rng.random(grid.shape),
+            rng.standard_normal(grid.shape),
+            rng.standard_normal(grid.shape),
+            0.5 + rng.random(grid.shape),
+        )))
         fill_ghosts(V, grid)
-        W = PrimitiveField(
-            rho=0.5 + rng.random(grid.shape),
-            u=rng.standard_normal(grid.shape),
-            v=rng.standard_normal(grid.shape),
-            p=0.5 + rng.random(grid.shape),
-        )
+        W = PrimitiveField(np.stack((
+            0.5 + rng.random(grid.shape),
+            rng.standard_normal(grid.shape),
+            rng.standard_normal(grid.shape),
+            0.5 + rng.random(grid.shape),
+        )))
         fill_ghosts(W, grid)
-        return V, fill_ghosts(prim_to_cons(W, cfg), grid)
+        return V, fill_ghosts(ConservativeField(prim_to_cons(W.array, cfg)), grid)
 
     def test_unit_mach_takes_conservative_branch_exactly(self):
         grid = GridSpec(6, 6, 0.0, 1.0, 0.0, 1.0)
@@ -127,14 +133,14 @@ class TestPostProcess:
         grid = GridSpec(6, 6, 0.0, 1.0, 0.0, 1.0)
         cfg = SolverConfig(epsilon=0.3, gamma=1.4)  # genuinely blended regime
         rng = np.random.default_rng(4)
-        V = PrimitiveField(
-            rho=0.5 + rng.random(grid.shape),
-            u=rng.standard_normal(grid.shape),
-            v=rng.standard_normal(grid.shape),
-            p=0.5 + rng.random(grid.shape),
-        )
+        V = PrimitiveField(np.stack((
+            0.5 + rng.random(grid.shape),
+            rng.standard_normal(grid.shape),
+            rng.standard_normal(grid.shape),
+            0.5 + rng.random(grid.shape),
+        )))
         fill_ghosts(V, grid)
-        U = fill_ghosts(prim_to_cons(V, cfg), grid)
+        U = fill_ghosts(ConservativeField(prim_to_cons(V.array, cfg)), grid)
         out = post_process(V, U, grid, cfg)
         for a, b in zip(out.components(), V.components()):
             assert np.allclose(a, b, rtol=1e-13)

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from allmach.errors import NonPhysicalState
-from allmach.grid import GridSpec, fill_ghosts
+from allmach.grid import AXIS_X, AXIS_Y, GridSpec, along, fill_ghosts
 from allmach.nonstiff import (
-    AXIS_X,
-    AXIS_Y,
     SplitScalars,
     antidiffusion,
     assemble_nonstiff,
@@ -112,60 +110,58 @@ class TestModifiedSoundSpeed:
 
 
 class TestSpeeds:
-    def make_iv(self, u_minus, u_plus):
-        from allmach.reconstruction import InterfaceValues
-
-        shape = (1, 1)
-        one = np.ones(shape)
-        xm = np.stack((one, u_minus * one, 0.0 * one, one))
-        xp = np.stack((one, u_plus * one, 0.0 * one, one))
-        ym = np.stack((one, 0.0 * one, u_minus * one, one))
-        yp = np.stack((one, 0.0 * one, u_plus * one, one))
-        return InterfaceValues(xm, xp, ym, yp)
+    def make_traces(self, u_minus, u_plus, axis):
+        # normal velocity u_minus/u_plus, zero tangential velocity
+        one = np.ones((1, 1))
+        minus = np.stack((one, 0.0 * one, 0.0 * one, one))
+        plus = minus.copy()
+        minus[1 + axis] = u_minus
+        plus[1 + axis] = u_plus
+        return minus, plus
 
     def test_static_state_floors(self):
         cfg = SolverConfig(epsilon=1.0, gamma=1.4)
-        iv = self.make_iv(0.0, 0.0)
         s = SplitScalars(rho_max=1.0, p_min=1.0)  # c_tilde = 0
-        sp = nonstiff_speeds(iv, s, cfg)
-        assert sp.a_minus[0, 0] == -cfg.delta
-        assert sp.a_plus[0, 0] == cfg.delta
+        for axis in (AXIS_X, AXIS_Y):
+            a_minus, a_plus = nonstiff_speeds(self.make_traces(0.0, 0.0, axis), s, cfg, axis)
+            assert a_minus[0, 0] == -cfg.delta
+            assert a_plus[0, 0] == cfg.delta
 
     def test_symmetric_states(self):
         # u-=-1, u+=1, scalars tuned so c=0.5 on both sides
         cfg = SolverConfig(epsilon=1.0, gamma=1.4)
-        iv = self.make_iv(-1.0, 1.0)
         p_min = 1.0 - 0.25 * 2.0 / 1.4  # gamma (rho_max-1)(1-p_min)/rho_max = 0.25
         s = SplitScalars(rho_max=2.0, p_min=p_min)
-        sp = nonstiff_speeds(iv, s, cfg)
-        assert sp.a_minus[0, 0] == pytest.approx(min(-1.0 - 0.5, 1.0 - 0.5, -1e-15), rel=1e-12)
-        assert sp.a_plus[0, 0] == pytest.approx(max(-1.0 + 0.5, 1.0 + 0.5, 1e-15), rel=1e-12)
+        for axis in (AXIS_X, AXIS_Y):
+            a_minus, a_plus = nonstiff_speeds(self.make_traces(-1.0, 1.0, axis), s, cfg, axis)
+            assert a_minus[0, 0] == pytest.approx(min(-1.0 - 0.5, 1.0 - 0.5, -1e-15), rel=1e-12)
+            assert a_plus[0, 0] == pytest.approx(max(-1.0 + 0.5, 1.0 + 0.5, 1e-15), rel=1e-12)
 
     def test_supersonic_one_sided(self):
         cfg = SolverConfig(epsilon=1.0, gamma=1.4)
-        iv = self.make_iv(2.0, 2.0)
         p_min = 1.0 - 2.0 / 1.4  # tuned so c = 1 at rho = p = 1
         s = SplitScalars(rho_max=2.0, p_min=p_min)
-        sp = nonstiff_speeds(iv, s, cfg)
-        assert sp.a_minus[0, 0] == -cfg.delta
-        assert sp.a_plus[0, 0] == pytest.approx(3.0, rel=1e-12)
+        for axis in (AXIS_X, AXIS_Y):
+            a_minus, a_plus = nonstiff_speeds(self.make_traces(2.0, 2.0, axis), s, cfg, axis)
+            assert a_minus[0, 0] == -cfg.delta
+            assert a_plus[0, 0] == pytest.approx(3.0, rel=1e-12)
 
     def test_admissibility_on_random_fields(self):
         rng = np.random.default_rng(2)
         grid = GridSpec(10, 9, 0.0, 1.0, 0.0, 1.0)
-        V = PrimitiveField(
-            rho=0.5 + rng.random(grid.shape),
-            u=rng.standard_normal(grid.shape),
-            v=rng.standard_normal(grid.shape),
-            p=0.5 + rng.random(grid.shape),
-        )
+        V = PrimitiveField(np.stack((
+            0.5 + rng.random(grid.shape),
+            rng.standard_normal(grid.shape),
+            rng.standard_normal(grid.shape),
+            0.5 + rng.random(grid.shape),
+        )))
         fill_ghosts(V, grid)
         cfg = SolverConfig(epsilon=0.3, gamma=1.4)
         s = split_scalars(V, grid, cfg.epsilon)
-        _, iv = limited_interfaces(V, grid, cfg.theta)
-        sp = nonstiff_speeds(iv, s, cfg)
-        assert np.all(sp.a_minus <= -cfg.delta) and np.all(sp.a_plus >= cfg.delta)
-        assert np.all(sp.b_minus <= -cfg.delta) and np.all(sp.b_plus >= cfg.delta)
+        traces = limited_interfaces(V, grid, cfg.theta)
+        for axis in (AXIS_X, AXIS_Y):
+            s_minus, s_plus = nonstiff_speeds(traces[axis], s, cfg, axis)
+            assert np.all(s_minus <= -cfg.delta) and np.all(s_plus >= cfg.delta)
 
 
 class TestFluxes:
@@ -239,10 +235,11 @@ class TestNonconservativeTerms:
         V.p[:] = 2.0
         cfg = SolverConfig(epsilon=0.5, gamma=1.4)
         s = split_scalars(V, grid, cfg.epsilon)
-        _, iv = limited_interfaces(V, grid, cfg.theta)
-        b_cell, c_cell, b_psi, c_psi = nonconservative_terms(iv, V, s, cfg, grid)
-        for term in (b_cell, c_cell, b_psi, c_psi):
-            assert np.allclose(term, 0.0, atol=1e-15)
+        traces = limited_interfaces(V, grid, cfg.theta)
+        Vbar = V.array[grid.interior]
+        for axis in (AXIS_X, AXIS_Y):
+            for term in nonconservative_terms(traces[axis], along(Vbar, axis), s, cfg, axis):
+                assert np.allclose(term, 0.0, atol=1e-15)
 
     def test_pressure_jump_drives_velocity_row(self):
         # x-fluctuation u-component: -(rho_max - rho_m)/(eps^2 rho_m rho_max) * dp
@@ -252,7 +249,7 @@ class TestNonconservativeTerms:
         s = SplitScalars(rho_max=2.0, p_min=0.0)
         mid = np.array([1.0, 0.3, 0.3, 1.05])  # path midpoint, rho_m = 1
         jump = np.array([0.0, 0.0, 0.0, 0.1])
-        got = _bmat_apply(mid, jump, s, cfg)
+        got = _bmat_apply(mid, jump, s, cfg, AXIS_X)
         expected_u = -((2.0 - 1.0) / (1.0 * 1.0 * 2.0)) * 0.1
         assert expected_u == -0.05
         assert got[1] == pytest.approx(expected_u, rel=1e-14)
@@ -260,18 +257,18 @@ class TestNonconservativeTerms:
 
     def test_transverse_velocity_jump_drives_pressure_row(self):
         # y-fluctuation p-component: -gamma (p_m - p_min) * dv
-        from allmach.nonstiff import _cmat_apply
+        from allmach.nonstiff import _bmat_apply
 
         cfg = SolverConfig(epsilon=1.0, gamma=1.4)
         s = SplitScalars(rho_max=2.0, p_min=1.0)
         mid = np.array([1.0, 0.0, 0.0, 1.01])  # p_m - p_min = 0.01
         jump = np.array([0.0, 0.0, 0.2, 0.0])
-        got = _cmat_apply(mid, jump, s, cfg)
+        got = _bmat_apply(mid, jump, s, cfg, AXIS_Y)
         assert got[3] == pytest.approx(-1.4 * 0.01 * 0.2, rel=1e-14)
         assert got[3] == pytest.approx(-2.8e-3, rel=1e-12)
         # a u-jump in y leaves the pressure row untouched
         jump_u = np.array([0.0, 0.2, 0.0, 0.0])
-        assert _cmat_apply(mid, jump_u, s, cfg)[3] == 0.0
+        assert _bmat_apply(mid, jump_u, s, cfg, AXIS_Y)[3] == 0.0
 
 
 def analytic_operator(grid, eps, gamma, rho_max, p_min):

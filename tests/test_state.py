@@ -12,6 +12,10 @@ from allmach.state import (
 )
 
 
+def conservative(V, cfg):
+    return ConservativeField(prim_to_cons(V.array, cfg))
+
+
 def uniform_primitive(grid, rho, u, v, p):
     V = PrimitiveField.zeros(grid)
     V.rho[:] = rho
@@ -32,18 +36,18 @@ class TestTransforms:
         cfg = SolverConfig(epsilon=0.1, gamma=2.0)
         expected_E = 1.0 / (2.0 - 1.0) + 0.5 * 0.1**2 * 1.0 * (1.0 + 1.0)
         assert expected_E == 1.01
-        U = prim_to_cons(uniform_primitive(grid, 1.0, 1.0, 1.0, 1.0), cfg)
+        U = conservative(uniform_primitive(grid, 1.0, 1.0, 1.0, 1.0), cfg)
         assert np.allclose(U.E, expected_E, rtol=0, atol=1e-15)
         assert np.allclose(U.mx, 1.0) and np.allclose(U.my, 1.0)
 
     def test_static_state(self, grid):
         cfg = SolverConfig(epsilon=0.7, gamma=1.4)
-        U = prim_to_cons(uniform_primitive(grid, 1.0, 0.0, 0.0, 1.0), cfg)
+        U = conservative(uniform_primitive(grid, 1.0, 0.0, 0.0, 1.0), cfg)
         assert np.allclose(U.E, 2.5)
 
     def test_explosion_ambient_state(self, grid):
         cfg = SolverConfig(epsilon=1.0, gamma=1.4)
-        U = prim_to_cons(uniform_primitive(grid, 0.125, 0.0, 0.0, 0.1), cfg)
+        U = conservative(uniform_primitive(grid, 0.125, 0.0, 0.0, 0.1), cfg)
         assert np.allclose(U.E, 0.25)
 
     def test_inverse_of_known_state(self, grid):
@@ -86,14 +90,14 @@ class TestTransforms:
     def test_round_trip(self, eps):
         grid = GridSpec(8, 6, -1.0, 1.0, 0.0, 3.0)
         rng = np.random.default_rng(7)
-        V = PrimitiveField(
-            rho=0.5 + rng.random(grid.shape),
-            u=rng.standard_normal(grid.shape),
-            v=rng.standard_normal(grid.shape),
-            p=0.5 + rng.random(grid.shape),
-        )
+        V = PrimitiveField(np.stack((
+            0.5 + rng.random(grid.shape),
+            rng.standard_normal(grid.shape),
+            rng.standard_normal(grid.shape),
+            0.5 + rng.random(grid.shape),
+        )))
         cfg = SolverConfig(epsilon=eps, gamma=1.4)
-        W = cons_to_prim(prim_to_cons(V, cfg), grid, cfg)
+        W = cons_to_prim(conservative(V, cfg), grid, cfg)
         for a, b in zip(V.components(), W.components()):
             assert np.allclose(a, b, rtol=1e-13)
 
@@ -101,7 +105,7 @@ class TestTransforms:
         # E -> p/(gamma-1) as eps -> 0
         V = uniform_primitive(grid, 1.3, 0.7, -0.4, 2.1)
         cfg = SolverConfig(epsilon=1e-8, gamma=1.4)
-        U = prim_to_cons(V, cfg)
+        U = conservative(V, cfg)
         assert np.allclose(U.E, 2.1 / 0.4, rtol=1e-12)
 
 
@@ -157,6 +161,11 @@ class TestConfig:
             {"epsilon": 0.5, "delta": 0.0},
             {"epsilon": 0.5, "eps0": 0.5, "eps1": 0.4},
             {"epsilon": 0.5, "order": 3},
+            {"epsilon": 0.5, "k_cfl": 0.0},
+            {"epsilon": 0.5, "k_cfl": -0.5},
+            {"epsilon": 0.5, "dt_override": (-1, 1e-3)},
+            {"epsilon": 0.5, "dt_override": (3, 0.0)},
+            {"epsilon": 0.5, "dt_override": (3, -1e-3)},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
