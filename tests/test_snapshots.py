@@ -1,7 +1,14 @@
+import hashlib
+import tempfile
+from pathlib import Path
+
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from allmach.benchmarks import CASES
-from allmach.integrator import DualState
+from allmach.integrator import DualState, si_dec_step
 from allmach.snapshots import (
     snapshot_header,
     snapshot_read,
@@ -80,3 +87,72 @@ def test_full_precision_round_trip_of_irrational_values(tmp_path):
     _, rows = snapshot_read(path)
     p_col = rows[:, 7].reshape(grid.ny, grid.nx).T
     assert np.array_equal(p_col, state.V.p[grid.interior])
+
+
+# --- The writer's bytes ------------------------------------------------------
+
+def _reference_write(header: dict, rows: np.ndarray, path) -> None:
+    """The original per-row writer, kept as the byte oracle."""
+
+    def fmt(value) -> str:
+        if isinstance(value, float):
+            return "%.17g" % value
+        return str(value)
+
+    with open(path, "w") as f:
+        for key, value in header.items():
+            f.write(f"# {key} = {fmt(value)}\n")
+        f.write("# columns: j k x y rho u v p rho_cons mx my E mach vorticity\n")
+        for row in rows:
+            f.write("%d %d " % (int(row[0]), int(row[1])))
+            f.write(" ".join("%.17g" % x for x in row[2:]))
+            f.write("\n")
+
+
+def _golden_snapshot():
+    """Double shear, eps=0.3, 16x12, after 3 steps, with edge-case values planted."""
+    case = CASES["double_shear"]
+    grid = case.make_grid(16, 12, 0.3)
+    cfg = case.config(0.3)
+    state = DualState.from_primitive(case.initial_state(grid, 0.3), grid, cfg)
+    for _ in range(3):
+        state, _ = si_dec_step(state, grid, cfg)
+    rows = snapshot_rows(state, grid, cfg)
+    rows[0, 4] = -0.0
+    rows[1, 5] = 1e-310  # subnormal
+    rows[2, 6] = 1e300
+    rows[3, 7] = 2.0  # integer-valued
+    rows[-1, 13] = -0.0
+    return snapshot_header(state, grid, cfg), rows
+
+
+# sha256 of the original per-row writer's output for _golden_snapshot().
+GOLDEN_SHA256 = "a1b6cf797613ae15ae77bf8e3e8b139cae6335739d3a5efabba9d72303cceba5"
+
+
+def test_writer_bytes_match_golden_digest(tmp_path):
+    header, rows = _golden_snapshot()
+    path = tmp_path / "golden.dat"
+    write_snapshot_data(header, rows, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_writer_bytes_match_reference_loop(data):
+    nx = data.draw(st.integers(1, 7), label="nx")
+    n = data.draw(st.integers(0, 30), label="n")
+    values = data.draw(hnp.arrays(np.float64, (n, 12), elements=st.floats(width=64)), label="values")
+    index = data.draw(hnp.arrays(np.int64, (n, 2), elements=st.integers(0, 10**6)), label="index")
+    rows = np.column_stack((index.astype(np.float64), values))
+    header = {
+        "time": data.draw(st.floats(width=64), label="time"),
+        "nx": nx,
+        "ny": max(1, -(-n // nx)),
+        "bc_x": "periodic",
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, theirs = Path(tmp) / "ours.dat", Path(tmp) / "theirs.dat"
+        write_snapshot_data(header, rows, ours)
+        _reference_write(header, rows, theirs)
+        assert ours.read_bytes() == theirs.read_bytes()
