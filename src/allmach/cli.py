@@ -152,18 +152,28 @@ def cmd_run(ns, file_cfg) -> int:
     if out_path:
         out_path.mkdir(parents=True, exist_ok=True)
 
+    written = None  # (path, t) of the last file, so that no file is written twice
+
+    def write(st, t_name):
+        nonlocal written
+        if out_path is None:
+            return
+        path = out_path / f"{case.name}_t{t_name:.6f}.dat"
+        if written != (path, st.t):
+            snapshot_write(st, grid, cfg, path)
+            written = (path, st.t)
+
     pending = sorted(t for t in snap_times if t <= t_end)
+    while pending and pending[0] <= state.t:  # no step can reach these
+        write(state, pending.pop(0))
 
     def callback(t, st, rep):
         while pending and t >= pending[0] - 1e-12:
-            target = pending.pop(0)
-            if out_path:
-                snapshot_write(st, grid, cfg, out_path / f"{case.name}_t{target:.6f}.dat")
+            write(st, pending.pop(0))
         return True
 
     state, report = run(state, grid, cfg, t_end, callback=callback, snap_times=snap_times)
-    if out_path:
-        snapshot_write(state, grid, cfg, out_path / f"{case.name}_t{state.t:.6f}.dat")
+    write(state, state.t)
     div = report.max_divergences[-1] if report.steps else 0.0
     fluct = report.pressure_fluctuations[-1] if report.steps else 0.0
     print(

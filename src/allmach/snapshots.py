@@ -18,6 +18,8 @@ from .state import SolverConfig
 COLUMNS = "j k x y rho u v p rho_cons mx my E mach vorticity"
 
 _F = "%.17g"
+# One table row: ``%d`` truncates j and k exactly as ``int()`` does.
+_ROW = "%d %d " + " ".join([_F] * 12) + "\n"
 
 
 def _fmt(value) -> str:
@@ -68,14 +70,19 @@ def snapshot_header(state: DualState, grid: GridSpec, cfg: SolverConfig) -> dict
 
 
 def write_snapshot_data(header: dict, rows: np.ndarray, path) -> None:
+    """Write ``rows`` one grid row (``header["nx"]`` table rows) per format pass.
+
+    A whole-file pass would be no faster and would hold the file's text in
+    memory at once.
+    """
+    nx = header["nx"]
     with open(path, "w") as f:
         for key, value in header.items():
             f.write(f"# {key} = {_fmt(value)}\n")
         f.write(f"# columns: {COLUMNS}\n")
-        for row in rows:
-            f.write("%d %d " % (int(row[0]), int(row[1])))
-            f.write(" ".join(_F % x for x in row[2:]))
-            f.write("\n")
+        for start in range(0, len(rows), nx):
+            block = rows[start:start + nx]
+            f.write((_ROW * len(block)) % tuple(block.ravel().tolist()))
 
 
 def snapshot_write(state: DualState, grid: GridSpec, cfg: SolverConfig, path) -> None:
@@ -86,23 +93,21 @@ def snapshot_write(state: DualState, grid: GridSpec, cfg: SolverConfig, path) ->
 def snapshot_read(path) -> tuple[dict, np.ndarray]:
     """Parse a snapshot back into (header, row table)."""
     header: dict = {}
-    data = []
     with open(path) as f:
         for line in f:
             line = line.strip()
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("columns:"):
-                    continue
-                key, _, raw = body.partition("=")
-                key = key.strip()
-                raw = raw.strip()
-                if key in ("nx", "ny"):
-                    header[key] = int(raw)
-                elif key in ("bc_x", "bc_y", "dt_override"):
-                    header[key] = raw
-                else:
-                    header[key] = float(raw)
-            elif line:
-                data.append([float(tok) for tok in line.split()])
-    return header, np.asarray(data)
+            if line and not line.startswith("#"):
+                break
+            body = line[1:].strip()
+            if not body or body.startswith("columns:"):
+                continue
+            key, _, raw = body.partition("=")
+            key = key.strip()
+            raw = raw.strip()
+            if key in ("nx", "ny"):
+                header[key] = int(raw)
+            elif key in ("bc_x", "bc_y", "dt_override"):
+                header[key] = raw
+            else:
+                header[key] = float(raw)
+    return header, np.loadtxt(path, comments="#", ndmin=2)

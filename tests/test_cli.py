@@ -1,8 +1,11 @@
+import numpy as np
 import pytest
 
 from allmach import cli
+from allmach.benchmarks import CASES
+from allmach.integrator import DualState
 from allmach.errors import NoConvergence, NonPhysicalState
-from allmach.snapshots import snapshot_read
+from allmach.snapshots import snapshot_read, snapshot_rows
 
 
 def test_run_writes_final_snapshot(tmp_path, capsys):
@@ -29,6 +32,46 @@ def test_run_snapshot_times(tmp_path):
     names = {p.name for p in tmp_path.glob("*.dat")}
     assert "gresho_t0.010000.dat" in names
     assert "gresho_t0.020000.dat" in names
+
+
+def counting_writes(monkeypatch) -> list:
+    """Route cli.snapshot_write through a recorder; returns the paths written."""
+    paths = []
+    write = cli.snapshot_write
+
+    def recording(state, grid, cfg, path):
+        paths.append(path.name)
+        write(state, grid, cfg, path)
+
+    monkeypatch.setattr(cli, "snapshot_write", recording)
+    return paths
+
+
+def test_snap_time_at_final_time_is_written_once(tmp_path, monkeypatch):
+    paths = counting_writes(monkeypatch)
+    code = cli.main([
+        "run", "--case", "gresho", "--eps", "0.1", "--nx", "10",
+        "--t-final", "0.02", "--snap-times", "0.01,0.02", "--out-dir", str(tmp_path),
+    ])
+    assert code == 0
+    assert sorted(paths) == ["gresho_t0.010000.dat", "gresho_t0.020000.dat"]
+
+
+def test_snap_time_at_start_holds_initial_state(tmp_path, monkeypatch):
+    paths = counting_writes(monkeypatch)
+    code = cli.main([
+        "run", "--case", "gresho", "--eps", "0.1", "--nx", "10",
+        "--t-final", "0.02", "--snap-times", "0,0.01", "--out-dir", str(tmp_path),
+    ])
+    assert code == 0
+    assert paths == ["gresho_t0.000000.dat", "gresho_t0.010000.dat", "gresho_t0.020000.dat"]
+    header, rows = snapshot_read(tmp_path / "gresho_t0.000000.dat")
+    case = CASES["gresho"]
+    grid = case.make_grid(10, 10, 0.1)
+    cfg = case.config(0.1)
+    initial = DualState.from_primitive(case.initial_state(grid, 0.1), grid, cfg)
+    assert header["time"] == 0.0
+    assert np.array_equal(rows, snapshot_rows(initial, grid, cfg))
 
 
 def test_unknown_case_is_config_error(capsys):

@@ -3,6 +3,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -156,3 +157,59 @@ def test_writer_bytes_match_reference_loop(data):
         write_snapshot_data(header, rows, ours)
         _reference_write(header, rows, theirs)
         assert ours.read_bytes() == theirs.read_bytes()
+
+
+# --- The reader --------------------------------------------------------------
+
+def _reference_read(path) -> tuple[dict, np.ndarray]:
+    """The original line-by-line parser, kept as the reader's oracle."""
+    header: dict = {}
+    data = []
+    with open(path) as f:
+        for line in f:
+            line = line.strip()
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if body.startswith("columns:"):
+                    continue
+                key, _, raw = body.partition("=")
+                key = key.strip()
+                raw = raw.strip()
+                if key in ("nx", "ny"):
+                    header[key] = int(raw)
+                elif key in ("bc_x", "bc_y", "dt_override"):
+                    header[key] = raw
+                else:
+                    header[key] = float(raw)
+            elif line:
+                data.append([float(tok) for tok in line.split()])
+    return header, np.asarray(data)
+
+
+def _one_cell_snapshot():
+    """A 1x1 table: one data line, which must still read back as a 2-D array."""
+    header, rows = _golden_snapshot()
+    header.update(nx=1, ny=1)
+    return header, rows[:1]
+
+
+def _non_finite_snapshot():
+    header, rows = _golden_snapshot()
+    rows[4, 8] = np.inf
+    rows[5, 9] = -np.inf
+    rows[6, 10] = np.nan
+    rows[7, 11] = 5e-324
+    return header, rows
+
+
+@pytest.mark.parametrize("make", [_golden_snapshot, _one_cell_snapshot, _non_finite_snapshot])
+def test_reader_matches_reference_parser(tmp_path, make):
+    header, rows = make()
+    path = tmp_path / "snap.dat"
+    write_snapshot_data(header, rows, path)
+    got_header, got = snapshot_read(path)
+    want_header, want = _reference_read(path)
+    assert got_header == want_header
+    assert got.shape == want.shape == rows.shape
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
