@@ -3,8 +3,8 @@ import pytest
 
 from allmach import cli
 from allmach.benchmarks import CASES
-from allmach.integrator import DualState
 from allmach.errors import NoConvergence, NonPhysicalState
+from allmach.integrator import DualState
 from allmach.snapshots import snapshot_read, snapshot_rows
 
 

@@ -127,7 +127,9 @@ def _golden_snapshot():
     return snapshot_header(state, grid, cfg), rows
 
 
-# sha256 of the original per-row writer's output for _golden_snapshot().
+# sha256 of the original per-row writer's output for _golden_snapshot().  It
+# also pins three solver steps: a solver change that moves this state by
+# round-off re-derives the digest with _reference_write, not with the writer.
 GOLDEN_SHA256 = "a1b6cf797613ae15ae77bf8e3e8b139cae6335739d3a5efabba9d72303cceba5"
 
 
