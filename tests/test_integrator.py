@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from allmach.elliptic import HelmholtzSystem, operator_divergence, solve_helmholtz
 from allmach.errors import NonPhysicalState
-from allmach.grid import GridSpec, fill_ghosts
+from allmach.grid import GridSpec, fill_ghosts, padded
 from allmach.integrator import (
     DualState,
+    build_stage,
     compute_dt,
     post_process,
     run,
@@ -19,6 +21,7 @@ from allmach.state import (
     cons_to_prim,
     prim_to_cons,
 )
+from allmach.stiff import central_gradient, discrete_divergence
 
 
 def uniform_state(grid, cfg, rho=1.0, u=0.0, v=0.0, p=1.0):
@@ -302,3 +305,112 @@ class TestRun:
             V0 = case.initial_state(grid, eps)
             dts[eps] = compute_dt(V0, split_scalars(V0, grid, eps), grid, cfg)
         assert abs(dts[1e-2] / dts[1e-6] - 1.0) <= 0.1
+
+
+def reference_step(state, grid, cfg):
+    """The two-stage step written out stage by stage (predictor, then
+    trapezoidal corrector), with the stiff operator and both pressure
+    right-hand sides inline.  Oracle for ``si_dec_step`` to the last bit."""
+    Vn, Un = state.V, state.U
+    core = grid.interior
+    eps2 = cfg.epsilon**2
+
+    def stiff(scalars, Vf):
+        px, py = central_gradient(Vf.p, grid)
+        L = np.zeros((4, grid.nx, grid.ny))
+        L[1] = 1.0 / (eps2 * scalars.rho_max) * px
+        L[2] = 1.0 / (eps2 * scalars.rho_max) * py
+        L[3] = cfg.gamma * scalars.p_min * discrete_divergence(Vf.u, Vf.v, grid)
+        return L
+
+    def finish(V, U):
+        fill_ghosts(U, grid)
+        fill_ghosts(V, grid)
+        return post_process(V, U, grid, cfg), U
+
+    def pressure_push(p, scalars, dt):
+        gx, gy = central_gradient(padded(p, grid), grid)
+        coef = 1.0 / (eps2 * scalars.rho_max)
+        return dt * coef * gx, dt * coef * gy
+
+    n = build_stage(Vn, grid, cfg)
+    Rn, Dn = n.nonstiff, n.cons_rhs
+    dt = compute_dt(Vn, n.scalars, grid, cfg)
+    gp = cfg.gamma * n.scalars.p_min
+    sigma = dt**2 * gp / (eps2 * n.scalars.rho_max)
+    rhs = (
+        Vn.p[core]
+        - dt * Rn[3]
+        - dt * gp * discrete_divergence(Vn.u, Vn.v, grid)
+        + dt**2 * gp * operator_divergence(Rn, grid)
+    )
+    p1, _, res1 = solve_helmholtz(HelmholtzSystem(sigma, rhs, grid))
+    Vs = PrimitiveField.zeros(grid)
+    Vs.rho[core] = Vn.rho[core] - dt * Rn[0]
+    Vs.p[core] = p1
+    gx, gy = pressure_push(p1, n.scalars, dt)
+    Vs.u[core] = Vn.u[core] - dt * Rn[1] - gx
+    Vs.v[core] = Vn.v[core] - dt * Rn[2] - gy
+    Us = ConservativeField.zeros(grid)
+    Us.array[core] = Un.array[core] + dt * Dn
+    Vs, Us = finish(Vs, Us)
+    if cfg.order == 1:
+        return DualState(Vs, Us, state.t + dt), dt, (res1,)
+
+    s = build_stage(Vs, grid, cfg)
+    Rs, Ds = s.nonstiff, s.cons_rhs
+    Lnn, Lss = stiff(n.scalars, Vn), stiff(s.scalars, Vs)
+    gp = cfg.gamma * s.scalars.p_min
+    sigma = dt**2 * gp / (eps2 * s.scalars.rho_max)
+    rhs = (
+        Vn.p[core]
+        - 0.5 * dt * (Rn[3] + Rs[3])
+        - 0.5 * dt * (Lnn[3] - Lss[3])
+        - dt * gp * discrete_divergence(Vn.u, Vn.v, grid)
+        + 0.5 * dt**2 * gp * operator_divergence(Rn + Rs, grid)
+        + 0.5 * dt**2 * gp * operator_divergence(Lnn - Lss, grid)
+    )
+    p2, _, res2 = solve_helmholtz(HelmholtzSystem(sigma, rhs, grid))
+    V = PrimitiveField.zeros(grid)
+    V.rho[core] = Vn.rho[core] - 0.5 * dt * (Rn[0] + Rs[0])
+    V.p[core] = p2
+    gx, gy = pressure_push(p2, s.scalars, dt)
+    for c, g in ((1, gx), (2, gy)):
+        V.array[c][core] = (
+            Vn.array[c][core]
+            - 0.5 * dt * (Rn[c] + Rs[c])
+            - 0.5 * dt * (Lnn[c] - Lss[c])
+            - g
+        )
+    U = ConservativeField.zeros(grid)
+    U.array[core] = Un.array[core] + 0.5 * dt * (Dn + Ds)
+    V, U = finish(V, U)
+    return DualState(V, U, state.t + dt), dt, (res1, res2)
+
+
+class TestReferenceStep:
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("name,eps,n", [
+        ("explosion", 0.9, 24),
+        ("double_shear", 0.3, 32),
+        ("gresho", 1e-3, 32),
+        ("gresho", 1e-6, 24),
+    ])
+    def test_step_matches_stage_by_stage_reference(self, name, eps, n, order):
+        from allmach.benchmarks import CASES
+
+        case = CASES[name]
+        grid = case.make_grid(n, n, eps)
+        cfg = case.config(eps, order=order)
+        state = ref = DualState.from_primitive(case.initial_state(grid, eps), grid, cfg)
+        for _ in range(5):
+            state, rep = si_dec_step(state, grid, cfg)
+            ref, dt, residuals = reference_step(ref, grid, cfg)
+            assert state.V.array.tobytes() == ref.V.array.tobytes()
+            assert state.U.array.tobytes() == ref.U.array.tobytes()
+            assert state.t == ref.t and rep.dt == dt
+            assert rep.solve_residuals == residuals
+            core = grid.interior
+            div = discrete_divergence(ref.V.u, ref.V.v, grid)
+            assert rep.max_divergence == float(np.abs(div).max())
+            assert rep.pressure_fluctuation == float(ref.V.p[core].max() - ref.V.p[core].min())
