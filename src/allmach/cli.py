@@ -148,6 +148,16 @@ def cmd_run(ns, file_cfg) -> int:
     state = DualState.from_primitive(case.initial_state(grid, eps), grid, cfg)
     t_end = case.final_time(eps) if t_final is None else t_final
 
+    def file_name(t):
+        return f"{case.name}_t{t:.6f}.dat"
+
+    pending = sorted(t for t in snap_times if t <= t_end)
+    owner: dict[str, float] = {}  # file name -> the one time it holds
+    for t in sorted(set(pending) | {t_end}):
+        name = file_name(t)
+        if owner.setdefault(name, t) != t:
+            raise ConfigError(f"snapshot times {owner[name]} and {t} both map to {name}")
+
     out_path = Path(out_dir) if out_dir else None
     if out_path:
         out_path.mkdir(parents=True, exist_ok=True)
@@ -158,12 +168,11 @@ def cmd_run(ns, file_cfg) -> int:
         nonlocal written
         if out_path is None:
             return
-        path = out_path / f"{case.name}_t{t_name:.6f}.dat"
+        path = out_path / file_name(t_name)
         if written != (path, st.t):
             snapshot_write(st, grid, cfg, path)
             written = (path, st.t)
 
-    pending = sorted(t for t in snap_times if t <= t_end)
     while pending and pending[0] <= state.t:  # no step can reach these
         write(state, pending.pop(0))
 

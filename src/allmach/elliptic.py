@@ -1,6 +1,7 @@
 """Shifted-Laplacian (Helmholtz-type) pressure systems and their solver.
 
-Each semi-implicit stage turns the pressure update into a linear system
+Each semi-implicit stage, predictor and corrector alike, turns its pressure
+update into one linear system, assembled by ``pressure_system``:
 
     (I - sigma * Lap_h) p = rhs,
 
@@ -32,7 +33,8 @@ import numpy as np
 from .errors import NoConvergence
 from .grid import PERIODIC, GridSpec, padded
 from .state import PrimitiveField, SolverConfig
-from .stiff import discrete_divergence
+from .nonstiff import SplitScalars
+from .stiff import discrete_divergence, stiff_coefficients
 
 U_COMP, V_COMP, P_COMP = 1, 2, 3
 
@@ -66,65 +68,33 @@ def operator_divergence(op: np.ndarray, grid: GridSpec) -> np.ndarray:
     return discrete_divergence(padded(op[U_COMP], grid), padded(op[V_COMP], grid), grid)
 
 
-def predictor_pressure_system(
+def pressure_system(
     Vn: PrimitiveField,
-    Rn: np.ndarray,
-    scalars_n,
+    brackets: tuple[np.ndarray, ...],
+    scalars: SplitScalars,
     dt: float,
     cfg: SolverConfig,
     grid: GridSpec,
 ) -> HelmholtzSystem:
-    """Pressure system of the first (predictor) stage.
+    """Pressure system of one semi-implicit stage.
 
-    Obtained by taking the discrete divergence of the semi-implicit velocity
-    update and substituting it into the pressure update, which eliminates the
-    new-time velocity.
+    The stage advances ``Vn`` by ``V = Vn - dt * sum(brackets) - dt *
+    grad p / (eps^2 rho_max)``, the pressure row without the gradient term.
+    Taking the discrete divergence of the velocity rows and substituting it
+    into the pressure row eliminates the new-time velocity; every bracket
+    then enters the right-hand side once through its pressure component
+    and once, with a plus, through the divergence of its velocity
+    components.  ``scalars`` (the extrema of the stage that freezes the
+    linearization) set the shift coefficient and gamma * p_min.
     """
-    gp = cfg.gamma * scalars_n.p_min
-    sigma = dt**2 * gp / (cfg.epsilon**2 * scalars_n.rho_max)
-    core = grid.interior
-    rhs = (
-        Vn.p[core]
-        - dt * Rn[P_COMP]
-        - dt * gp * discrete_divergence(Vn.u, Vn.v, grid)
-        + dt**2 * gp * operator_divergence(Rn, grid)
-    )
-    return HelmholtzSystem(sigma, rhs, grid)
-
-
-def corrector_pressure_system(
-    Vn: PrimitiveField,
-    Rn: np.ndarray,
-    Rs: np.ndarray,
-    Lnn: np.ndarray,
-    Lss: np.ndarray,
-    scalars_s,
-    dt: float,
-    cfg: SolverConfig,
-    grid: GridSpec,
-) -> HelmholtzSystem:
-    """Pressure system of the second (corrector) stage.
-
-    ``Rn``/``Rs`` are the explicit operators of the old and predictor stages;
-    ``Lnn``/``Lss`` the stiff operators with matched coefficient and field
-    stages.  The shift coefficient uses the predictor-stage extrema.
-
-    Every right-hand-side sign follows from eliminating the new-time velocity
-    between the corrector's velocity and pressure updates; in particular the
-    stiff-bracket divergence term enters with a plus, since both updates
-    subtract that bracket.
-    """
-    gp = cfg.gamma * scalars_s.p_min
-    sigma = dt**2 * gp / (cfg.epsilon**2 * scalars_s.rho_max)
-    core = grid.interior
-    rhs = (
-        Vn.p[core]
-        - 0.5 * dt * (Rn[P_COMP] + Rs[P_COMP])
-        - 0.5 * dt * (Lnn[P_COMP] - Lss[P_COMP])
-        - dt * gp * discrete_divergence(Vn.u, Vn.v, grid)
-        + 0.5 * dt**2 * gp * operator_divergence(Rn + Rs, grid)
-        + 0.5 * dt**2 * gp * operator_divergence(Lnn - Lss, grid)
-    )
+    eps2_rhomax, gp = stiff_coefficients(scalars, cfg)
+    sigma = dt**2 * gp / eps2_rhomax
+    rhs = Vn.p[grid.interior].copy()
+    for E in brackets:
+        rhs -= dt * E[P_COMP]
+    rhs -= dt * gp * discrete_divergence(Vn.u, Vn.v, grid)
+    for E in brackets:
+        rhs += dt**2 * gp * operator_divergence(E, grid)
     return HelmholtzSystem(sigma, rhs, grid)
 
 

@@ -10,13 +10,12 @@ slope in the first ghost cell, which in turn needs one further neighbor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 PERIODIC = "periodic"
 OUTFLOW = "outflow"
-
-GHOST_DEPTH = 2
 
 AXIS_X, AXIS_Y = 0, 1
 
@@ -33,7 +32,7 @@ class GridSpec:
     y_hi: float
     bc_x: str = PERIODIC
     bc_y: str = PERIODIC
-    ghost: int = GHOST_DEPTH
+    ghost: ClassVar[int] = 2
     dx: float = field(init=False)
     dy: float = field(init=False)
 
@@ -45,8 +44,6 @@ class GridSpec:
         for bc in (self.bc_x, self.bc_y):
             if bc not in (PERIODIC, OUTFLOW):
                 raise ValueError(f"unknown boundary kind {bc!r}")
-        if self.ghost != GHOST_DEPTH:
-            raise ValueError("ghost depth is fixed to 2")
         object.__setattr__(self, "dx", (self.x_hi - self.x_lo) / self.nx)
         object.__setattr__(self, "dy", (self.y_hi - self.y_lo) / self.ny)
 

@@ -1,19 +1,20 @@
 """Two-stage semi-implicit time integrator for the dual-state solver.
 
-One step advances the primitive and conservative solution copies together:
+One step advances the primitive and conservative solution copies together.
+Every stage is the same procedure, ``_stage``: from the old state, subtract
+dt times the explicit operator brackets, solve the pressure system built from
+them, push the velocities by the new pressure gradient, advance the
+conservative copy by dt times its rate, and blend the primitive copy with the
+conservative one.  The predictor applies it once with the old stage's
+explicit operator; with order=2 the corrector applies it again with the
+trapezoidal mean of the old and predictor operators plus the half difference
+of the matched stiff operators, and the predictor stage's extrema.
 
-  stage 1 (predictor): explicit density update; pressure from the predictor
-      Helmholtz solve; semi-implicit velocity update; explicit conservative
-      update; blend the primitive copy with the conservative one.
-  stage 2 (corrector): trapezoidal combination of old and predictor
-      operators, a second Helmholtz solve, and the matching conservative
-      update, blended again.
-
-With order=1 the step stops after the predictor stage.  The blend weight
-depends only on the Mach number: at high Mach the conservative (shock
-correct) branch wins, at low Mach the pressure-robust primitive branch is
-kept.  The time step is CFL-limited by the split-subsystem speeds, which stay
-O(1) for any Mach number, so dt is asymptotically Mach independent.
+The blend weight depends only on the Mach number: at high Mach the
+conservative (shock correct) branch wins, at low Mach the pressure-robust
+primitive branch is kept.  The time step is CFL-limited by the
+split-subsystem speeds, which stay O(1) for any Mach number, so dt is
+asymptotically Mach independent.
 """
 
 from __future__ import annotations
@@ -24,12 +25,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .conservative import assemble_conservative_rhs, sound_speed
-from .elliptic import (
-    corrector_pressure_system,
-    predictor_pressure_system,
-    solve_helmholtz,
-)
+from .conservative import assemble_conservative_rhs
+from .elliptic import pressure_system, solve_helmholtz
 from .grid import GridSpec, fill_ghosts, padded
 from .nonstiff import SplitScalars, assemble_nonstiff, modified_sound_speed, split_scalars
 from .reconstruction import limited_interfaces
@@ -40,9 +37,7 @@ from .state import (
     cons_to_prim,
     prim_to_cons,
 )
-from .stiff import StiffScalars, assemble_stiff, central_gradient, discrete_divergence
-
-RHO_C, U_C, V_C, P_C = 0, 1, 2, 3
+from .stiff import assemble_stiff, central_gradient, discrete_divergence, stiff_coefficients
 
 
 @dataclass
@@ -68,8 +63,6 @@ class StepReport:
 
     dt: float
     solve_residuals: tuple[float, ...]  # one per pressure solve
-    max_mod_speed: float
-    max_full_speed: float
     max_divergence: float
     pressure_fluctuation: float
 
@@ -79,15 +72,13 @@ class RunReport:
     """Aggregated step diagnostics of one run."""
 
     steps: int = 0
-    times: list[float] = field(default_factory=list)
     dts: list[float] = field(default_factory=list)
     max_divergences: list[float] = field(default_factory=list)
     pressure_fluctuations: list[float] = field(default_factory=list)
     solve_residuals: list[tuple[float, ...]] = field(default_factory=list)
 
-    def record(self, t: float, rep: StepReport) -> None:
+    def record(self, rep: StepReport) -> None:
         self.steps += 1
-        self.times.append(t)
         self.dts.append(rep.dt)
         self.max_divergences.append(rep.max_divergence)
         self.pressure_fluctuations.append(rep.pressure_fluctuation)
@@ -165,10 +156,48 @@ def post_process(
     return fill_ghosts(PrimitiveField((1.0 - s) * from_U.array + s * V_raw.array), grid)
 
 
-def _diagnostics(Vf: PrimitiveField, grid: GridSpec) -> tuple[float, float]:
+def _stage(
+    state: DualState,
+    brackets: tuple[np.ndarray, ...],
+    cons_rate: np.ndarray,
+    scalars: SplitScalars,
+    dt: float,
+    grid: GridSpec,
+    cfg: SolverConfig,
+) -> tuple[DualState, float]:
+    """One semi-implicit stage from ``state``; returns the blended new state
+    and the pressure solve's residual.
+
+    ``brackets`` are the interior operator fields that advance the primitive
+    copy explicitly, ``cons_rate`` the conservative copy's rate, and
+    ``scalars`` the extrema that freeze the stiff coefficients.
+    """
     core = grid.interior
-    div = discrete_divergence(Vf.u, Vf.v, grid)
-    return float(np.abs(div).max()), float(Vf.p[core].max() - Vf.p[core].min())
+    p, _, residual = solve_helmholtz(pressure_system(state.V, brackets, scalars, dt, cfg, grid))
+
+    V = PrimitiveField(state.V.array.copy())
+    for E in brackets:
+        V.array[core] -= dt * E
+    V.p[core] = p
+    eps2_rhomax, _ = stiff_coefficients(scalars, cfg)
+    gx, gy = central_gradient(padded(p, grid), grid)
+    V.u[core] -= dt * (1.0 / eps2_rhomax) * gx
+    V.v[core] -= dt * (1.0 / eps2_rhomax) * gy
+
+    U = ConservativeField(state.U.array.copy())
+    U.array[core] += dt * cons_rate
+    fill_ghosts(U, grid)
+    # At vanishing Mach numbers the blend weight rounds to exactly 1 and the
+    # conservative copy cannot influence the solution; it is still advanced
+    # (its fluxes come from V, so it stays finite and conservative) but its
+    # positivity cannot be maintained against the 1/eps^2 flux amplification
+    # and is not enforced.
+    if switching_weight(cfg.epsilon, cfg) < 1.0:
+        U.validate(grid, cfg)
+
+    fill_ghosts(V, grid)
+    V = post_process(V, U, grid, cfg).validate(grid)
+    return DualState(V, U, state.t + dt), residual
 
 
 def si_dec_step(
@@ -182,96 +211,27 @@ def si_dec_step(
     Propagates NonPhysicalState and NoConvergence; the state is untouched on
     failure.
     """
-    Vn, Un = state.V, state.U
-    core = grid.interior
-    eps2 = cfg.epsilon**2
-    # At vanishing Mach numbers the blend weight rounds to exactly 1 and the
-    # conservative copy cannot influence the solution; it is still advanced
-    # (its fluxes come from V, so it stays finite and conservative) but its
-    # positivity cannot be maintained against the 1/eps^2 flux amplification
-    # and is not enforced.
-    blend_uses_U = switching_weight(cfg.epsilon, cfg) < 1.0
-
-    stage_n = build_stage(Vn, grid, cfg)
+    stage_n = build_stage(state.V, grid, cfg)
     if dt is None:
-        dt = compute_dt(Vn, stage_n.scalars, grid, cfg)
-
-    c_mod = modified_sound_speed(
-        Vn.rho[core], Vn.p[core], stage_n.scalars, cfg.epsilon, cfg.gamma
+        dt = compute_dt(state.V, stage_n.scalars, grid, cfg)
+    new, res = _stage(
+        state, (stage_n.nonstiff,), stage_n.cons_rhs, stage_n.scalars, dt, grid, cfg
     )
-    max_mod = float(np.asarray(c_mod).max())
-    max_full = float(sound_speed(Vn.rho[core], Vn.p[core], cfg).max())
+    residuals = (res,)
 
-    # Predictor: explicit density, implicit pressure, semi-implicit velocity.
-    V_star = PrimitiveField.zeros(grid)
-    V_star.rho[core] = Vn.rho[core] - dt * stage_n.nonstiff[RHO_C]
+    if cfg.order == 2:
+        stage_s = build_stage(new.V, grid, cfg)
+        L_nn = assemble_stiff(stage_n.scalars, cfg, state.V, grid)
+        L_ss = assemble_stiff(stage_s.scalars, cfg, new.V, grid)
+        brackets = (0.5 * (stage_n.nonstiff + stage_s.nonstiff), 0.5 * (L_nn - L_ss))
+        cons_rate = 0.5 * (stage_n.cons_rhs + stage_s.cons_rhs)
+        new, res = _stage(state, brackets, cons_rate, stage_s.scalars, dt, grid, cfg)
+        residuals += (res,)
 
-    sys1 = predictor_pressure_system(Vn, stage_n.nonstiff, stage_n.scalars, dt, cfg, grid)
-    p_star, _, res1 = solve_helmholtz(sys1)
-    V_star.p[core] = p_star
-
-    p_pad = padded(p_star, grid)
-    gx, gy = central_gradient(p_pad, grid)
-    coef_n = 1.0 / (eps2 * stage_n.scalars.rho_max)
-    V_star.u[core] = Vn.u[core] - dt * stage_n.nonstiff[U_C] - dt * coef_n * gx
-    V_star.v[core] = Vn.v[core] - dt * stage_n.nonstiff[V_C] - dt * coef_n * gy
-
-    U_star = ConservativeField.zeros(grid)
-    U_star.array[core] = Un.array[core] + dt * stage_n.cons_rhs
-    fill_ghosts(U_star, grid)
-    if blend_uses_U:
-        U_star.validate(grid, cfg)
-
-    fill_ghosts(V_star, grid)
-    V_star = post_process(V_star, U_star, grid, cfg).validate(grid)
-
-    if cfg.order == 1:
-        max_div, p_fluct = _diagnostics(V_star, grid)
-        report = StepReport(dt, (res1,), max_mod, max_full, max_div, p_fluct)
-        return DualState(V_star, U_star, state.t + dt), report
-
-    # Corrector: trapezoidal explicit parts, second pressure solve.
-    stage_s = build_stage(V_star, grid, cfg)
-    L_nn = assemble_stiff(StiffScalars.from_split(stage_n.scalars, cfg), Vn, grid)
-    L_ss = assemble_stiff(StiffScalars.from_split(stage_s.scalars, cfg), V_star, grid)
-
-    V_new = PrimitiveField.zeros(grid)
-    V_new.rho[core] = Vn.rho[core] - 0.5 * dt * (stage_n.nonstiff[RHO_C] + stage_s.nonstiff[RHO_C])
-
-    sys2 = corrector_pressure_system(
-        Vn, stage_n.nonstiff, stage_s.nonstiff, L_nn, L_ss, stage_s.scalars, dt, cfg, grid
-    )
-    p_new, _, res2 = solve_helmholtz(sys2)
-    V_new.p[core] = p_new
-
-    p_pad = padded(p_new, grid)
-    gx, gy = central_gradient(p_pad, grid)
-    coef_s = 1.0 / (eps2 * stage_s.scalars.rho_max)
-    V_new.u[core] = (
-        Vn.u[core]
-        - 0.5 * dt * (stage_n.nonstiff[U_C] + stage_s.nonstiff[U_C])
-        - 0.5 * dt * (L_nn[U_C] - L_ss[U_C])
-        - dt * coef_s * gx
-    )
-    V_new.v[core] = (
-        Vn.v[core]
-        - 0.5 * dt * (stage_n.nonstiff[V_C] + stage_s.nonstiff[V_C])
-        - 0.5 * dt * (L_nn[V_C] - L_ss[V_C])
-        - dt * coef_s * gy
-    )
-
-    U_new = ConservativeField.zeros(grid)
-    U_new.array[core] = Un.array[core] + 0.5 * dt * (stage_n.cons_rhs + stage_s.cons_rhs)
-    fill_ghosts(U_new, grid)
-    if blend_uses_U:
-        U_new.validate(grid, cfg)
-
-    fill_ghosts(V_new, grid)
-    V_new = post_process(V_new, U_new, grid, cfg).validate(grid)
-
-    max_div, p_fluct = _diagnostics(V_new, grid)
-    report = StepReport(dt, (res1, res2), max_mod, max_full, max_div, p_fluct)
-    return DualState(V_new, U_new, state.t + dt), report
+    V, core = new.V, grid.interior
+    max_div = float(np.abs(discrete_divergence(V.u, V.v, grid)).max())
+    p_fluct = float(V.p[core].max() - V.p[core].min())
+    return new, StepReport(dt, residuals, max_div, p_fluct)
 
 
 Callback = Callable[[float, DualState, StepReport], Optional[bool]]
@@ -309,7 +269,7 @@ def run(
             dt = min(dt, targets[0] - state.t)
         state, step_rep = si_dec_step(state, grid, cfg, dt)
         step_index += 1
-        report.record(state.t, step_rep)
+        report.record(step_rep)
         if callback is not None and callback(state.t, state, step_rep) is False:
             break
     return state, report

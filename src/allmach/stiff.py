@@ -8,8 +8,6 @@ come from one stage, the differentiated fields from another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grid import AXIS_X, AXIS_Y, GridSpec, along
@@ -17,19 +15,11 @@ from .nonstiff import SplitScalars
 from .state import PrimitiveField, SolverConfig
 
 
-@dataclass(frozen=True)
-class StiffScalars:
-    """Coefficients of the stiff operator, frozen at one stage."""
-
-    inv_eps2_rhomax: float
-    gamma_pmin: float
-
-    @classmethod
-    def from_split(cls, scalars: SplitScalars, cfg: SolverConfig) -> "StiffScalars":
-        return cls(
-            inv_eps2_rhomax=1.0 / (cfg.epsilon**2 * scalars.rho_max),
-            gamma_pmin=cfg.gamma * scalars.p_min,
-        )
+def stiff_coefficients(scalars: SplitScalars, cfg: SolverConfig) -> tuple[float, float]:
+    """The stage-frozen scalars of the stiff operator: eps^2 * rho_max, which
+    divides the pressure gradient, and gamma * p_min, which multiplies the
+    velocity divergence."""
+    return cfg.epsilon**2 * scalars.rho_max, cfg.gamma * scalars.p_min
 
 
 def _central_difference(a: np.ndarray, grid: GridSpec, axis: int) -> np.ndarray:
@@ -49,16 +39,20 @@ def discrete_divergence(u: np.ndarray, v: np.ndarray, grid: GridSpec) -> np.ndar
     return _central_difference(u, grid, AXIS_X) + _central_difference(v, grid, AXIS_Y)
 
 
-def assemble_stiff(coeffs: StiffScalars, Vf: PrimitiveField, grid: GridSpec) -> np.ndarray:
+def assemble_stiff(
+    scalars: SplitScalars, cfg: SolverConfig, Vf: PrimitiveField, grid: GridSpec
+) -> np.ndarray:
     """Stiff operator with coefficients from one stage applied to the fields
     of another, shape (4, nx, ny).
 
-    The argument order matters: ``coeffs`` carries the (older) stage whose
-    extrema freeze the linearization, ``Vf`` the stage being differentiated.
+    The argument order matters: ``scalars`` are the extrema of the (older)
+    stage that freezes the linearization, ``Vf`` the stage being
+    differentiated.
     """
+    eps2_rhomax, gamma_pmin = stiff_coefficients(scalars, cfg)
     px, py = central_gradient(Vf.p, grid)
     L = np.zeros((4, grid.nx, grid.ny))
-    L[1] = coeffs.inv_eps2_rhomax * px
-    L[2] = coeffs.inv_eps2_rhomax * py
-    L[3] = coeffs.gamma_pmin * discrete_divergence(Vf.u, Vf.v, grid)
+    L[1] = 1.0 / eps2_rhomax * px
+    L[2] = 1.0 / eps2_rhomax * py
+    L[3] = gamma_pmin * discrete_divergence(Vf.u, Vf.v, grid)
     return L

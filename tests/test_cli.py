@@ -57,6 +57,34 @@ def test_snap_time_at_final_time_is_written_once(tmp_path, monkeypatch):
     assert sorted(paths) == ["gresho_t0.010000.dat", "gresho_t0.020000.dat"]
 
 
+@pytest.mark.parametrize("spec,first,second,name", [
+    ("0.0100001,0.0100004,0.0199999", "0.0100001", "0.0100004", "gresho_t0.010000.dat"),
+    ("0.0199999", "0.0199999", "0.02", "gresho_t0.020000.dat"),  # the final file
+])
+def test_snap_times_sharing_a_file_name_are_config_error(
+    tmp_path, monkeypatch, capsys, spec, first, second, name
+):
+    paths = counting_writes(monkeypatch)
+    code = cli.main([
+        "run", "--case", "gresho", "--eps", "0.1", "--nx", "10", "--t-final", "0.02",
+        "--snap-times", spec, "--out-dir", str(tmp_path),
+    ])
+    assert code == 4
+    assert paths == []
+    err = capsys.readouterr().err
+    assert f"{first} and {second}" in err and name in err
+
+
+def test_repeated_snap_time_shares_its_file(tmp_path, monkeypatch):
+    paths = counting_writes(monkeypatch)
+    code = cli.main([
+        "run", "--case", "gresho", "--eps", "0.1", "--nx", "10",
+        "--t-final", "0.02", "--snap-times", "0.01,0.01", "--out-dir", str(tmp_path),
+    ])
+    assert code == 0
+    assert paths == ["gresho_t0.010000.dat", "gresho_t0.020000.dat"]
+
+
 def test_snap_time_at_start_holds_initial_state(tmp_path, monkeypatch):
     paths = counting_writes(monkeypatch)
     code = cli.main([

@@ -4,8 +4,7 @@ import pytest
 from allmach.elliptic import (
     HelmholtzSystem,
     compact_laplacian,
-    corrector_pressure_system,
-    predictor_pressure_system,
+    pressure_system,
     solve_helmholtz,
 )
 from allmach.errors import NoConvergence
@@ -58,7 +57,7 @@ class TestPredictorSystem:
         cfg = SolverConfig(epsilon=0.2, gamma=1.4)
         V = uniform_state(grid, p=2.5)
         R = np.zeros((4, 8, 8))
-        sys = predictor_pressure_system(V, R, SplitScalars(1.0016, 2.4984), 0.01, cfg, grid)
+        sys = pressure_system(V, (R,), SplitScalars(1.0016, 2.4984), 0.01, cfg, grid)
         assert np.allclose(sys.rhs, 2.5, rtol=1e-14)
         q, _, _ = solve_helmholtz(sys)
         assert np.allclose(q, 2.5, rtol=1e-13)
@@ -69,7 +68,7 @@ class TestPredictorSystem:
         cfg = SolverConfig(epsilon=0.1, gamma=1.4)
         V = uniform_state(grid)
         R = np.zeros((4, 8, 8))
-        sys = predictor_pressure_system(V, R, SplitScalars(2.0, 1.0), 0.01, cfg, grid)
+        sys = pressure_system(V, (R,), SplitScalars(2.0, 1.0), 0.01, cfg, grid)
         expected = 0.01**2 * 1.4 * 1.0 / (0.1**2 * 2.0)
         assert expected == pytest.approx(7e-3, rel=1e-12)
         assert sys.sigma == pytest.approx(expected, rel=1e-14)
@@ -88,9 +87,9 @@ class TestPredictorSystem:
         fill_ghosts(V, grid)
         R = rng.standard_normal((4, 8, 8))
         s = SplitScalars(3.0, 0.1)
-        r1 = predictor_pressure_system(V, R, s, 0.01, cfg, grid).rhs
-        r2 = predictor_pressure_system(V, R, s, 0.02, cfg, grid).rhs
-        r3 = predictor_pressure_system(V, R, s, 0.03, cfg, grid).rhs
+        r1 = pressure_system(V, (R,), s, 0.01, cfg, grid).rhs
+        r2 = pressure_system(V, (R,), s, 0.02, cfg, grid).rhs
+        r3 = pressure_system(V, (R,), s, 0.03, cfg, grid).rhs
         p0 = V.p[grid.interior]
         a = (4.0 * (r1 - p0) - (r2 - p0)) / 0.02  # eliminate the quadratic part
         b = ((r2 - p0) - 2.0 * (r1 - p0)) / (2.0 * 0.01**2)
@@ -104,7 +103,7 @@ class TestCorrectorSystem:
         V = uniform_state(grid, p=1.7)
         zero = np.zeros((4, 8, 8))
         s = SplitScalars(1.0, 1.69)
-        sys = corrector_pressure_system(V, zero, zero, zero, zero, s, 0.02, cfg, grid)
+        sys = pressure_system(V, (0.5 * (zero + zero), 0.5 * (zero - zero)), s, 0.02, cfg, grid)
         q, _, _ = solve_helmholtz(sys)
         assert np.allclose(q, 1.7, rtol=1e-13)
 
@@ -124,8 +123,8 @@ class TestCorrectorSystem:
         R = rng.standard_normal((4, 8, 8))
         L = rng.standard_normal((4, 8, 8))
         s = SplitScalars(2.5, 0.3)
-        sys2 = corrector_pressure_system(V, R, R, L, L, s, 0.015, cfg, grid)
-        sys1 = predictor_pressure_system(V, R, s, 0.015, cfg, grid)
+        sys2 = pressure_system(V, (0.5 * (R + R), 0.5 * (L - L)), s, 0.015, cfg, grid)
+        sys1 = pressure_system(V, (R,), s, 0.015, cfg, grid)
         assert sys2.sigma == pytest.approx(sys1.sigma, rel=1e-14)
         assert np.allclose(sys2.rhs, sys1.rhs, rtol=1e-12, atol=1e-13)
 
@@ -135,7 +134,7 @@ class TestCorrectorSystem:
         V = uniform_state(grid)
         zero = np.zeros((4, 8, 8))
         s_star = SplitScalars(3.0, 0.7)
-        sys = corrector_pressure_system(V, zero, zero, zero, zero, s_star, 0.02, cfg, grid)
+        sys = pressure_system(V, (0.5 * (zero + zero), 0.5 * (zero - zero)), s_star, 0.02, cfg, grid)
         assert sys.sigma == pytest.approx(0.02**2 * 1.4 * 0.7 / (0.25 * 3.0), rel=1e-14)
 
 

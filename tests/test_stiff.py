@@ -5,7 +5,6 @@ from allmach.grid import GridSpec, fill_ghost_array, fill_ghosts
 from allmach.nonstiff import SplitScalars
 from allmach.state import PrimitiveField, SolverConfig
 from allmach.stiff import (
-    StiffScalars,
     assemble_stiff,
     central_gradient,
     discrete_divergence,
@@ -88,8 +87,7 @@ class TestStiffOperator:
         V.v[:] = -0.7
         V.p[:] = 2.0
         cfg = SolverConfig(epsilon=0.3, gamma=1.4)
-        coeffs = StiffScalars.from_split(SplitScalars(1.5, 1.0), cfg)
-        L = assemble_stiff(coeffs, V, grid)
+        L = assemble_stiff(SplitScalars(1.5, 1.0), cfg, V, grid)
         assert np.allclose(L, 0.0, atol=1e-14)
 
     def test_pressure_gradient_scaling_hand_value(self):
@@ -101,8 +99,7 @@ class TestStiffOperator:
         V.p[grid.interior] = X
         fill_ghosts(V, grid)
         cfg = SolverConfig(epsilon=0.1, gamma=1.4)
-        coeffs = StiffScalars.from_split(SplitScalars(2.0, 0.5), cfg)
-        L = assemble_stiff(coeffs, V, grid)
+        L = assemble_stiff(SplitScalars(2.0, 0.5), cfg, V, grid)
         expected = 1.0 / (0.1**2 * 2.0)
         assert expected == pytest.approx(50.0, rel=1e-14)
         assert np.allclose(L[1][1:-1, :], expected, rtol=1e-12)
@@ -120,8 +117,7 @@ class TestStiffOperator:
         V.v[grid.interior] = Y
         fill_ghosts(V, grid)
         cfg = SolverConfig(epsilon=1.0, gamma=1.4)
-        coeffs = StiffScalars.from_split(SplitScalars(2.0, 1.0), cfg)
-        L = assemble_stiff(coeffs, V, grid)
+        L = assemble_stiff(SplitScalars(2.0, 1.0), cfg, V, grid)
         assert np.allclose(L[3][1:-1, 1:-1], 1.4 * 1.0 * 2.0, rtol=1e-12)
 
     def test_coefficient_and_field_stages_do_not_commute(self):
@@ -138,11 +134,11 @@ class TestStiffOperator:
         cfg = SolverConfig(epsilon=0.2, gamma=1.4)
         sa = SplitScalars(rho_max=1.0, p_min=1.0)
         sb = SplitScalars(rho_max=3.0, p_min=0.5)
-        L_ab = assemble_stiff(StiffScalars.from_split(sa, cfg), Vb, grid)
-        L_ba = assemble_stiff(StiffScalars.from_split(sb, cfg), Va, grid)
+        L_ab = assemble_stiff(sa, cfg, Vb, grid)
+        L_ba = assemble_stiff(sb, cfg, Va, grid)
         assert not np.allclose(L_ab, L_ba)
         # same fields, different coefficient stage: scales by rho_max ratio
-        L_bb = assemble_stiff(StiffScalars.from_split(sb, cfg), Vb, grid)
+        L_bb = assemble_stiff(sb, cfg, Vb, grid)
         assert np.allclose(L_ab[1] / 3.0, L_bb[1], rtol=1e-12)
 
 
