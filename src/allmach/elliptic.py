@@ -78,14 +78,14 @@ def pressure_system(
 ) -> HelmholtzSystem:
     """Pressure system of one semi-implicit stage.
 
-    The stage advances ``Vn`` by ``V = Vn - dt * sum(brackets) - dt *
-    grad p / (eps^2 rho_max)``, the pressure row without the gradient term.
-    Taking the discrete divergence of the velocity rows and substituting it
-    into the pressure row eliminates the new-time velocity; every bracket
-    then enters the right-hand side once through its pressure component
-    and once, with a plus, through the divergence of its velocity
-    components.  ``scalars`` (the extrema of the stage that freezes the
-    linearization) set the shift coefficient and gamma * p_min.
+    The stage subtracts dt * E from ``Vn`` for every bracket E, then
+    dt * grad p / (eps^2 rho_max) from the velocity and
+    dt * gamma p_min * div u from the pressure.  Substituting the divergence
+    of the new velocity into the pressure update eliminates that velocity:
+    each bracket enters the right-hand side once through its pressure
+    component and once, with a plus, through the divergence of its velocity
+    components.  ``scalars`` are the extrema of the stage that freezes the
+    linearization.
     """
     eps2_rhomax, gp = stiff_coefficients(scalars, cfg)
     sigma = dt**2 * gp / eps2_rhomax

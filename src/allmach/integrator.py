@@ -180,9 +180,10 @@ def _stage(
         V.array[core] -= dt * E
     V.p[core] = p
     eps2_rhomax, _ = stiff_coefficients(scalars, cfg)
+    push = dt * (1.0 / eps2_rhomax)
     gx, gy = central_gradient(padded(p, grid), grid)
-    V.u[core] -= dt * (1.0 / eps2_rhomax) * gx
-    V.v[core] -= dt * (1.0 / eps2_rhomax) * gy
+    V.u[core] -= push * gx
+    V.v[core] -= push * gy
 
     U = ConservativeField(state.U.array.copy())
     U.array[core] += dt * cons_rate
