@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from allmach.errors import NonPhysicalState
-from allmach.grid import AXIS_X, AXIS_Y, GridSpec, fill_ghosts
+from allmach.grid import AXIS_X, AXIS_Y, OUTFLOW, PERIODIC, GridSpec, along, fill_ghosts
 from allmach.reconstruction import (
     compute_slopes,
     limited_interfaces,
@@ -180,6 +182,46 @@ class TestInterfaces:
         (xm, xp), _ = reconstruct_interfaces(V, slopes, grid)
         inner = slice(2, -2)
         assert np.allclose(xm[3][inner], xp[3][inner], rtol=1e-13)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(
+    nx=st.integers(3, 9),
+    extra=st.integers(1, 5),
+    lengths=st.tuples(st.floats(0.5, 3.0), st.floats(0.5, 3.0)),
+    bcs=st.tuples(st.sampled_from((PERIODIC, OUTFLOW)), st.sampled_from((PERIODIC, OUTFLOW))),
+    theta=st.floats(1.0, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_traces_lie_between_neighbouring_averages(nx, extra, lengths, bcs, theta, seed):
+    # For theta in [1, 2] a generalized-minmod trace cannot leave the range of
+    # the two cell averages that share its interface; so positive averages
+    # give positive density and pressure traces, up to round-off.
+    ny = nx + extra
+    lx, ly = lengths
+    if abs(lx / nx - ly / ny) < 1e-3:
+        ly *= 1.5
+    grid = GridSpec(nx, ny, 0.0, lx, -0.5 * ly, 0.5 * ly, bc_x=bcs[0], bc_y=bcs[1])
+    rng = np.random.default_rng(seed)
+
+    def decades():  # magnitudes spread log-uniformly over [1e-3, 1e3]
+        return 10.0 ** rng.uniform(-3.0, 3.0, (nx, ny))
+
+    V = PrimitiveField.zeros(grid)
+    core = grid.interior
+    V.rho[core] = decades()
+    V.u[core] = rng.choice((-1.0, 1.0), (nx, ny)) * decades()
+    V.v[core] = rng.choice((-1.0, 1.0), (nx, ny)) * decades()
+    V.p[core] = decades()
+    fill_ghosts(V, grid)
+    g = grid.ghost
+    for axis, (minus, plus) in enumerate(limited_interfaces(V, grid, theta)):
+        Vs = along(V.array, axis)
+        a, b = Vs[:, g - 1:-g, g:-g], Vs[:, g:1 - g, g:-g]  # the two cells of each interface
+        slack = 8.0 * np.spacing(np.maximum(np.abs(a), np.abs(b)))
+        for t in (minus, plus):
+            assert np.all(t >= np.minimum(a, b) - slack)
+            assert np.all(t <= np.maximum(a, b) + slack)
 
 
 class TestPositivityFallback:
