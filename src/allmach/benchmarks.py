@@ -57,7 +57,6 @@ class BenchmarkCase:
     state_at: Callable[[float, float], PointState]  # (eps, t) -> pointwise state
     final_time: Callable[[float], float]
     has_exact: bool = False
-    dt_override: Callable[[float], Optional[tuple[int, float]]] = lambda eps: None
 
     def make_grid(self, nx: int, ny: int, eps: float) -> GridSpec:
         x_lo, x_hi, y_lo, y_hi = self.domain(eps)
@@ -74,12 +73,7 @@ class BenchmarkCase:
         return evaluate_field(grid, self.state_at(eps, t), quadrature)
 
     def config(self, eps: float, **overrides) -> SolverConfig:
-        kwargs = dict(
-            epsilon=eps,
-            gamma=self.gamma,
-            k_cfl=self.default_cfl,
-            dt_override=self.dt_override(eps),
-        )
+        kwargs = dict(epsilon=eps, gamma=self.gamma, k_cfl=self.default_cfl)
         kwargs.update(overrides)
         return SolverConfig(**kwargs)
 
@@ -177,11 +171,6 @@ def _explosion_final_time(eps: float) -> float:
     return table.get(round(eps, 10), 0.25)
 
 
-def _explosion_dt_override(eps: float) -> Optional[tuple[int, float]]:
-    # Weak initial waves at intermediate Mach numbers need a gentle start.
-    return (10, 1e-4) if eps <= 0.6 + 1e-12 else None
-
-
 CASES: dict[str, BenchmarkCase] = {
     "vortex": BenchmarkCase(
         name="vortex",
@@ -229,7 +218,6 @@ CASES: dict[str, BenchmarkCase] = {
         domain=lambda eps: (-1.0, 1.0, -1.0, 1.0),
         state_at=_explosion_state,
         final_time=_explosion_final_time,
-        dt_override=_explosion_dt_override,
     ),
 }
 

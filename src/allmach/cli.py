@@ -186,7 +186,7 @@ def cmd_run(ns, file_cfg) -> int:
     div = report.max_divergences[-1] if report.steps else 0.0
     fluct = report.pressure_fluctuations[-1] if report.steps else 0.0
     print(
-        f"{case.name}: {report.steps} steps to t={state.t:.6g} "
+        f"{case.name}: {report.steps} steps ({report.rejections} rejected) to t={state.t:.6g} "
         f"(eps={eps:g}, {nx}x{ny}); max|div u|={div:.3e}, max p - min p={fluct:.3e}"
     )
     return 0

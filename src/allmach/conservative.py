@@ -15,7 +15,7 @@ import numpy as np
 from .errors import NonPhysicalState
 from .grid import GridSpec, along
 from .nonstiff import cu_flux, one_sided_speeds
-from .reconstruction import P, RHO, U, V, Traces, limited_interfaces
+from .reconstruction import P, RHO, U, V, Traces
 from .state import PrimitiveField, SolverConfig, prim_to_cons, primitive_values, total_energy
 
 
@@ -75,15 +75,14 @@ def assemble_conservative_rhs(
     Vf: PrimitiveField,
     grid: GridSpec,
     cfg: SolverConfig,
-    traces: list[Traces] | None = None,
+    traces: list[Traces],
 ) -> np.ndarray:
-    """Semi-discrete rate dU/dt = -div(fluxes), shape (4, nx, ny).
+    """Semi-discrete rate dU/dt = -div(fluxes) from the reconstruction
+    ``traces`` of ``Vf``, shape (4, nx, ny).
 
     Exactly telescoping under periodic boundaries: the componentwise sum
     over the domain vanishes to round-off.
     """
-    if traces is None:
-        traces = limited_interfaces(Vf, grid, cfg.theta)
     D = np.zeros((4, grid.nx, grid.ny))
     for axis, tr in enumerate(traces):
         f = cu_flux_conservative(tr, cfg, axis)

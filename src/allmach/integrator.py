@@ -27,6 +27,7 @@ import numpy as np
 
 from .conservative import assemble_conservative_rhs
 from .elliptic import pressure_system, solve_helmholtz
+from .errors import NoConvergence, NonPhysicalState
 from .grid import GridSpec, fill_ghosts, padded
 from .nonstiff import SplitScalars, assemble_nonstiff, modified_sound_speed, split_scalars
 from .reconstruction import limited_interfaces
@@ -38,6 +39,9 @@ from .state import (
     prim_to_cons,
 )
 from .stiff import assemble_stiff, central_gradient, discrete_divergence, stiff_coefficients
+
+# Halvings of a failed CFL step before the run gives up on it.
+MAX_REJECTIONS = 3
 
 
 @dataclass
@@ -72,6 +76,7 @@ class RunReport:
     """Aggregated step diagnostics of one run."""
 
     steps: int = 0
+    rejections: int = 0  # failed CFL steps retried at half the step
     dts: list[float] = field(default_factory=list)
     max_divergences: list[float] = field(default_factory=list)
     pressure_fluctuations: list[float] = field(default_factory=list)
@@ -250,6 +255,12 @@ def run(
 
     ``snap_times`` are additional instants the stepper must hit exactly; the
     callback runs after every step and may return False to stop early.
+
+    A CFL step that raises NonPhysicalState or NoConvergence is retried from
+    the same state at half the step, up to MAX_REJECTIONS times; each retry
+    counts in ``RunReport.rejections``.  A step forced by ``cfg.dt_override``
+    is never retried.  The failure that ends the run is re-raised as the same
+    exception type, prefixed with the step index and its start time.
     """
     if t_final < state.t:
         raise ValueError("t_final precedes the current time")
@@ -259,7 +270,8 @@ def run(
     rel_eps = 1e-12 * max(1.0, abs(t_final))
     while state.t < t_final - rel_eps:
         remaining = t_final - state.t
-        if cfg.dt_override is not None and step_index < cfg.dt_override[0]:
+        forced = cfg.dt_override is not None and step_index < cfg.dt_override[0]
+        if forced:
             dt = min(cfg.dt_override[1], remaining)
         else:
             scalars = split_scalars(state.V, grid, cfg.epsilon)
@@ -268,7 +280,15 @@ def run(
             targets.pop(0)
         if targets:
             dt = min(dt, targets[0] - state.t)
-        state, step_rep = si_dec_step(state, grid, cfg, dt)
+        for attempt in range(MAX_REJECTIONS + 1):
+            try:
+                state, step_rep = si_dec_step(state, grid, cfg, dt)
+                break
+            except (NonPhysicalState, NoConvergence) as exc:
+                if forced or attempt == MAX_REJECTIONS:
+                    raise type(exc)(f"step {step_index}, t={state.t:.6g}: {exc}") from exc
+                report.rejections += 1
+                dt *= 0.5
         step_index += 1
         report.record(step_rep)
         if callback is not None and callback(state.t, state, step_rep) is False:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NonPhysicalState
 from .grid import GridSpec, along
-from .reconstruction import P, RHO, U, V, Traces, limited_interfaces, minmod
+from .reconstruction import P, RHO, U, V, Traces, minmod
 from .state import PrimitiveField, SolverConfig
 
 
@@ -158,18 +158,16 @@ def assemble_nonstiff(
     grid: GridSpec,
     cfg: SolverConfig,
     scalars: SplitScalars,
-    traces: list[Traces] | None = None,
+    traces: list[Traces],
 ) -> np.ndarray:
     """Full explicit operator of one stage, shape (4, nx, ny).
 
     For smooth fields this approximates, to second order, the divergence of
     the mass flux, the velocity advection plus the density-weighted pressure
     gradient, and the pressure advection plus (p - p_min)-weighted
-    dilatation.  Pass ``traces`` to reuse the reconstruction shared with the
-    conservative operator.
+    dilatation.  ``traces`` is the reconstruction of ``Vf`` it shares with
+    the conservative operator.
     """
-    if traces is None:
-        traces = limited_interfaces(Vf, grid, cfg.theta)
     Vbar = Vf.array[grid.interior]
     R = np.zeros_like(Vbar)
     for axis, tr in enumerate(traces):

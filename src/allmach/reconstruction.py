@@ -66,65 +66,25 @@ def compute_slopes(Vf: PrimitiveField, grid: GridSpec, theta: float) -> np.ndarr
     return slopes
 
 
-def _traces(Vf: PrimitiveField, slopes: np.ndarray, grid: GridSpec) -> list[Traces]:
-    """Piecewise-linear values at interface midpoints, per axis."""
+def limited_interfaces(Vf: PrimitiveField, grid: GridSpec, theta: float) -> list[Traces]:
+    """Piecewise-linear values at interface midpoints from generalized-minmod
+    slopes, traces per axis.
+
+    For theta in [1, 2] every trace lies between the averages of the two
+    cells that share its interface, so positive cell averages give positive
+    density and pressure traces up to round-off.  Raises NonPhysicalState,
+    naming the component, if any density or pressure trace is non-positive.
+    """
+    slopes = compute_slopes(Vf, grid, theta)
     g = grid.ghost
-    out = []
+    traces = []
     for axis in (AXIS_X, AXIS_Y):
         Vs, s, half = along(Vf.array, axis), along(slopes[axis], axis), 0.5 * grid.spacing(axis)
         left = (slice(None), slice(g - 1, -g), slice(g, -g))  # owners of the minus traces
         right = (slice(None), slice(g, 1 - g), slice(g, -g))
-        out.append((Vs[left] + half * s[left], Vs[right] - half * s[right]))
-    return out
-
-
-def reconstruct_interfaces(
-    Vf: PrimitiveField, slopes: np.ndarray, grid: GridSpec
-) -> list[Traces]:
-    """Evaluate the piecewise-linear reconstruction at interface midpoints.
-
-    Raises NonPhysicalState if any reconstructed density or pressure is
-    non-positive; callers wanting a slope fallback should use
-    ``limited_interfaces`` instead.
-    """
-    traces = _traces(Vf, slopes, grid)
-    if _offending_cells(traces, grid).any():
-        raise NonPhysicalState("reconstructed density or pressure non-positive")
-    return traces
-
-
-def _offending_cells(traces: list[Traces], grid: GridSpec) -> np.ndarray:
-    """Mask shaped like the padded state: the density and pressure entries of
-    cells whose trace of that component is non-positive on any of their
-    four interfaces."""
-    g = grid.ghost
-    mask = np.zeros((4,) + grid.shape, dtype=bool)
-    for axis, (minus, plus) in enumerate(traces):
-        owners = along(mask, axis)[:, g - 1:1 - g, g:-g]
-        for comp in (RHO, P):
-            owners[comp, :-1] |= minus[comp] <= 0.0
-            owners[comp, 1:] |= plus[comp] <= 0.0
-    return mask
-
-
-def limited_interfaces(Vf: PrimitiveField, grid: GridSpec, theta: float) -> list[Traces]:
-    """Reconstruction with a positivity fallback, traces per axis.
-
-    If a reconstructed density or pressure is non-positive at some interface,
-    the offending cell's slopes for that component are recomputed with
-    theta = 1; if still non-positive they are zeroed, which falls back to
-    the (positive) cell average.  For valid input fields the fallback is a
-    no-op: minmod traces are bounded by neighboring cell averages.
-    """
-    slopes = compute_slopes(Vf, grid, theta)
-    traces = _traces(Vf, slopes, grid)
-    for fallback_theta in (1.0, None):
-        mask = _offending_cells(traces, grid)
-        if not mask.any():
-            break
-        if fallback_theta is None:
-            np.copyto(slopes, 0.0, where=mask)
-        else:
-            np.copyto(slopes, compute_slopes(Vf, grid, fallback_theta), where=mask)
-        traces = _traces(Vf, slopes, grid)
+        traces.append((Vs[left] + half * s[left], Vs[right] - half * s[right]))
+    for comp, name in ((RHO, "density"), (P, "pressure")):
+        lowest = min(float(t[comp].min()) for pair in traces for t in pair)
+        if lowest <= 0.0:
+            raise NonPhysicalState(f"reconstructed {name} non-positive (min {lowest:.3g})")
     return traces

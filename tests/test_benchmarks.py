@@ -142,12 +142,6 @@ class TestExplosionCase:
         assert V.rho[g + 3, g + 2] == 0.125  # center (0.4, 0.0)
         assert V.rho[g + 2, g + 2] == 1.0  # center (0, 0)
 
-    def test_gentle_start_for_intermediate_mach(self):
-        case = CASES["explosion"]
-        assert case.dt_override(0.3) == (10, 1e-4)
-        assert case.dt_override(0.6) == (10, 1e-4)
-        assert case.dt_override(1.0) is None
-
     def test_final_times_follow_mach_number(self):
         case = CASES["explosion"]
         assert case.final_time(1.0) == 0.25

@@ -23,6 +23,12 @@ def test_run_writes_final_snapshot(tmp_path, capsys):
     assert "gresho" in out and "steps" in out
 
 
+def test_run_summary_counts_rejected_steps(capsys):
+    code = cli.main(["run", "--case", "explosion", "--eps", "0.3", "--nx", "24"])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("explosion: 10 steps (1 rejected) to t=0.08 ")
+
+
 def test_run_snapshot_times(tmp_path):
     code = cli.main([
         "run", "--case", "gresho", "--eps", "0.1", "--nx", "10",
@@ -172,14 +178,16 @@ def test_no_convergence_maps_to_exit_3(monkeypatch):
     assert cli.main(["run", "--case", "gresho"]) == 3
 
 
-def test_blowup_run_exits_with_failure_code(tmp_path):
+def test_blowup_run_exits_with_failure_code(tmp_path, capsys):
     # oversized forced steps on the explosion: aborts via 2 or 3 depending on
-    # which guard trips first
+    # which guard trips first; a forced step is not retried, and the message
+    # names the step that failed
     code = cli.main([
         "run", "--case", "explosion", "--eps", "1.0", "--nx", "12",
         "--t-final", "0.25", "--dt-override", "5:0.5",
     ])
     assert code in (2, 3)
+    assert "step 0, t=0: " in capsys.readouterr().err
 
 
 def test_negative_cfl_is_config_error(capsys):

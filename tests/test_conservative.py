@@ -92,7 +92,7 @@ class TestAssembledOperator:
         V.v[:] = -0.4
         V.p[:] = 2.0
         cfg = SolverConfig(epsilon=0.5, gamma=1.4)
-        D = assemble_conservative_rhs(V, grid, cfg)
+        D = assemble_conservative_rhs(V, grid, cfg, limited_interfaces(V, grid, cfg.theta))
         assert np.allclose(D, 0.0, atol=1e-12)
 
     def test_periodic_telescoping_sum(self):
@@ -106,7 +106,7 @@ class TestAssembledOperator:
         )))
         fill_ghosts(V, grid)
         cfg = SolverConfig(epsilon=0.8, gamma=1.4)
-        D = assemble_conservative_rhs(V, grid, cfg)
+        D = assemble_conservative_rhs(V, grid, cfg, limited_interfaces(V, grid, cfg.theta))
         sums = np.abs(D.sum(axis=(1, 2)))
         scale = np.abs(D).sum(axis=(1, 2)) + 1e-30
         assert np.all(sums / scale < 1e-12)
@@ -140,7 +140,7 @@ class TestAssembledOperator:
             for dst, src in zip(V.components(), prim(X, Y)):
                 dst[grid.interior] = src
             fill_ghosts(V, grid)
-            D = assemble_conservative_rhs(V, grid, cfg)
+            D = assemble_conservative_rhs(V, grid, cfg, limited_interfaces(V, grid, cfg.theta))
             errors.append(np.abs(D - oracle(X, Y)).mean(axis=(1, 2)))
         ratios = errors[0] / errors[1]
         assert np.all(ratios >= 3.2) and np.all(ratios <= 4.8)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from allmach.elliptic import HelmholtzSystem, operator_divergence, solve_helmholtz
-from allmach.errors import NonPhysicalState
+from allmach.errors import NoConvergence, NonPhysicalState
 from allmach.grid import GridSpec, fill_ghosts, padded
 from allmach.integrator import (
     DualState,
@@ -253,6 +253,57 @@ class TestRun:
         out, report = run(state, grid, cfg, t_final=0.02)
         assert report.dts[:3] == pytest.approx([1e-4, 1e-4, 1e-4])
         assert report.dts[3] > 1e-3
+
+    def test_failed_cfl_step_is_retried_at_half_the_step(self):
+        # the explosion at eps=0.3 has no hand-tuned start: its first CFL step
+        # fails and is taken again at half the step
+        from allmach.benchmarks import CASES, run_case
+
+        grid, state, report, _ = run_case(CASES["explosion"], 0.3, 24, 24)
+        assert state.t == pytest.approx(0.08, abs=1e-13)
+        assert report.steps == 10 and report.rejections == 1
+        V = state.V.array[grid.interior]
+        assert np.abs(V[[0, 2, 1, 3]].swapaxes(1, 2) - V).max() <= 1e-14
+
+    @pytest.mark.parametrize("error", [NonPhysicalState, NoConvergence])
+    def test_retries_are_bounded(self, monkeypatch, error):
+        import allmach.integrator as integrator
+        from allmach.benchmarks import CASES
+
+        case = CASES["gresho"]
+        grid = case.make_grid(16, 16, 0.1)
+        cfg = case.config(0.1)
+        state = DualState.from_primitive(case.initial_state(grid, 0.1), grid, cfg)
+        dt = compute_dt(state.V, split_scalars(state.V, grid, 0.1), grid, cfg, 0.05)
+        attempts = []
+
+        def failing(state, grid, cfg, dt):
+            attempts.append(dt)
+            raise error("boom")
+
+        monkeypatch.setattr(integrator, "si_dec_step", failing)
+        with pytest.raises(error, match="^step 0, t=0: boom$"):
+            run(state, grid, cfg, t_final=0.05)
+        assert attempts == [dt, dt / 2, dt / 4, dt / 8]
+
+    def test_forced_step_is_not_retried(self, monkeypatch):
+        import allmach.integrator as integrator
+        from allmach.benchmarks import CASES
+
+        case = CASES["gresho"]
+        grid = case.make_grid(16, 16, 0.1)
+        cfg = case.config(0.1, dt_override=(3, 1e-3))
+        state = DualState.from_primitive(case.initial_state(grid, 0.1), grid, cfg)
+        attempts = []
+
+        def failing(state, grid, cfg, dt):
+            attempts.append(dt)
+            raise NonPhysicalState("boom")
+
+        monkeypatch.setattr(integrator, "si_dec_step", failing)
+        with pytest.raises(NonPhysicalState, match="^step 0, t=0: boom$"):
+            run(state, grid, cfg, t_final=0.05)
+        assert attempts == [1e-3]
 
     def test_snap_times_hit_exactly(self):
         from allmach.benchmarks import CASES

@@ -303,7 +303,7 @@ class TestAssembledOperator:
         V.p[:] = 0.9
         cfg = SolverConfig(epsilon=0.4, gamma=1.4)
         s = split_scalars(V, grid, cfg.epsilon)
-        R = assemble_nonstiff(V, grid, cfg, s)
+        R = assemble_nonstiff(V, grid, cfg, s, limited_interfaces(V, grid, cfg.theta))
         assert np.allclose(R, 0.0, atol=1e-14)
 
     def test_second_order_consistency(self):
@@ -314,7 +314,7 @@ class TestAssembledOperator:
             V = smooth_field(grid)
             cfg = SolverConfig(**cfg_kwargs)
             s = split_scalars(V, grid, cfg.epsilon)
-            R = assemble_nonstiff(V, grid, cfg, s)
+            R = assemble_nonstiff(V, grid, cfg, s, limited_interfaces(V, grid, cfg.theta))
             Ra = analytic_operator(grid, cfg.epsilon, cfg.gamma, s.rho_max, s.p_min)
             errors.append(np.abs(R - Ra).mean(axis=(1, 2)))
         ratios = errors[0] / errors[1]
@@ -334,7 +334,7 @@ class TestAssembledOperator:
             fill_ghosts(V, grid)
             cfg = SolverConfig(epsilon=1.0, gamma=1.4)
             s = split_scalars(V, grid, cfg.epsilon)
-            R = assemble_nonstiff(V, grid, cfg, s)
+            R = assemble_nonstiff(V, grid, cfg, s, limited_interfaces(V, grid, cfg.theta))
             exact = c * np.pi * np.cos(2 * np.pi * X)
             errors.append(np.abs(R[0] - exact).mean())
         assert 3.2 <= errors[0] / errors[1] <= 4.8
@@ -353,7 +353,7 @@ class TestAssembledOperator:
         fill_ghosts(V, grid)
         cfg = SolverConfig(epsilon=1.0, gamma=1.4)
         s = split_scalars(V, grid, cfg.epsilon)
-        R = assemble_nonstiff(V, grid, cfg, s)
+        R = assemble_nonstiff(V, grid, cfg, s, limited_interfaces(V, grid, cfg.theta))
         assert np.abs(R[3]).max() <= 1e-13
         # the velocity rows see only the density-weighted pressure gradient,
         # which also vanishes here

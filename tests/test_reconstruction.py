@@ -9,7 +9,6 @@ from allmach.reconstruction import (
     compute_slopes,
     limited_interfaces,
     minmod,
-    reconstruct_interfaces,
 )
 from allmach.state import PrimitiveField
 
@@ -90,16 +89,14 @@ class TestInterfaces:
     def test_constant_field(self):
         grid = GridSpec(6, 6, 0.0, 1.0, 0.0, 1.0)
         V = field_from_function(grid, lambda x, y: np.full_like(x, 1.7))
-        slopes = compute_slopes(V, grid, theta=1.3)
-        (xm, xp), (ym, yp) = reconstruct_interfaces(V, slopes, grid)
+        (xm, xp), (ym, yp) = limited_interfaces(V, grid, 1.3)
         assert np.allclose(xm[0], 1.7) and np.allclose(xp[0], 1.7)
         assert np.allclose(ym[0], 1.7) and np.allclose(yp[0], 1.7)
 
     def test_linear_field_exact_midpoints(self):
         grid = GridSpec(8, 8, 0.0, 1.0, 0.0, 1.0, bc_x="outflow", bc_y="outflow")
         V = field_from_function(grid, lambda x, y: 1.0 + 2.0 * x + 0.5 * y)
-        slopes = compute_slopes(V, grid, theta=1.3)
-        (xm, xp), _ = reconstruct_interfaces(V, slopes, grid)
+        (xm, xp), _ = limited_interfaces(V, grid, 1.3)
         xs = grid.x_lo + np.arange(grid.nx + 1) * grid.dx
         yc = grid.y_lo + (np.arange(grid.ny) + 0.5) * grid.dy
         exact = 1.0 + 2.0 * xs[:, None] + 0.5 * yc[None, :]
@@ -116,8 +113,7 @@ class TestInterfaces:
         V.u[grid.interior] = 0.0
         V.p[grid.interior] = 1.0
         fill_ghosts(V, grid)
-        slopes = compute_slopes(V, grid, theta=2.0)
-        (xm, _), _ = reconstruct_interfaces(V, slopes, grid)
+        (xm, _), _ = limited_interfaces(V, grid, 2.0)
         assert xm[0][2, 0] == pytest.approx(2.0 + 0.5 * 1.5, rel=1e-14)
 
     def test_second_order_interface_accuracy(self):
@@ -127,8 +123,7 @@ class TestInterfaces:
             grid = GridSpec(n, n, 0.0, 1.0, 0.0, 1.0)
             fn = lambda x, y: 2.0 + np.sin(2 * np.pi * x + 0.3) * np.cos(2 * np.pi * y)
             V = field_from_function(grid, fn)
-            slopes = compute_slopes(V, grid, theta=1.3)
-            (xm, xp), (ym, yp) = reconstruct_interfaces(V, slopes, grid)
+            (xm, xp), (ym, yp) = limited_interfaces(V, grid, 1.3)
             xs = grid.x_lo + np.arange(grid.nx + 1) * grid.dx
             yc = grid.y_lo + (np.arange(grid.ny) + 0.5) * grid.dy
             exact_x = fn(xs[:, None], yc[None, :])
@@ -155,8 +150,7 @@ class TestInterfaces:
             0.5 + rng.random(grid.shape),
         )))
         fill_ghosts(V, grid)
-        slopes = compute_slopes(V, grid, theta=2.0)
-        (xm, _), _ = reconstruct_interfaces(V, slopes, grid)
+        (xm, _), _ = limited_interfaces(V, grid, 2.0)
         Vs = V.array
         g = grid.ghost
         lo = np.minimum(
@@ -178,8 +172,7 @@ class TestInterfaces:
             lambda x, y: 1.0 + x + 2.0 * y,
             fn_p=lambda x, y: 4.0 - x - y,
         )
-        slopes = compute_slopes(V, grid, theta=1.3)
-        (xm, xp), _ = reconstruct_interfaces(V, slopes, grid)
+        (xm, xp), _ = limited_interfaces(V, grid, 1.3)
         inner = slice(2, -2)
         assert np.allclose(xm[3][inner], xp[3][inner], rtol=1e-13)
 
@@ -224,51 +217,27 @@ def test_traces_lie_between_neighbouring_averages(nx, extra, lengths, bcs, theta
             assert np.all(t <= np.maximum(a, b) + slack)
 
 
-class TestPositivityFallback:
-    def test_oversized_slopes_rejected(self):
-        grid = GridSpec(4, 4, 0.0, 1.0, 0.0, 1.0)
-        V = field_from_function(grid, lambda x, y: np.full_like(x, 0.1))
-        slopes = compute_slopes(V, grid, theta=1.3)
-        bad = slopes.copy()
-        bad[AXIS_X, 0, grid.ghost + 1, grid.ghost + 1] = 100.0  # trace goes negative
-        with pytest.raises(NonPhysicalState):
-            reconstruct_interfaces(V, bad, grid)
-
-    def test_fallback_is_noop_on_valid_data(self):
-        rng = np.random.default_rng(5)
-        grid = GridSpec(8, 8, 0.0, 1.0, 0.0, 1.0)
-        V = PrimitiveField(np.stack((
-            0.01 + rng.random(grid.shape),
-            rng.standard_normal(grid.shape),
-            rng.standard_normal(grid.shape),
-            0.01 + rng.random(grid.shape),
-        )))
-        fill_ghosts(V, grid)
-        traces = limited_interfaces(V, grid, theta=2.0)
-        direct = reconstruct_interfaces(V, compute_slopes(V, grid, 2.0), grid)
-        assert np.array_equal(traces[AXIS_X][0], direct[AXIS_X][0])
-        assert np.array_equal(traces[AXIS_Y][1], direct[AXIS_Y][1])
-        xm = traces[AXIS_X][0]
-        assert np.all(xm[0] > 0.0) and np.all(xm[3] > 0.0)
-
-    def test_fallback_repairs_oversized_slopes(self, monkeypatch):
-        # Inflated slopes push density and pressure traces negative; the
-        # fallback must repair those and leave the velocity traces alone.
+class TestPositivity:
+    def test_oversized_slopes_rejected(self, monkeypatch):
         import allmach.reconstruction as rec
 
-        grid = GridSpec(9, 7, 0.0, 1.0, 0.0, 2.0, bc_x="outflow", bc_y="periodic")
-        V = PrimitiveField(0.2 + np.random.default_rng(3).random((4,) + grid.shape))
+        grid = GridSpec(4, 4, 0.0, 1.0, 0.0, 1.0)
+        V = field_from_function(grid, lambda x, y: np.full_like(x, 0.1), fn_p=lambda x, y: 0.1)
+        for comp, name in ((0, "density"), (3, "pressure")):
+            slopes = compute_slopes(V, grid, theta=1.3)
+            slopes[AXIS_X, comp, grid.ghost + 1, grid.ghost + 1] = 100.0  # trace goes negative
+            monkeypatch.setattr(rec, "compute_slopes", lambda Vf, grid, theta, s=slopes: s)
+            with pytest.raises(NonPhysicalState, match=name):
+                limited_interfaces(V, grid, 1.3)
+
+    def test_round_off_zero_trace_rejected(self):
+        # theta = 2 next to a 17-decade drop: the cell of average 1 gets the
+        # slope minmod(-8, -2.5, 2 * (1e-17 - 1)) = -2 in floating point, so
+        # the trace on its right face is 1 - 1 = 0 exactly.
+        grid = GridSpec(5, 3, 0.0, 5.0, 0.0, 3.0, bc_x="outflow", bc_y="outflow")
+        V = PrimitiveField.zeros(grid)
+        V.rho[grid.interior] = np.array([9.0, 5.0, 1.0, 1e-17, 1e-17])[:, None]
+        V.p[grid.interior] = 1.0
         fill_ghosts(V, grid)
-        exact = rec.compute_slopes
-
-        def inflated(Vf, grid, theta):
-            return exact(Vf, grid, theta) * (30.0 if theta > 1.0 else 1.0)
-
-        monkeypatch.setattr(rec, "compute_slopes", inflated)
-        raw = rec._traces(V, inflated(V, grid, 1.3), grid)
-        assert any((t[[0, 3]] <= 0.0).any() for pair in raw for t in pair)
-        traces = limited_interfaces(V, grid, 1.3)
-        for pair, raw_pair in zip(traces, raw):
-            for t, r in zip(pair, raw_pair):
-                assert np.all(t[[0, 3]] > 0.0)
-                assert np.array_equal(t[1:3], r[1:3])
+        with pytest.raises(NonPhysicalState, match="density"):
+            limited_interfaces(V, grid, 2.0)

@@ -18,6 +18,7 @@ from allmach.conservative import assemble_conservative_rhs
 from allmach.grid import OUTFLOW, PERIODIC, GridSpec, fill_ghosts
 from allmach.integrator import DualState, si_dec_step
 from allmach.nonstiff import assemble_nonstiff, split_scalars
+from allmach.reconstruction import limited_interfaces
 from allmach.state import PrimitiveField, SolverConfig
 
 PRIMITIVE = ("rho", "u", "v", "p")
@@ -93,10 +94,13 @@ def test_explicit_operators_commute_with_transposition(nx, extra, lengths, bc_x,
     VT = transposed_field(V, grid)
     cfg = SolverConfig(epsilon=eps, gamma=1.4)
 
-    R = assemble_nonstiff(V, grid, cfg, split_scalars(V, grid, eps))
-    RT = assemble_nonstiff(VT, gridT, cfg, split_scalars(VT, gridT, eps))
+    traces = limited_interfaces(V, grid, cfg.theta)
+    tracesT = limited_interfaces(VT, gridT, cfg.theta)
+
+    R = assemble_nonstiff(V, grid, cfg, split_scalars(V, grid, eps), traces)
+    RT = assemble_nonstiff(VT, gridT, cfg, split_scalars(VT, gridT, eps), tracesT)
     assert np.abs(swap_stack(R) - RT).max() <= 1e-14 * np.abs(R).max()
 
-    D = assemble_conservative_rhs(V, grid, cfg)
-    DT = assemble_conservative_rhs(VT, gridT, cfg)
+    D = assemble_conservative_rhs(V, grid, cfg, traces)
+    DT = assemble_conservative_rhs(VT, gridT, cfg, tracesT)
     assert np.abs(swap_stack(D) - DT).max() <= 1e-14 * np.abs(D).max()
