@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import NoConvergence, NonPhysicalState
 from .grid import OUTFLOW, PERIODIC, GridSpec, fill_ghosts
-from .integrator import DualState, RunReport, run
+from .integrator import DualState, RunReport, compute_dt, run
+from .nonstiff import split_scalars
 from .state import PrimitiveField, SolverConfig
 from .stiff import central_gradient
 
@@ -76,6 +77,12 @@ class BenchmarkCase:
         kwargs = dict(epsilon=eps, gamma=self.gamma, k_cfl=self.default_cfl)
         kwargs.update(overrides)
         return SolverConfig(**kwargs)
+
+    def initial_dt(self, n: int, eps: float, **overrides) -> float:
+        """CFL step of the initial state on the n x n grid."""
+        grid = self.make_grid(n, n, eps)
+        V0 = self.initial_state(grid, eps)
+        return compute_dt(V0, split_scalars(V0, grid, eps), grid, self.config(eps, **overrides))
 
 
 def _wrap(z: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -323,13 +330,7 @@ def uniform_step_override(
     config hook.  Keeps refinement-study step sequences deterministic instead
     of ending on an arbitrarily clipped remainder step.
     """
-    from .integrator import compute_dt
-    from .nonstiff import split_scalars
-
-    grid = case.make_grid(nx, nx, eps)
-    cfg = case.config(eps, **cfg_overrides)
-    V0 = case.initial_state(grid, eps)
-    dt0 = compute_dt(V0, split_scalars(V0, grid, eps), grid, cfg)
+    dt0 = case.initial_dt(nx, eps, **cfg_overrides)
     n = max(1, math.ceil(t_final / dt0))
     return (n, t_final / n)
 

@@ -14,13 +14,12 @@ import numpy as np
 
 from .benchmarks import CASES, convergence_study, run_case
 from .errors import NoConvergence, NonPhysicalState
-from .integrator import DualState, compute_dt, run, si_dec_step
-from .nonstiff import split_scalars
+from .integrator import DualState, run, si_dec_step
 from .stiff import discrete_divergence
 from .snapshots import snapshot_write
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
@@ -29,31 +28,26 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _parse_dt_override(text: str) -> tuple[int, float]:
-    try:
-        count, _, value = text.partition(":")
-        return int(count), float(value)
-    except ValueError as exc:
-        raise ConfigError(f"bad --dt-override {text!r}, expected N:VALUE") from exc
+# Argument types; argparse names them in its message for a value they reject.
 
 
-def _parse_floats(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad float list {text!r}") from exc
+def float_list(text: str) -> list[float]:
+    return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _parse_ints(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad int list {text!r}") from exc
+def int_list(text: str) -> list[int]:
+    return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _load_config_file(path: str, known: set[str]) -> dict[str, str]:
-    """Flat ``key = value`` lines; every key must name a flag in ``known``."""
-    values: dict[str, str] = {}
+def count_and_step(text: str) -> tuple[int, float]:
+    count, _, value = text.partition(":")
+    return int(count), float(value)
+
+
+def _config_args(path: str, known: set[str]) -> list[str]:
+    """Flat ``key = value`` lines as ``--key=value`` arguments; every key must
+    name a flag in ``known`` (spelt with underscores)."""
+    args = []
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -68,97 +62,75 @@ def _load_config_file(path: str, known: set[str]) -> dict[str, str]:
         key = key.strip().replace("-", "_")
         if key not in known:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = value.strip()
-    return values
+        args.append(f"--{key.replace('_', '-')}={value.strip()}")
+    return args
 
 
-def _resolve(ns: argparse.Namespace, file_cfg: dict[str, str], key: str, default, convert):
-    """Flags win over the config file, which wins over defaults."""
-    cli_value = getattr(ns, key, None)
-    if cli_value is not None:
-        return cli_value
-    if key in file_cfg:
-        return convert(file_cfg[key])
-    return default
-
-
-def _scheme_overrides(ns: argparse.Namespace, file_cfg: dict[str, str]) -> dict:
-    """SolverConfig fields set by flag or config file."""
-    overrides = {}
-    for key, attr, convert in (("cfl", "k_cfl", float), ("theta", "theta", float),
-                               ("order", "order", int)):
-        value = _resolve(ns, file_cfg, key, None, convert)
-        if value is not None:
-            overrides[attr] = value
-    return overrides
+def _scheme_overrides(ns: argparse.Namespace) -> dict:
+    """SolverConfig fields that were given; the rest keep the case's values."""
+    fields = {"cfl": "k_cfl", "theta": "theta", "order": "order", "dt_override": "dt_override"}
+    return {f: getattr(ns, key) for key, f in fields.items() if getattr(ns, key, None) is not None}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="allmach", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="key = value file mirroring the flags; flags win")
-        p.add_argument("--eps", type=float, help="reference Mach number")
-        p.add_argument("--nx", type=int)
-        p.add_argument("--ny", type=int)
-        p.add_argument("--cfl", type=float)
-        p.add_argument("--theta", type=float)
-        p.add_argument("--order", type=int, choices=(1, 2))
-        p.add_argument("--out-dir", dest="out_dir")
+        return p
 
-    p_run = sub.add_parser("run", help="run one benchmark case")
-    common(p_run)
-    p_run.add_argument("--case", choices=sorted(CASES))
-    p_run.add_argument("--t-final", type=float, dest="t_final")
-    p_run.add_argument("--snap-times", dest="snap_times", help="comma-separated times")
-    p_run.add_argument("--dt-override", dest="dt_override", help="N:VALUE for the first N steps")
+    def scheme_and_output(p):
+        p.add_argument("--cfl", type=float, help="CFL number (default: the case's)")
+        p.add_argument("--theta", type=float, help="limiter parameter in [1, 2] (default 1.3)")
+        p.add_argument("--order", type=int, choices=(1, 2), help="order in time (default 2)")
+        p.add_argument("--t-final", type=float, help="end time (default: the case's)")
+        p.add_argument("--out-dir")
 
-    p_conv = sub.add_parser("convergence", help="mesh-refinement error study")
-    common(p_conv)
-    p_conv.add_argument("--case", choices=sorted(k for k, c in CASES.items() if c.has_exact))
-    p_conv.add_argument("--eps-list", dest="eps_list", help="comma-separated Mach numbers")
-    p_conv.add_argument("--n-list", dest="n_list", help="comma-separated mesh sizes")
-    p_conv.add_argument("--t-final", type=float, dest="t_final")
+    p = command("run", "run one benchmark case")
+    p.add_argument("--case", choices=sorted(CASES))
+    p.add_argument("--eps", type=float, default=1.0, help="reference Mach number (default 1)")
+    p.add_argument("--nx", type=int, default=64, help="cells along x (default 64)")
+    p.add_argument("--ny", type=int, help="cells along y (default: nx)")
+    scheme_and_output(p)
+    p.add_argument("--snap-times", type=float_list, default=(), help="comma-separated times")
+    p.add_argument("--dt-override", type=count_and_step, metavar="N:VALUE",
+                   help="step VALUE for the first N steps")
 
-    p_diag = sub.add_parser("diagnose", help="asymptotic-consistency probe suite")
-    common(p_diag)
+    p = command("convergence", "mesh-refinement error study")
+    p.add_argument("--case", choices=sorted(k for k, c in CASES.items() if c.has_exact))
+    p.add_argument("--eps-list", type=float_list, default=[1.0], help="Mach numbers (default 1.0)")
+    p.add_argument("--n-list", type=int_list, default=[32, 64], help="grid sizes (default 32,64)")
+    scheme_and_output(p)
+
+    p = command("diagnose", "asymptotic-consistency probe suite")
+    p.add_argument("--eps", type=float, default=1e-2, help="reference Mach number (default 1e-2)")
+    p.add_argument("--nx", type=int, default=64, help="cells per side (default 64)")
     return parser
 
 
-def cmd_run(ns, file_cfg) -> int:
-    case_name = _resolve(ns, file_cfg, "case", None, str)
-    if case_name is None or case_name not in CASES:
-        raise ConfigError(f"unknown or missing case {case_name!r}")
-    case = CASES[case_name]
-    eps = _resolve(ns, file_cfg, "eps", 1.0, float)
-    nx = _resolve(ns, file_cfg, "nx", 64, int)
-    ny = _resolve(ns, file_cfg, "ny", nx, int)
-    overrides = _scheme_overrides(ns, file_cfg)
-    dt_override = _resolve(ns, file_cfg, "dt_override", None, str)
-    if dt_override is not None:
-        overrides["dt_override"] = _parse_dt_override(dt_override)
-    t_final = _resolve(ns, file_cfg, "t_final", None, float)
-    snap_spec = _resolve(ns, file_cfg, "snap_times", None, str)
-    snap_times = _parse_floats(snap_spec) if snap_spec else []
-    out_dir = _resolve(ns, file_cfg, "out_dir", None, str)
+def cmd_run(ns) -> int:
+    case = CASES[ns.case]
+    eps, nx = ns.eps, ns.nx
+    ny = nx if ns.ny is None else ns.ny
 
     grid = case.make_grid(nx, ny, eps)
-    cfg = case.config(eps, **overrides)
+    cfg = case.config(eps, **_scheme_overrides(ns))
     state = DualState.from_primitive(case.initial_state(grid, eps), grid, cfg)
-    t_end = case.final_time(eps) if t_final is None else t_final
+    t_end = case.final_time(eps) if ns.t_final is None else ns.t_final
 
     def file_name(t):
         return f"{case.name}_t{t:.6f}.dat"
 
-    pending = sorted(t for t in snap_times if t <= t_end)
+    pending = sorted(t for t in ns.snap_times if t <= t_end)
     owner: dict[str, float] = {}  # file name -> the one time it holds
     for t in sorted(set(pending) | {t_end}):
         name = file_name(t)
         if owner.setdefault(name, t) != t:
             raise ConfigError(f"snapshot times {owner[name]} and {t} both map to {name}")
 
-    out_path = Path(out_dir) if out_dir else None
+    out_path = Path(ns.out_dir) if ns.out_dir else None
     if out_path:
         out_path.mkdir(parents=True, exist_ok=True)
 
@@ -181,7 +153,7 @@ def cmd_run(ns, file_cfg) -> int:
             write(st, pending.pop(0))
         return True
 
-    state, report = run(state, grid, cfg, t_end, callback=callback, snap_times=snap_times)
+    state, report = run(state, grid, cfg, t_end, callback=callback, snap_times=ns.snap_times)
     write(state, state.t)
     div = report.max_divergences[-1] if report.steps else 0.0
     fluct = report.pressure_fluctuations[-1] if report.steps else 0.0
@@ -192,41 +164,25 @@ def cmd_run(ns, file_cfg) -> int:
     return 0
 
 
-def cmd_convergence(ns, file_cfg) -> int:
-    case_name = _resolve(ns, file_cfg, "case", None, str)
-    if case_name is None or case_name not in CASES or not CASES[case_name].has_exact:
-        raise ConfigError(f"case {case_name!r} unknown or lacks an exact solution")
-    case = CASES[case_name]
-    eps_spec = _resolve(ns, file_cfg, "eps_list", "1.0", str)
-    n_spec = _resolve(ns, file_cfg, "n_list", "32,64", str)
-    t_final = _resolve(ns, file_cfg, "t_final", None, float)
-    out_dir = _resolve(ns, file_cfg, "out_dir", None, str)
-    overrides = _scheme_overrides(ns, file_cfg)
-
+def cmd_convergence(ns) -> int:
+    case = CASES[ns.case]
     table = convergence_study(
-        case, _parse_floats(eps_spec), _parse_ints(n_spec), t_final=t_final, **overrides
+        case, ns.eps_list, ns.n_list, t_final=ns.t_final, **_scheme_overrides(ns)
     )
     print(table.format_text())
-    if out_dir:
-        path = Path(out_dir)
+    if ns.out_dir:
+        path = Path(ns.out_dir)
         path.mkdir(parents=True, exist_ok=True)
         (path / f"convergence_{case.name}.dat").write_text(table.format_delimited())
     return 0
 
 
-def cmd_diagnose(ns, file_cfg) -> int:
-    eps = _resolve(ns, file_cfg, "eps", 1e-2, float)
-    nx = _resolve(ns, file_cfg, "nx", 64, int)
+def cmd_diagnose(ns) -> int:
+    eps, nx = ns.eps, ns.nx
     case = CASES["gresho"]
     ok = True
 
-    def first_dt(e: float) -> float:
-        grid = case.make_grid(nx, nx, e)
-        cfg = case.config(e)
-        V0 = case.initial_state(grid, e)
-        return compute_dt(V0, split_scalars(V0, grid, e), grid, cfg)
-
-    dt_here, dt_zero = first_dt(eps), first_dt(1e-6)
+    dt_here, dt_zero = case.initial_dt(nx, eps), case.initial_dt(nx, 1e-6)
     ratio = dt_here / dt_zero
     passed = abs(ratio - 1.0) <= 0.1
     ok &= passed
@@ -257,19 +213,19 @@ def cmd_diagnose(ns, file_cfg) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         ns = parser.parse_args(argv)
-        known = set(vars(ns)) - {"command", "config"}  # the subcommand's flags
-        file_cfg = _load_config_file(ns.config, known) if getattr(ns, "config", None) else {}
-        if ns.command == "run":
-            return cmd_run(ns, file_cfg)
-        if ns.command == "convergence":
-            return cmd_convergence(ns, file_cfg)
-        return cmd_diagnose(ns, file_cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (ValueError, KeyError) as exc:
+        if ns.config:
+            # File values go right after the subcommand: argparse keeps the
+            # last occurrence of a flag, so the command line wins.
+            known = set(vars(ns)) - {"command", "config"}  # the subcommand's flags
+            ns = parser.parse_args(argv[:1] + _config_args(ns.config, known) + argv[1:])
+        if "case" in ns and ns.case is None:
+            raise ConfigError("the following arguments are required: --case")
+        commands = {"run": cmd_run, "convergence": cmd_convergence, "diagnose": cmd_diagnose}
+        return commands[ns.command](ns)
+    except ValueError as exc:  # ConfigError, or a SolverConfig check
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except NonPhysicalState as exc:

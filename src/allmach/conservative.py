@@ -16,7 +16,7 @@ from .errors import NonPhysicalState
 from .grid import GridSpec, along
 from .nonstiff import cu_flux, one_sided_speeds
 from .reconstruction import P, RHO, U, V, Traces
-from .state import PrimitiveField, SolverConfig, prim_to_cons, primitive_values, total_energy
+from .state import SolverConfig, prim_to_cons, primitive_values, total_energy
 
 
 def sound_speed(rho, p, cfg: SolverConfig):
@@ -51,7 +51,7 @@ def conservative_speeds(traces: Traces, cfg: SolverConfig, axis: int):
         minus, plus,
         sound_speed(minus[RHO], minus[P], cfg),
         sound_speed(plus[RHO], plus[P], cfg),
-        cfg.delta, axis,
+        axis,
     )
 
 
@@ -72,13 +72,12 @@ def cu_flux_conservative(traces: Traces, cfg: SolverConfig, axis: int) -> np.nda
 
 
 def assemble_conservative_rhs(
-    Vf: PrimitiveField,
     grid: GridSpec,
     cfg: SolverConfig,
     traces: list[Traces],
 ) -> np.ndarray:
     """Semi-discrete rate dU/dt = -div(fluxes) from the reconstruction
-    ``traces`` of ``Vf``, shape (4, nx, ny).
+    ``traces`` of the primitive state, shape (4, nx, ny).
 
     Exactly telescoping under periodic boundaries: the componentwise sum
     over the domain vanishes to round-off.

@@ -29,7 +29,7 @@ from .conservative import assemble_conservative_rhs
 from .elliptic import pressure_system, solve_helmholtz
 from .errors import NoConvergence, NonPhysicalState
 from .grid import GridSpec, fill_ghosts, padded
-from .nonstiff import SplitScalars, assemble_nonstiff, modified_sound_speed, split_scalars
+from .nonstiff import DELTA, SplitScalars, assemble_nonstiff, modified_sound_speed, split_scalars
 from .reconstruction import limited_interfaces
 from .state import (
     ConservativeField,
@@ -42,6 +42,9 @@ from .stiff import assemble_stiff, central_gradient, discrete_divergence, stiff_
 
 # Halvings of a failed CFL step before the run gives up on it.
 MAX_REJECTIONS = 3
+
+# Blend function: edges of the transition band and the exponent of its branches.
+EPS0, EPS1, ALPHA = 0.15, 0.4, 14.0
 
 
 @dataclass
@@ -104,7 +107,7 @@ def build_stage(Vf: PrimitiveField, grid: GridSpec, cfg: SolverConfig) -> StageB
     scalars = split_scalars(Vf, grid, cfg.epsilon)
     traces = limited_interfaces(Vf, grid, cfg.theta)
     R = assemble_nonstiff(Vf, grid, cfg, scalars, traces)
-    D = assemble_conservative_rhs(Vf, grid, cfg, traces)
+    D = assemble_conservative_rhs(grid, cfg, traces)
     return StageBuffers(scalars, R, D)
 
 
@@ -119,29 +122,28 @@ def compute_dt(
     clipped to the remaining time when given."""
     core = grid.interior
     c_mod = modified_sound_speed(Vf.rho[core], Vf.p[core], scalars, cfg.epsilon, cfg.gamma)
-    sx = max(float((np.abs(Vf.u[core]) + c_mod).max()), cfg.delta)
-    sy = max(float((np.abs(Vf.v[core]) + c_mod).max()), cfg.delta)
+    sx = max(float((np.abs(Vf.u[core]) + c_mod).max()), DELTA)
+    sy = max(float((np.abs(Vf.v[core]) + c_mod).max()), DELTA)
     dt = cfg.k_cfl * min(grid.dx / sx, grid.dy / sy)
     if t_remaining is not None:
         dt = min(dt, t_remaining)
     return dt
 
 
-def switching_weight(eps: float, cfg: SolverConfig) -> float:
+def switching_weight(eps: float) -> float:
     """Mach-dependent blend weight: 1 at vanishing Mach numbers (keep the
     pressure-robust branch), 0 at Mach one (keep the conservative branch),
     with a smooth bump-function transition in between."""
     if not 0.0 < eps <= 1.0:
         raise ValueError("switching weight defined for 0 < eps <= 1")
-    e0, e1, a = cfg.eps0, cfg.eps1, cfg.alpha
-    if eps <= e0:
-        return 1.0 - eps**a
-    if eps >= e1:
-        return (1.0 - eps) ** a
-    s = ((eps - e0) / (e1 - e0)) ** 2
+    if eps <= EPS0:
+        return 1.0 - eps**ALPHA
+    if eps >= EPS1:
+        return (1.0 - eps) ** ALPHA
+    s = ((eps - EPS0) / (EPS1 - EPS0)) ** 2
     bump = math.exp(1.0 - 1.0 / (1.0 - s))
-    lo = (1.0 - e1) ** a
-    return bump * ((1.0 - e0**a) - lo) + lo
+    lo = (1.0 - EPS1) ** ALPHA
+    return bump * ((1.0 - EPS0**ALPHA) - lo) + lo
 
 
 def post_process(
@@ -152,7 +154,7 @@ def post_process(
 ) -> PrimitiveField:
     """Convex combination of the primitive copy with the transform of the
     conservative one.  U itself is never modified."""
-    s = switching_weight(cfg.epsilon, cfg)
+    s = switching_weight(cfg.epsilon)
     if s == 0.0:
         return fill_ghosts(cons_to_prim(U, grid, cfg), grid)
     if s == 1.0:
@@ -198,7 +200,7 @@ def _stage(
     # (its fluxes come from V, so it stays finite and conservative) but its
     # positivity cannot be maintained against the 1/eps^2 flux amplification
     # and is not enforced.
-    if switching_weight(cfg.epsilon, cfg) < 1.0:
+    if switching_weight(cfg.epsilon) < 1.0:
         U.validate(grid, cfg)
 
     fill_ghosts(V, grid)

@@ -26,6 +26,9 @@ from .grid import GridSpec, along
 from .reconstruction import P, RHO, U, V, Traces, minmod
 from .state import PrimitiveField, SolverConfig
 
+# Floor that keeps the one-sided local speeds away from zero.
+DELTA = 1e-15
+
 
 @dataclass(frozen=True)
 class SplitScalars:
@@ -61,14 +64,14 @@ def modified_sound_speed(rho, p, scalars: SplitScalars, eps: float, gamma: float
     return np.sqrt(radicand) / eps
 
 
-def one_sided_speeds(minus, plus, c_minus, c_plus, delta, axis):
+def one_sided_speeds(minus, plus, c_minus, c_plus, axis):
     """Local speeds of the waves leaving each interface normal to ``axis``
     to the left and right, from the normal velocity plus/minus a sound
-    speed, floored away from zero by delta."""
+    speed, floored away from zero by DELTA."""
     un_minus, un_plus = minus[U + axis], plus[U + axis]
     lo = np.minimum(un_minus - c_minus, un_plus - c_plus)
     hi = np.maximum(un_minus + c_minus, un_plus + c_plus)
-    return np.minimum(lo, -delta), np.maximum(hi, delta)
+    return np.minimum(lo, -DELTA), np.maximum(hi, DELTA)
 
 
 def nonstiff_speeds(traces: Traces, scalars: SplitScalars, cfg: SolverConfig, axis: int):
@@ -78,7 +81,7 @@ def nonstiff_speeds(traces: Traces, scalars: SplitScalars, cfg: SolverConfig, ax
         minus, plus,
         modified_sound_speed(minus[RHO], minus[P], scalars, cfg.epsilon, cfg.gamma),
         modified_sound_speed(plus[RHO], plus[P], scalars, cfg.epsilon, cfg.gamma),
-        cfg.delta, axis,
+        axis,
     )
 
 

@@ -26,20 +26,18 @@ from .grid import GridSpec
 
 @dataclass
 class SolverConfig:
-    """Scheme parameters.
+    """Run parameters: Mach number, gas, CFL number, limiter, order.
 
     dt_override, when set to ``(count, value)``, pins the first ``count``
-    time steps to ``value`` before the CFL rule takes over.
+    time steps to ``value`` before the CFL rule takes over.  The scheme's
+    fixed constants are not settable: the speed floor is ``nonstiff.DELTA``
+    and the blend function's are ``integrator.EPS0``, ``EPS1`` and ``ALPHA``.
     """
 
     epsilon: float
     gamma: float = 1.4
     k_cfl: float = 0.475
     theta: float = 1.3
-    delta: float = 1e-15
-    eps0: float = 0.15
-    eps1: float = 0.4
-    alpha: float = 14.0
     order: int = 2
     dt_override: Optional[tuple[int, float]] = None
 
@@ -54,12 +52,6 @@ class SolverConfig:
             raise ValueError("dt_override needs a non-negative count and a positive step")
         if not 1.0 <= self.theta <= 2.0:
             raise ValueError("theta must lie in [1, 2]")
-        if self.delta <= 0.0:
-            raise ValueError("delta must be positive")
-        if not 0.0 < self.eps0 < self.eps1 < 1.0:
-            raise ValueError("need 0 < eps0 < eps1 < 1")
-        if self.alpha <= 0.0:
-            raise ValueError("alpha must be positive")
         if self.order not in (1, 2):
             raise ValueError("order must be 1 or 2")
 

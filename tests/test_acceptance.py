@@ -24,7 +24,7 @@ from allmach.grid import GridSpec, fill_ghost_array
 from allmach.integrator import DualState, compute_dt, si_dec_step
 from allmach.nonstiff import SplitScalars, modified_sound_speed, split_scalars
 from allmach.reconstruction import minmod
-from allmach.state import SolverConfig, cons_to_prim
+from allmach.state import cons_to_prim
 from allmach.stiff import discrete_divergence
 
 RATE_LO, RATE_HI = 1.7, 2.3
@@ -280,10 +280,9 @@ def test_criterion_11_operator_unit_oracles():
     pin("minmod(1,2,3)", minmod(1.0, 2.0, 3.0), 1.0)
     pin("helmholtz shift", 0.01**2 * 1.4 * 1.0 / (0.1**2 * 2.0), 7e-3)
     pin("cfl step", 0.475 * min(0.1 / 2.0, 0.1 / 4.0), 0.011875)
-    cfg = SolverConfig(epsilon=0.5)
     from allmach.integrator import switching_weight
 
-    pin("blend weight at eps=0.5", switching_weight(0.5, cfg), 0.5**14)
+    pin("blend weight at eps=0.5", switching_weight(0.5), 0.5**14)
     pin("gresho far-field pressure", 1.0 + 0.01 * (4.0 * math.log(2.0) - 2.0), 1.0077258872223978)
     pin("pressure-gradient scaling", 1.0 / (0.1**2 * 2.0), 50.0, rel=1e-14)
     for name, got, want, ok in checks:

@@ -1,3 +1,6 @@
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -149,6 +152,38 @@ def test_config_file_unknown_key_is_config_error(tmp_path, capsys, line, key):
     assert f"unknown key {key!r}" in capsys.readouterr().err
 
 
+def test_config_file_value_is_parsed_like_its_flag(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("case = gresho\nnx = 8\nt-final = 0.01\ndt-override = abc\n")
+    assert cli.main(["run", "--config", str(cfg_file)]) == 4
+    assert "--dt-override" in capsys.readouterr().err
+
+
+def test_convergence_config_file_rejects_run_only_key(tmp_path, capsys):
+    cfg_file = tmp_path / "conv.cfg"
+    cfg_file.write_text("case = vortex\nnx = 8\n")
+    assert cli.main(["convergence", "--config", str(cfg_file)]) == 4
+    assert "unknown key 'nx'" in capsys.readouterr().err
+
+
+def test_convergence_lists_from_config_file_match_flags(tmp_path, capsys):
+    flags = ["--eps-list", "1.0,0.5", "--n-list", "8,12"]
+    assert cli.main(["convergence", "--case", "vortex", "--t-final", "0.01", *flags]) == 0
+    from_flags = capsys.readouterr().out
+    cfg_file = tmp_path / "conv.cfg"
+    cfg_file.write_text("case = vortex\neps-list = 1.0,0.5\nn-list = 8,12\n")
+    assert cli.main(["convergence", "--config", str(cfg_file), "--t-final", "0.01"]) == 0
+    assert capsys.readouterr().out == from_flags
+
+
+@pytest.mark.parametrize("argv", [
+    ["diagnose", "--cfl", "0.1"],
+    ["convergence", "--case", "vortex", "--nx", "64"],
+])
+def test_flag_the_subcommand_does_not_read_is_usage_error(argv):
+    assert cli.main(argv) == 4
+
+
 def test_missing_config_file_is_config_error(tmp_path):
     assert cli.main(["run", "--config", str(tmp_path / "absent.cfg")]) == 4
 
@@ -167,15 +202,21 @@ def test_convergence_subcommand(tmp_path, capsys):
 
 
 def test_nonphysical_state_maps_to_exit_2(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "cmd_run", lambda ns, fc: (_ for _ in ()).throw(NonPhysicalState("boom")))
+    monkeypatch.setattr(cli, "cmd_run", lambda ns: (_ for _ in ()).throw(NonPhysicalState("boom")))
     assert cli.main(["run", "--case", "gresho"]) == 2
 
 
 def test_no_convergence_maps_to_exit_3(monkeypatch):
     monkeypatch.setattr(
-        cli, "cmd_run", lambda ns, fc: (_ for _ in ()).throw(NoConvergence("boom"))
+        cli, "cmd_run", lambda ns: (_ for _ in ()).throw(NoConvergence("boom"))
     )
     assert cli.main(["run", "--case", "gresho"]) == 3
+
+
+def test_internal_key_error_is_not_a_config_error(monkeypatch):
+    monkeypatch.setattr(cli, "cmd_run", lambda ns: {}["missing"])
+    with pytest.raises(KeyError):
+        cli.main(["run", "--case", "gresho"])
 
 
 def test_blowup_run_exits_with_failure_code(tmp_path, capsys):
@@ -214,3 +255,18 @@ def test_diagnose_probes_pass(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.count("PASS") == 3
+
+
+def readme_commands() -> list[str]:
+    """Every ``allmach ...`` line in README's code blocks, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = text.split("```")[1::2]
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [line.strip() for line in lines if line.strip().startswith("allmach ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) >= 4
+    for line in commands:
+        cli.build_parser().parse_args(shlex.split(line)[1:])

@@ -10,6 +10,7 @@ from allmach.conservative import (
 )
 from allmach.errors import NonPhysicalState
 from allmach.grid import AXIS_X, AXIS_Y, GridSpec, fill_ghosts
+from allmach.nonstiff import DELTA
 from allmach.reconstruction import limited_interfaces
 from allmach.state import PrimitiveField, SolverConfig, prim_to_cons
 
@@ -79,7 +80,7 @@ class TestSpeeds:
         cfg = SolverConfig(epsilon=1.0, gamma=1.4)
         tr = self.make_traces(1.4, 5.0, 1.0)  # c = 1
         a_minus, a_plus = conservative_speeds(tr, cfg, AXIS_X)
-        assert a_minus[0, 0] == -cfg.delta
+        assert a_minus[0, 0] == -DELTA
         assert a_plus[0, 0] == pytest.approx(6.0)
 
 
@@ -92,7 +93,7 @@ class TestAssembledOperator:
         V.v[:] = -0.4
         V.p[:] = 2.0
         cfg = SolverConfig(epsilon=0.5, gamma=1.4)
-        D = assemble_conservative_rhs(V, grid, cfg, limited_interfaces(V, grid, cfg.theta))
+        D = assemble_conservative_rhs(grid, cfg, limited_interfaces(V, grid, cfg.theta))
         assert np.allclose(D, 0.0, atol=1e-12)
 
     def test_periodic_telescoping_sum(self):
@@ -106,7 +107,7 @@ class TestAssembledOperator:
         )))
         fill_ghosts(V, grid)
         cfg = SolverConfig(epsilon=0.8, gamma=1.4)
-        D = assemble_conservative_rhs(V, grid, cfg, limited_interfaces(V, grid, cfg.theta))
+        D = assemble_conservative_rhs(grid, cfg, limited_interfaces(V, grid, cfg.theta))
         sums = np.abs(D.sum(axis=(1, 2)))
         scale = np.abs(D).sum(axis=(1, 2)) + 1e-30
         assert np.all(sums / scale < 1e-12)
@@ -140,7 +141,7 @@ class TestAssembledOperator:
             for dst, src in zip(V.components(), prim(X, Y)):
                 dst[grid.interior] = src
             fill_ghosts(V, grid)
-            D = assemble_conservative_rhs(V, grid, cfg, limited_interfaces(V, grid, cfg.theta))
+            D = assemble_conservative_rhs(grid, cfg, limited_interfaces(V, grid, cfg.theta))
             errors.append(np.abs(D - oracle(X, Y)).mean(axis=(1, 2)))
         ratios = errors[0] / errors[1]
         assert np.all(ratios >= 3.2) and np.all(ratios <= 4.8)

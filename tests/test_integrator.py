@@ -5,6 +5,8 @@ from allmach.elliptic import HelmholtzSystem, operator_divergence, solve_helmhol
 from allmach.errors import NoConvergence, NonPhysicalState
 from allmach.grid import GridSpec, fill_ghosts, padded
 from allmach.integrator import (
+    EPS0,
+    EPS1,
     DualState,
     build_stage,
     compute_dt,
@@ -13,7 +15,7 @@ from allmach.integrator import (
     si_dec_step,
     switching_weight,
 )
-from allmach.nonstiff import SplitScalars, split_scalars
+from allmach.nonstiff import DELTA, SplitScalars, split_scalars
 from allmach.state import (
     ConservativeField,
     PrimitiveField,
@@ -57,42 +59,36 @@ class TestTimeStep:
         cfg = SolverConfig(epsilon=1.0, gamma=1.4)
         s = SplitScalars(rho_max=1.0, p_min=1.0)  # c = 0, so the floor rules
         dt_free = compute_dt(V, s, grid, cfg)
-        assert dt_free == pytest.approx(0.475 * 0.1 / cfg.delta, rel=1e-12)
+        assert dt_free == pytest.approx(0.475 * 0.1 / DELTA, rel=1e-12)
         assert compute_dt(V, s, grid, cfg, t_remaining=0.5) == 0.5
 
 
 class TestSwitchingWeight:
     def test_unit_mach_gives_conservative_branch(self):
-        cfg = SolverConfig(epsilon=1.0)
-        assert switching_weight(1.0, cfg) == 0.0
+        assert switching_weight(1.0) == 0.0
 
     def test_low_branch_hand_value(self):
-        cfg = SolverConfig(epsilon=0.15)
-        assert switching_weight(0.15, cfg) == pytest.approx(1.0 - 0.15**14, rel=0, abs=1e-16)
+        assert switching_weight(0.15) == pytest.approx(1.0 - 0.15**14, rel=0, abs=1e-16)
 
     def test_high_branch_hand_value(self):
-        cfg = SolverConfig(epsilon=0.5)
-        assert switching_weight(0.5, cfg) == pytest.approx(0.5**14, rel=1e-13)
-        assert switching_weight(0.5, cfg) == pytest.approx(6.103515625e-5, rel=1e-12)
+        assert switching_weight(0.5) == pytest.approx(0.5**14, rel=1e-13)
+        assert switching_weight(0.5) == pytest.approx(6.103515625e-5, rel=1e-12)
 
     def test_continuity_at_branch_edges(self):
-        cfg = SolverConfig(epsilon=0.5)
-        for edge in (cfg.eps0, cfg.eps1):
-            below = switching_weight(edge - 1e-9, cfg)
-            above = switching_weight(edge + 1e-9, cfg)
+        for edge in (EPS0, EPS1):
+            below = switching_weight(edge - 1e-9)
+            above = switching_weight(edge + 1e-9)
             assert below == pytest.approx(above, abs=1e-6)
 
     def test_monotone_decreasing(self):
-        cfg = SolverConfig(epsilon=0.5)
         eps = np.linspace(1e-3, 1.0, 200)
-        vals = [switching_weight(float(e), cfg) for e in eps]
+        vals = [switching_weight(float(e)) for e in eps]
         assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
         assert all(0.0 <= v <= 1.0 for v in vals)
 
     def test_domain_checked(self):
-        cfg = SolverConfig(epsilon=0.5)
         with pytest.raises(ValueError):
-            switching_weight(0.0, cfg)
+            switching_weight(0.0)
 
 
 class TestPostProcess:
@@ -127,7 +123,7 @@ class TestPostProcess:
         grid = GridSpec(6, 6, 0.0, 1.0, 0.0, 1.0)
         cfg = SolverConfig(epsilon=1e-6, gamma=1.4)
         V_raw, U = self.make_pair(grid, cfg)
-        assert switching_weight(cfg.epsilon, cfg) == 1.0  # 1 - 1e-84 rounds to 1
+        assert switching_weight(cfg.epsilon) == 1.0  # 1 - 1e-84 rounds to 1
         out = post_process(V_raw, U, grid, cfg)
         for a, b in zip(out.components(), V_raw.components()):
             assert np.array_equal(a, b)

@@ -6,6 +6,7 @@ import pytest
 from allmach.errors import NonPhysicalState
 from allmach.grid import AXIS_X, AXIS_Y, GridSpec, along, fill_ghosts
 from allmach.nonstiff import (
+    DELTA,
     SplitScalars,
     antidiffusion,
     assemble_nonstiff,
@@ -124,8 +125,8 @@ class TestSpeeds:
         s = SplitScalars(rho_max=1.0, p_min=1.0)  # c_tilde = 0
         for axis in (AXIS_X, AXIS_Y):
             a_minus, a_plus = nonstiff_speeds(self.make_traces(0.0, 0.0, axis), s, cfg, axis)
-            assert a_minus[0, 0] == -cfg.delta
-            assert a_plus[0, 0] == cfg.delta
+            assert a_minus[0, 0] == -DELTA
+            assert a_plus[0, 0] == DELTA
 
     def test_symmetric_states(self):
         # u-=-1, u+=1, scalars tuned so c=0.5 on both sides
@@ -143,7 +144,7 @@ class TestSpeeds:
         s = SplitScalars(rho_max=2.0, p_min=p_min)
         for axis in (AXIS_X, AXIS_Y):
             a_minus, a_plus = nonstiff_speeds(self.make_traces(2.0, 2.0, axis), s, cfg, axis)
-            assert a_minus[0, 0] == -cfg.delta
+            assert a_minus[0, 0] == -DELTA
             assert a_plus[0, 0] == pytest.approx(3.0, rel=1e-12)
 
     def test_admissibility_on_random_fields(self):
@@ -161,7 +162,7 @@ class TestSpeeds:
         traces = limited_interfaces(V, grid, cfg.theta)
         for axis in (AXIS_X, AXIS_Y):
             s_minus, s_plus = nonstiff_speeds(traces[axis], s, cfg, axis)
-            assert np.all(s_minus <= -cfg.delta) and np.all(s_plus >= cfg.delta)
+            assert np.all(s_minus <= -DELTA) and np.all(s_plus >= DELTA)
 
 
 class TestFluxes:

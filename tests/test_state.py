@@ -149,8 +149,6 @@ class TestConfig:
     def test_defaults_match_reference_setup(self):
         cfg = SolverConfig(epsilon=0.5)
         assert cfg.theta == 1.3
-        assert cfg.delta == 1e-15
-        assert (cfg.eps0, cfg.eps1, cfg.alpha) == (0.15, 0.4, 14.0)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -158,8 +156,6 @@ class TestConfig:
             {"epsilon": 0.0},
             {"epsilon": 1.5},
             {"epsilon": 0.5, "theta": 2.5},
-            {"epsilon": 0.5, "delta": 0.0},
-            {"epsilon": 0.5, "eps0": 0.5, "eps1": 0.4},
             {"epsilon": 0.5, "order": 3},
             {"epsilon": 0.5, "k_cfl": 0.0},
             {"epsilon": 0.5, "k_cfl": -0.5},

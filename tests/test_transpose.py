@@ -101,6 +101,6 @@ def test_explicit_operators_commute_with_transposition(nx, extra, lengths, bc_x,
     RT = assemble_nonstiff(VT, gridT, cfg, split_scalars(VT, gridT, eps), tracesT)
     assert np.abs(swap_stack(R) - RT).max() <= 1e-14 * np.abs(R).max()
 
-    D = assemble_conservative_rhs(V, grid, cfg, traces)
-    DT = assemble_conservative_rhs(VT, gridT, cfg, tracesT)
+    D = assemble_conservative_rhs(grid, cfg, traces)
+    DT = assemble_conservative_rhs(gridT, cfg, tracesT)
     assert np.abs(swap_stack(D) - DT).max() <= 1e-14 * np.abs(D).max()
