@@ -181,7 +181,6 @@ def cmd_diagnose(ns) -> int:
     eps, nx = ns.eps, ns.nx
     case = CASES["gresho"]
     ok = True
-
     dt_here, dt_zero = case.initial_dt(nx, eps), case.initial_dt(nx, 1e-6)
     ratio = dt_here / dt_zero
     passed = abs(ratio - 1.0) <= 0.1
