@@ -1,3 +1,4 @@
+import hashlib
 import shlex
 from pathlib import Path
 
@@ -109,6 +110,30 @@ def test_snap_time_at_start_holds_initial_state(tmp_path, monkeypatch):
     initial = DualState.from_primitive(case.initial_state(grid, 0.1), grid, cfg)
     assert header["time"] == 0.0
     assert np.array_equal(rows, snapshot_rows(initial, grid, cfg))
+
+
+def test_snapshot_series_golden(tmp_path, capsys):
+    # a snapshot at the start, forced steps that cross a snapshot time, a
+    # repeated time and the final file; digest over sorted names and bytes
+    code = cli.main([
+        "run", "--case", "gresho", "--eps", "0.1", "--nx", "16", "--t-final", "0.02",
+        "--snap-times", "0,0.0025,0.01,0.01", "--dt-override", "4:1e-3",
+        "--out-dir", str(tmp_path),
+    ])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("gresho: 6 steps (0 rejected) to t=0.02 ")
+    paths = sorted(tmp_path.glob("*.dat"))
+    assert [p.name for p in paths] == [
+        "gresho_t0.000000.dat", "gresho_t0.002500.dat",
+        "gresho_t0.010000.dat", "gresho_t0.020000.dat",
+    ]
+    digest = hashlib.sha256()
+    for p in paths:
+        digest.update(p.name.encode())
+        digest.update(p.read_bytes())
+    assert digest.hexdigest() == (
+        "4c6322b787b20d81bbbf58b9282da68ef10444eba5e9dce826bb3b4bea1ad1ed"
+    )
 
 
 def test_unknown_case_is_config_error(capsys):
