@@ -308,7 +308,6 @@ def run_case(
     ny: int,
     t_final: Optional[float] = None,
     callback=None,
-    snap_times=(),
     **cfg_overrides,
 ) -> tuple[GridSpec, DualState, RunReport, SolverConfig]:
     """Set up and run one benchmark to its final (or a given) time."""
@@ -316,7 +315,7 @@ def run_case(
     cfg = case.config(eps, **cfg_overrides)
     state = DualState.from_primitive(case.initial_state(grid, eps), grid, cfg)
     t_end = case.final_time(eps) if t_final is None else t_final
-    state, report = run(state, grid, cfg, t_end, callback=callback, snap_times=snap_times)
+    state, report = run(state, grid, cfg, t_end, callback=callback)
     return grid, state, report, cfg
 
 
@@ -350,6 +349,9 @@ def convergence_study(
     """
     if not case.has_exact:
         raise ValueError(f"case {case.name!r} has no exact solution")
+    for name, values in (("eps_list", eps_list), ("n_list", n_list)):
+        if len(values) == 0:
+            raise ValueError(f"{name} is empty: the study needs at least one value")
     rows: list[ErrorRow] = []
     for eps in eps_list:
         previous: Optional[ErrorRow] = None

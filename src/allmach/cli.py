@@ -14,7 +14,7 @@ import numpy as np
 
 from .benchmarks import CASES, convergence_study, run_case
 from .errors import NoConvergence, NonPhysicalState
-from .integrator import DualState, run, si_dec_step
+from .integrator import DualState, RunReport, StepReport, run, si_dec_step
 from .stiff import discrete_divergence
 from .snapshots import snapshot_write
 
@@ -120,46 +120,30 @@ def cmd_run(ns) -> int:
     state = DualState.from_primitive(case.initial_state(grid, eps), grid, cfg)
     t_end = case.final_time(eps) if ns.t_final is None else ns.t_final
 
-    def file_name(t):
-        return f"{case.name}_t{t:.6f}.dat"
-
-    pending = sorted(t for t in ns.snap_times if t <= t_end)
-    owner: dict[str, float] = {}  # file name -> the one time it holds
-    for t in sorted(set(pending) | {t_end}):
-        name = file_name(t)
-        if owner.setdefault(name, t) != t:
-            raise ConfigError(f"snapshot times {owner[name]} and {t} both map to {name}")
+    # Run to each requested time in turn and write the state there; %.6f
+    # names are monotone in t, so only neighbours can share a name.
+    times = sorted({t for t in ns.snap_times if t <= t_end} | {t_end})
+    named = [(t, f"{case.name}_t{t:.6f}.dat") for t in times]
+    for (t0, name0), (t1, name1) in zip(named, named[1:]):
+        if name0 == name1:
+            raise ConfigError(f"snapshot times {t0} and {t1} both map to {name1}")
 
     out_path = Path(ns.out_dir) if ns.out_dir else None
     if out_path:
         out_path.mkdir(parents=True, exist_ok=True)
-
-    written = None  # (path, t) of the last file, so that no file is written twice
-
-    def write(st, t_name):
-        nonlocal written
-        if out_path is None:
-            return
-        path = out_path / file_name(t_name)
-        if written != (path, st.t):
-            snapshot_write(st, grid, cfg, path)
-            written = (path, st.t)
-
-    while pending and pending[0] <= state.t:  # no step can reach these
-        write(state, pending.pop(0))
-
-    def callback(t, st, rep):
-        while pending and t >= pending[0] - 1e-12:
-            write(st, pending.pop(0))
-        return True
-
-    state, report = run(state, grid, cfg, t_end, callback=callback, snap_times=ns.snap_times)
-    write(state, state.t)
-    div = report.max_divergences[-1] if report.steps else 0.0
-    fluct = report.pressure_fluctuations[-1] if report.steps else 0.0
+    report = RunReport()
+    for t, name in named:
+        # A time at or before the start holds the initial state; a t_end
+        # before it still goes to run, which rejects it.
+        if t > state.t or t == t_end:
+            state, _ = run(state, grid, cfg, t, report=report)
+        if out_path:
+            snapshot_write(state, grid, cfg, out_path / name)
+    last = report.reports[-1] if report.reports else StepReport(0.0, (), 0.0, 0.0)
     print(
         f"{case.name}: {report.steps} steps ({report.rejections} rejected) to t={state.t:.6g} "
-        f"(eps={eps:g}, {nx}x{ny}); max|div u|={div:.3e}, max p - min p={fluct:.3e}"
+        f"(eps={eps:g}, {nx}x{ny}); max|div u|={last.max_divergence:.3e}, "
+        f"max p - min p={last.pressure_fluctuation:.3e}"
     )
     return 0
 
@@ -201,7 +185,7 @@ def cmd_diagnose(ns) -> int:
 
     def fluct(e: float) -> float:
         _, st, rep, _ = run_case(case, e, nx, nx, t_final=0.2)
-        return rep.pressure_fluctuations[-1]
+        return rep.reports[-1].pressure_fluctuation
 
     r = fluct(eps) / fluct(eps / 10.0)
     passed = 50.0 <= r <= 200.0

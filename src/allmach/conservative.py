@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonPhysicalState
 from .grid import GridSpec, along
 from .nonstiff import cu_flux, one_sided_speeds
 from .reconstruction import P, RHO, U, V, Traces
-from .state import SolverConfig, prim_to_cons, primitive_values, total_energy
+from .state import SolverConfig, prim_to_cons, total_energy
 
 
 def sound_speed(rho, p, cfg: SolverConfig):
@@ -33,15 +32,6 @@ def flux_from_primitive(Vs: np.ndarray, cfg: SolverConfig, axis: int) -> np.ndar
     F[V - axis] = rho * Vs[U] * Vs[V]
     F[P] = un * (total_energy(*Vs, cfg) + p)
     return F
-
-
-def conservative_flux(Us: np.ndarray, cfg: SolverConfig, axis: int) -> np.ndarray:
-    """Exact flux of a stacked conservative state; pressure recovered from
-    the equation of state.  Raises NonPhysicalState on non-positive p."""
-    Vs = primitive_values(Us, cfg)
-    if np.any(Vs[P] <= 0.0):
-        raise NonPhysicalState("non-positive pressure in conservative flux")
-    return flux_from_primitive(Vs, cfg, axis)
 
 
 def conservative_speeds(traces: Traces, cfg: SolverConfig, axis: int):

@@ -15,13 +15,17 @@ conservative (shock correct) branch wins, at low Mach the pressure-robust
 primitive branch is kept.  The time step is CFL-limited by the
 split-subsystem speeds, which stay O(1) for any Mach number, so dt is
 asymptotically Mach independent.
+
+``run`` steps to one end time and clips its last step to land on it.  A
+caller that needs the solution at several times runs to each in turn on one
+``RunReport``, whose list of ``StepReport`` is the record of the whole run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -76,21 +80,14 @@ class StepReport:
 
 @dataclass
 class RunReport:
-    """Aggregated step diagnostics of one run."""
+    """The step reports of a run, in order, and its rejected CFL steps."""
 
-    steps: int = 0
+    reports: list[StepReport] = field(default_factory=list)
     rejections: int = 0  # failed CFL steps retried at half the step
-    dts: list[float] = field(default_factory=list)
-    max_divergences: list[float] = field(default_factory=list)
-    pressure_fluctuations: list[float] = field(default_factory=list)
-    solve_residuals: list[tuple[float, ...]] = field(default_factory=list)
 
-    def record(self, rep: StepReport) -> None:
-        self.steps += 1
-        self.dts.append(rep.dt)
-        self.max_divergences.append(rep.max_divergence)
-        self.pressure_fluctuations.append(rep.pressure_fluctuation)
-        self.solve_residuals.append(rep.solve_residuals)
+    @property
+    def steps(self) -> int:
+        return len(self.reports)
 
 
 @dataclass
@@ -251,48 +248,44 @@ def run(
     cfg: SolverConfig,
     t_final: float,
     callback: Optional[Callback] = None,
-    snap_times: Sequence[float] = (),
+    report: Optional[RunReport] = None,
 ) -> tuple[DualState, RunReport]:
-    """Step until t_final (the last step is clipped to land exactly).
-
-    ``snap_times`` are additional instants the stepper must hit exactly; the
+    """Step until t_final (the last step is clipped to land exactly); the
     callback runs after every step and may return False to stop early.
+
+    Each step's StepReport is appended to ``report`` (a new RunReport unless
+    given).  Runs that continue one another on one report count as one run:
+    the ``cfg.dt_override`` forced steps, the rejections and the step index
+    in errors all carry over.
 
     A CFL step that raises NonPhysicalState or NoConvergence is retried from
     the same state at half the step, up to MAX_REJECTIONS times; each retry
-    counts in ``RunReport.rejections``.  A step forced by ``cfg.dt_override``
-    is never retried.  The failure that ends the run is re-raised as the same
-    exception type, prefixed with the step index and its start time.
+    counts in ``RunReport.rejections``.  A forced step is never retried.  The
+    failure that ends the run is re-raised as the same exception type,
+    prefixed with the step index and its start time.
     """
     if t_final < state.t:
         raise ValueError("t_final precedes the current time")
-    report = RunReport()
-    targets = sorted(t for t in snap_times if state.t < t < t_final)
-    step_index = 0
+    report = RunReport() if report is None else report
     rel_eps = 1e-12 * max(1.0, abs(t_final))
     while state.t < t_final - rel_eps:
         remaining = t_final - state.t
-        forced = cfg.dt_override is not None and step_index < cfg.dt_override[0]
+        forced = cfg.dt_override is not None and report.steps < cfg.dt_override[0]
         if forced:
             dt = min(cfg.dt_override[1], remaining)
         else:
             scalars = split_scalars(state.V, grid, cfg.epsilon)
             dt = compute_dt(state.V, scalars, grid, cfg, remaining)
-        while targets and targets[0] <= state.t + rel_eps:
-            targets.pop(0)
-        if targets:
-            dt = min(dt, targets[0] - state.t)
         for attempt in range(MAX_REJECTIONS + 1):
             try:
                 state, step_rep = si_dec_step(state, grid, cfg, dt)
                 break
             except (NonPhysicalState, NoConvergence) as exc:
                 if forced or attempt == MAX_REJECTIONS:
-                    raise type(exc)(f"step {step_index}, t={state.t:.6g}: {exc}") from exc
+                    raise type(exc)(f"step {report.steps}, t={state.t:.6g}: {exc}") from exc
                 report.rejections += 1
                 dt *= 0.5
-        step_index += 1
-        report.record(step_rep)
+        report.reports.append(step_rep)
         if callback is not None and callback(state.t, state, step_rep) is False:
             break
     return state, report

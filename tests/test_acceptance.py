@@ -140,7 +140,7 @@ def test_criterion_04_divergence_controlled_at_vanishing_mach():
 def test_criterion_05_pressure_fluctuation_scales_quadratically():
     def fluct(eps):
         _, _, rep, _ = run_case(CASES["gresho"], eps, 64, 64, t_final=0.2)
-        return rep.pressure_fluctuations[-1]
+        return rep.reports[-1].pressure_fluctuation
 
     ratio = fluct(1e-2) / fluct(1e-3)
     report(5, 50.0 <= ratio <= 200.0, f"(max p - min p) ratio {ratio:.1f} (target 100)")
@@ -320,8 +320,8 @@ def test_smoke_baroclinic_short_horizon():
     core = grid.interior
     assert state.V.rho[core].min() > 0 and state.V.p[core].min() > 0
     assert np.isfinite(state.V.u[core]).all()
-    assert max(rep.max_divergences) < 100.0
-    assert rep.pressure_fluctuations[-1] < 1.0
+    assert max(r.max_divergence for r in rep.reports) < 100.0
+    assert rep.reports[-1].pressure_fluctuation < 1.0
     print(f"[smoke baroclinic] PASS: {rep.steps} steps to t=2, "
           f"rho in [{state.V.rho[core].min():.3f}, {state.V.rho[core].max():.3f}]")
 
@@ -332,6 +332,6 @@ def test_smoke_double_shear_short_horizon():
     core = grid.interior
     assert state.V.rho[core].min() > 0 and state.V.p[core].min() > 0
     # pressure fluctuation stays at the prepared O(eps^2) level
-    assert rep.pressure_fluctuations[-1] <= 100.0 * 1e-6
+    assert rep.reports[-1].pressure_fluctuation <= 100.0 * 1e-6
     print(f"[smoke double-shear] PASS: {rep.steps} steps to t=1, "
-          f"p fluctuation {rep.pressure_fluctuations[-1]:.2e}")
+          f"p fluctuation {rep.reports[-1].pressure_fluctuation:.2e}")

@@ -226,6 +226,13 @@ class TestErrorMachinery:
         with pytest.raises(ValueError):
             convergence_study(CASES["explosion"], [1.0], [16])
 
+    @pytest.mark.parametrize(
+        "eps_list, n_list, name", [([], [16], "eps_list"), ([1.0], [], "n_list")]
+    )
+    def test_empty_sweep_is_config_error(self, eps_list, n_list, name):
+        with pytest.raises(ValueError, match=f"^{name} is empty"):
+            convergence_study(CASES["vortex"], eps_list, n_list, t_final=0.01)
+
 
 class TestDiagnostics:
     def test_local_mach_of_known_state(self):

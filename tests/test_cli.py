@@ -226,6 +226,34 @@ def test_convergence_subcommand(tmp_path, capsys):
     assert len(table.strip().splitlines()) == 3
 
 
+@pytest.mark.parametrize("flag, value, name", [
+    ("--n-list", "", "n_list"), ("--eps-list", ",", "eps_list"),
+])
+def test_convergence_empty_sweep_is_config_error(capsys, flag, value, name):
+    code = cli.main(["convergence", "--case", "vortex", "--t-final", "0.01", flag, value])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert f"{name} is empty" in captured.err and captured.out == ""
+
+
+def test_empty_snap_times_write_only_the_final_file(tmp_path):
+    code = cli.main([
+        "run", "--case", "gresho", "--eps", "0.1", "--nx", "10",
+        "--t-final", "0.02", "--snap-times", "", "--out-dir", str(tmp_path),
+    ])
+    assert code == 0
+    assert [p.name for p in tmp_path.glob("*.dat")] == ["gresho_t0.020000.dat"]
+
+
+def test_final_time_before_the_start_is_config_error(tmp_path, capsys):
+    code = cli.main([
+        "run", "--case", "gresho", "--nx", "8", "--t-final", "-1", "--out-dir", str(tmp_path),
+    ])
+    assert code == 4
+    assert "t_final precedes the current time" in capsys.readouterr().err
+    assert list(tmp_path.glob("*.dat")) == []
+
+
 def test_nonphysical_state_maps_to_exit_2(monkeypatch, capsys):
     monkeypatch.setattr(cli, "cmd_run", lambda ns: (_ for _ in ()).throw(NonPhysicalState("boom")))
     assert cli.main(["run", "--case", "gresho"]) == 2

@@ -247,8 +247,9 @@ class TestRun:
         cfg = case.config(0.1, dt_override=(3, 1e-4))
         state = DualState.from_primitive(case.initial_state(grid, 0.1), grid, cfg)
         out, report = run(state, grid, cfg, t_final=0.02)
-        assert report.dts[:3] == pytest.approx([1e-4, 1e-4, 1e-4])
-        assert report.dts[3] > 1e-3
+        dts = [r.dt for r in report.reports]
+        assert dts[:3] == pytest.approx([1e-4, 1e-4, 1e-4])
+        assert dts[3] > 1e-3
 
     def test_failed_cfl_step_is_retried_at_half_the_step(self):
         # the explosion at eps=0.3 has no hand-tuned start: its first CFL step
@@ -301,20 +302,35 @@ class TestRun:
             run(state, grid, cfg, t_final=0.05)
         assert attempts == [1e-3]
 
-    def test_snap_times_hit_exactly(self):
+    def test_chained_runs_count_as_one_run(self, monkeypatch):
+        # two runs on one report: the forced steps carry over from the first
+        # into the second, whose errors name the step of the whole run
+        import allmach.integrator as integrator
         from allmach.benchmarks import CASES
+        from allmach.integrator import RunReport
 
         case = CASES["gresho"]
         grid = case.make_grid(16, 16, 0.1)
-        cfg = case.config(0.1)
+        cfg = case.config(0.1, dt_override=(4, 1e-3))
         state = DualState.from_primitive(case.initial_state(grid, 0.1), grid, cfg)
-        seen = []
-        out, report = run(
-            state, grid, cfg, t_final=0.06,
-            callback=lambda t, s, r: seen.append(t) or True,
-            snap_times=[0.025],
-        )
-        assert any(abs(t - 0.025) < 1e-12 for t in seen)
+        report = RunReport()
+        mid, _ = run(state, grid, cfg, t_final=0.0025, report=report)
+        assert mid.t == pytest.approx(0.0025, abs=1e-15) and report.steps == 3
+
+        def failing(state, grid, cfg, dt):
+            raise NonPhysicalState("boom")
+
+        with monkeypatch.context() as m:
+            m.setattr(integrator, "si_dec_step", failing)
+            with pytest.raises(NonPhysicalState, match="^step 3, t=0.0025: boom$"):
+                run(mid, grid, cfg, t_final=0.02, report=report)
+        assert report.steps == 3 and report.rejections == 0
+
+        out, same = run(mid, grid, cfg, t_final=0.02, report=report)
+        assert same is report and out.t == 0.02
+        dts = [r.dt for r in report.reports]
+        assert dts[:4] == pytest.approx([1e-3, 1e-3, 5e-4, 1e-3], rel=1e-12)
+        assert dts[4] > 1e-3
 
     def test_callback_can_stop(self):
         from allmach.benchmarks import CASES
