@@ -64,8 +64,7 @@ class DualState:
         cls, Vf: PrimitiveField, grid: GridSpec, cfg: SolverConfig, t: float = 0.0
     ) -> "DualState":
         fill_ghosts(Vf, grid).validate(grid)
-        U = fill_ghosts(ConservativeField(prim_to_cons(Vf.array, cfg)), grid)
-        return cls(Vf, U, t)
+        return cls(Vf, ConservativeField(prim_to_cons(Vf.array, cfg)), t)
 
 
 @dataclass
@@ -150,14 +149,22 @@ def post_process(
     cfg: SolverConfig,
 ) -> PrimitiveField:
     """Convex combination of the primitive copy with the transform of the
-    conservative one.  U itself is never modified."""
+    conservative one.  Both inputs arrive with their ghosts filled; the
+    transform and the blend act cell by cell, so the result's are filled too.
+
+    Whenever U can influence the result (weight below 1) it is validated
+    first.  At vanishing Mach numbers the weight rounds to exactly 1 and U
+    is left unchecked: it is still advanced (its fluxes come from V, so it
+    stays finite and conservative) but its positivity cannot be maintained
+    against the 1/eps^2 flux amplification.  U itself is never modified.
+    """
     s = switching_weight(cfg.epsilon)
-    if s == 0.0:
-        return fill_ghosts(cons_to_prim(U, grid, cfg), grid)
     if s == 1.0:
         return V_raw
-    from_U = cons_to_prim(U, grid, cfg)
-    return fill_ghosts(PrimitiveField((1.0 - s) * from_U.array + s * V_raw.array), grid)
+    from_U = cons_to_prim(U.validate(grid, cfg), cfg)
+    if s == 0.0:
+        return from_U
+    return PrimitiveField((1.0 - s) * from_U.array + s * V_raw.array)
 
 
 def _stage(
@@ -192,14 +199,6 @@ def _stage(
     U = ConservativeField(state.U.array.copy())
     U.array[core] += dt * cons_rate
     fill_ghosts(U, grid)
-    # At vanishing Mach numbers the blend weight rounds to exactly 1 and the
-    # conservative copy cannot influence the solution; it is still advanced
-    # (its fluxes come from V, so it stays finite and conservative) but its
-    # positivity cannot be maintained against the 1/eps^2 flux amplification
-    # and is not enforced.
-    if switching_weight(cfg.epsilon) < 1.0:
-        U.validate(grid, cfg)
-
     fill_ghosts(V, grid)
     V = post_process(V, U, grid, cfg).validate(grid)
     return DualState(V, U, state.t + dt), residual

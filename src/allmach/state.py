@@ -137,28 +137,14 @@ def prim_to_cons(Vs: np.ndarray, cfg: SolverConfig) -> np.ndarray:
     return Us
 
 
-def primitive_values(Us: np.ndarray, cfg: SolverConfig) -> np.ndarray:
-    """Invert the equation of state on stacked conservative values.  No
-    positivity check here."""
+def cons_to_prim(U: ConservativeField, cfg: SolverConfig) -> PrimitiveField:
+    """Conservative to primitive transform, the inverse of ``prim_to_cons``
+    on every cell.  No positivity check here: ``ConservativeField.validate``
+    is that check."""
+    Us = U.array
     Vs = np.empty_like(Us)
     Vs[0] = Us[0]
     Vs[1:3] = Us[1:3] / Us[0]
     u, v = Vs[1], Vs[2]
     Vs[3] = (cfg.gamma - 1.0) * (Us[3] - 0.5 * cfg.epsilon**2 * Us[0] * (u * u + v * v))
-    return Vs
-
-
-def cons_to_prim(U: ConservativeField, grid: GridSpec, cfg: SolverConfig) -> PrimitiveField:
-    """Conservative to primitive transform.
-
-    Raises NonPhysicalState if any interior density or recovered pressure is
-    non-positive (solver blow-up: abort the step).
-    """
-    core = grid.interior
-    if (U.rho[core] <= 0.0).any() or not np.isfinite(U.rho[core]).all():
-        raise NonPhysicalState("non-positive density in conservative state")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        V = PrimitiveField(primitive_values(U.array, cfg))
-    if (V.p[core] <= 0.0).any() or not np.isfinite(V.p[core]).all():
-        raise NonPhysicalState("non-positive recovered pressure")
-    return V
+    return PrimitiveField(Vs)

@@ -199,7 +199,7 @@ def test_criterion_08_dual_branch_coherence_at_unit_mach():
     worst = 0.0
     for _ in range(10):
         state, _ = si_dec_step(state, grid, cfg)
-        VU = cons_to_prim(state.U, grid, cfg)
+        VU = cons_to_prim(state.U, cfg)
         worst = max(
             worst,
             max(

@@ -115,7 +115,7 @@ class TestPostProcess:
         cfg = SolverConfig(epsilon=1.0, gamma=1.4)
         V_raw, U = self.make_pair(grid, cfg)
         out = post_process(V_raw, U, grid, cfg)
-        want = cons_to_prim(U, grid, cfg)
+        want = cons_to_prim(U, cfg)
         for a, b in zip(out.components(), want.components()):
             assert np.array_equal(a, b)
 
@@ -153,6 +153,22 @@ class TestPostProcess:
         for a, b in zip(U.components(), before):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("eps", [0.3, 1.0])
+    def test_conservative_copy_validated_where_it_counts(self, eps):
+        grid = GridSpec(6, 6, 0.0, 1.0, 0.0, 1.0)
+        cfg = SolverConfig(epsilon=eps, gamma=1.4)
+        V_raw, U = self.make_pair(grid, cfg)
+        U.E[grid.ghost + 2, grid.ghost + 3] = -1.0
+        with pytest.raises(NonPhysicalState, match="non-positive internal energy"):
+            post_process(V_raw, U, grid, cfg)
+
+    def test_conservative_copy_unchecked_at_vanishing_mach(self):
+        grid = GridSpec(6, 6, 0.0, 1.0, 0.0, 1.0)
+        cfg = SolverConfig(epsilon=1e-6, gamma=1.4)
+        V_raw, U = self.make_pair(grid, cfg)
+        U.E[grid.ghost + 2, grid.ghost + 3] = -1.0
+        assert post_process(V_raw, U, grid, cfg) is V_raw
+
 
 class TestStep:
     @pytest.mark.parametrize("eps", [1.0, 0.3, 1e-2])
@@ -175,7 +191,7 @@ class TestStep:
         state = DualState.from_primitive(case.initial_state(grid, 1.0), grid, cfg)
         for _ in range(5):
             state, _ = si_dec_step(state, grid, cfg)
-            VU = cons_to_prim(state.U, grid, cfg)
+            VU = cons_to_prim(state.U, cfg)
             for a, b in zip(VU.components(), state.V.components()):
                 assert np.abs(a[grid.interior] - b[grid.interior]).max() <= 1e-13
 

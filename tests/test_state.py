@@ -57,7 +57,7 @@ class TestTransforms:
         U.mx[:] = 1.0
         U.my[:] = 1.0
         U.E[:] = 1.01
-        V = cons_to_prim(U, grid, cfg)
+        V = cons_to_prim(U, cfg)
         for a, want in zip(V.components(), (1.0, 1.0, 1.0, 1.0)):
             assert np.allclose(a, want, rtol=1e-14)
 
@@ -66,25 +66,9 @@ class TestTransforms:
         U = ConservativeField.zeros(grid)
         U.rho[:] = 1.0
         U.E[:] = 2.5
-        V = cons_to_prim(U, grid, cfg)
+        V = cons_to_prim(U, cfg)
         assert np.allclose(V.p, 1.0)
         assert np.allclose(V.u, 0.0)
-
-    def test_negative_energy_rejected(self, grid):
-        cfg = SolverConfig(epsilon=1.0, gamma=1.4)
-        U = ConservativeField.zeros(grid)
-        U.rho[:] = 1.0
-        U.E[:] = -1.0
-        with pytest.raises(NonPhysicalState):
-            cons_to_prim(U, grid, cfg)
-
-    def test_negative_density_rejected(self, grid):
-        cfg = SolverConfig(epsilon=1.0, gamma=1.4)
-        U = ConservativeField.zeros(grid)
-        U.rho[:] = -0.5
-        U.E[:] = 1.0
-        with pytest.raises(NonPhysicalState):
-            cons_to_prim(U, grid, cfg)
 
     @pytest.mark.parametrize("eps", [1.0, 1e-2, 1e-6])
     def test_round_trip(self, eps):
@@ -97,7 +81,7 @@ class TestTransforms:
             0.5 + rng.random(grid.shape),
         )))
         cfg = SolverConfig(epsilon=eps, gamma=1.4)
-        W = cons_to_prim(conservative(V, cfg), grid, cfg)
+        W = cons_to_prim(conservative(V, cfg), cfg)
         for a, b in zip(V.components(), W.components()):
             assert np.allclose(a, b, rtol=1e-13)
 
@@ -186,3 +170,32 @@ class TestValidation:
         V.u[grid.ghost, grid.ghost] = np.nan
         with pytest.raises(NonPhysicalState):
             V.validate(grid)
+
+
+class TestConservativeValidation:
+    @pytest.fixture
+    def cfg(self):
+        return SolverConfig(epsilon=1.0, gamma=1.4)
+
+    @pytest.fixture
+    def U(self, grid, cfg):
+        # kinetic energy 0.25 per cell, internal energy 2.5
+        return conservative(uniform_primitive(grid, 1.0, 0.5, -0.5, 1.0), cfg)
+
+    def test_valid_state_returns_itself(self, grid, cfg, U):
+        assert U.validate(grid, cfg) is U
+
+    def test_non_positive_density_rejected(self, grid, cfg, U):
+        U.rho[grid.ghost + 1, grid.ghost + 2] = 0.0
+        with pytest.raises(NonPhysicalState, match="non-positive density"):
+            U.validate(grid, cfg)
+
+    def test_non_positive_internal_energy_rejected(self, grid, cfg, U):
+        U.E[grid.ghost + 2, grid.ghost + 1] = 0.2  # below the kinetic energy
+        with pytest.raises(NonPhysicalState, match="non-positive internal energy"):
+            U.validate(grid, cfg)
+
+    def test_non_finite_momentum_rejected(self, grid, cfg, U):
+        U.mx[grid.ghost, grid.ghost + 3] = np.inf
+        with pytest.raises(NonPhysicalState, match="non-finite mx"):
+            U.validate(grid, cfg)
