@@ -14,7 +14,7 @@ import numpy as np
 
 from .benchmarks import CASES, convergence_study, run_case
 from .errors import NoConvergence, NonPhysicalState
-from .integrator import DualState, RunReport, StepReport, run, si_dec_step
+from .integrator import DualState, RunReport, run, si_dec_step
 from .stiff import discrete_divergence
 from .snapshots import snapshot_write
 
@@ -122,6 +122,8 @@ def cmd_run(ns) -> int:
 
     # Run to each requested time in turn and write the state there; %.6f
     # names are monotone in t, so only neighbours can share a name.
+    if ns.snap_times and min(ns.snap_times) < state.t:
+        raise ConfigError(f"snapshot time {min(ns.snap_times)} precedes the start t={state.t:g}")
     times = sorted({t for t in ns.snap_times if t <= t_end} | {t_end})
     named = [(t, f"{case.name}_t{t:.6f}.dat") for t in times]
     for (t0, name0), (t1, name1) in zip(named, named[1:]):
@@ -133,18 +135,22 @@ def cmd_run(ns) -> int:
         out_path.mkdir(parents=True, exist_ok=True)
     report = RunReport()
     for t, name in named:
-        # A time at or before the start holds the initial state; a t_end
-        # before it still goes to run, which rejects it.
-        if t > state.t or t == t_end:
-            state, _ = run(state, grid, cfg, t, report=report)
+        # run returns at once for a time at the start, and rejects a t_end
+        # before it
+        state, _ = run(state, grid, cfg, t, report=report)
         if out_path:
             snapshot_write(state, grid, cfg, out_path / name)
-    last = report.reports[-1] if report.reports else StepReport(0.0, (), 0.0, 0.0)
-    print(
+    summary = (
         f"{case.name}: {report.steps} steps ({report.rejections} rejected) to t={state.t:.6g} "
-        f"(eps={eps:g}, {nx}x{ny}); max|div u|={last.max_divergence:.3e}, "
-        f"max p - min p={last.pressure_fluctuation:.3e}"
+        f"(eps={eps:g}, {nx}x{ny})"
     )
+    if report.reports:  # the diagnostics of the last step, if one ran
+        last = report.reports[-1]
+        summary += (
+            f"; max|div u|={last.max_divergence:.3e}, "
+            f"max p - min p={last.pressure_fluctuation:.3e}"
+        )
+    print(summary)
     return 0
 
 

@@ -33,6 +33,14 @@ def test_run_summary_counts_rejected_steps(capsys):
     assert capsys.readouterr().out.startswith("explosion: 10 steps (1 rejected) to t=0.08 ")
 
 
+def test_summary_prints_diagnostics_only_after_a_step(capsys):
+    args = ["run", "--case", "gresho", "--eps", "0.1", "--nx", "8", "--t-final"]
+    assert cli.main(args + ["0"]) == 0
+    assert capsys.readouterr().out == "gresho: 0 steps (0 rejected) to t=0 (eps=0.1, 8x8)\n"
+    assert cli.main(args + ["0.01"]) == 0
+    assert "; max|div u|=" in capsys.readouterr().out
+
+
 def test_run_snapshot_times(tmp_path):
     code = cli.main([
         "run", "--case", "gresho", "--eps", "0.1", "--nx", "10",
@@ -110,6 +118,17 @@ def test_snap_time_at_start_holds_initial_state(tmp_path, monkeypatch):
     initial = DualState.from_primitive(case.initial_state(grid, 0.1), grid, cfg)
     assert header["time"] == 0.0
     assert np.array_equal(rows, snapshot_rows(initial, grid, cfg))
+
+
+def test_snap_time_before_the_start_is_config_error(tmp_path, monkeypatch, capsys):
+    paths = counting_writes(monkeypatch)
+    code = cli.main([
+        "run", "--case", "gresho", "--eps", "0.1", "--nx", "8", "--t-final", "0.01",
+        "--snap-times=-0.5,0", "--out-dir", str(tmp_path),
+    ])
+    assert code == 4
+    assert paths == []
+    assert "snapshot time -0.5 precedes the start" in capsys.readouterr().err
 
 
 def test_snapshot_series_golden(tmp_path, capsys):
