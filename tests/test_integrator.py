@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -493,3 +495,44 @@ class TestReferenceStep:
             div = discrete_divergence(ref.V.u, ref.V.v, grid)
             assert rep.max_divergence == float(np.abs(div).max())
             assert rep.pressure_fluctuation == float(ref.V.p[core].max() - ref.V.p[core].min())
+
+
+# build_stage digests of the two inputs of TestStageGolden.
+EXPLOSION_STAGE_DIGEST = "761dec61b2a9e45e6c07ac5ca061438c02b9229f3cdc2289eff162793b776580"
+RANDOM_STAGE_DIGEST = "181b8d2cb1d46533408ebebb053ec27c870ff4149ee9c1e67602a07dace85437"
+
+
+def stage_digest(Vf, grid, cfg):
+    """sha256 over one stage's explicit operators and split scalars."""
+    stage = build_stage(Vf, grid, cfg)
+    scalars = np.array([stage.scalars.rho_max, stage.scalars.p_min])
+    h = hashlib.sha256()
+    for a in (stage.nonstiff, stage.cons_rhs, scalars):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+class TestStageGolden:
+    """The explicit stage pinned to the last bit.  Only elementwise IEEE
+    operations and min/max reductions feed these digests (no step runs, so
+    no pressure solve), so they do not depend on the BLAS build."""
+
+    def test_explosion_outflow(self):
+        from allmach.benchmarks import CASES
+
+        case = CASES["explosion"]
+        grid = case.make_grid(72, 72, 0.9)
+        V = fill_ghosts(case.initial_state(grid, 0.9), grid)
+        assert stage_digest(V, grid, case.config(0.9)) == EXPLOSION_STAGE_DIGEST
+
+    def test_random_periodic_non_square(self):
+        grid = GridSpec(70, 40, 0.0, 1.0, 0.0, 1.0)
+        rng = np.random.default_rng(20261018)
+        V = PrimitiveField.zeros(grid)
+        core = grid.interior
+        V.rho[core] = 0.5 + rng.random((70, 40))
+        V.u[core] = rng.standard_normal((70, 40))
+        V.v[core] = rng.standard_normal((70, 40))
+        V.p[core] = 0.5 + rng.random((70, 40))
+        fill_ghosts(V, grid)
+        assert stage_digest(V, grid, SolverConfig(epsilon=0.3)) == RANDOM_STAGE_DIGEST
