@@ -12,25 +12,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridSpec, along
 from .nonstiff import cu_flux, one_sided_speeds
 from .reconstruction import P, RHO, U, V, Traces
-from .state import SolverConfig, prim_to_cons, total_energy
+from .state import SolverConfig, prim_to_cons
 
 
 def sound_speed(rho, p, cfg: SolverConfig):
     return np.sqrt(cfg.gamma * p / rho) / cfg.epsilon
 
 
-def flux_from_primitive(Vs: np.ndarray, cfg: SolverConfig, axis: int) -> np.ndarray:
-    """Exact conservative flux along ``axis`` evaluated from a stacked
-    primitive state."""
-    rho, un, p = Vs[RHO], Vs[U + axis], Vs[P]
+def flux_from_primitive(Vs: np.ndarray, Us: np.ndarray, cfg: SolverConfig, axis: int) -> np.ndarray:
+    """Exact conservative flux along ``axis`` of a stacked state given in
+    both forms: primitive ``Vs`` and its transform ``Us = prim_to_cons(Vs)``,
+    whose momentum and energy the flux reuses."""
+    un, p = Vs[U + axis], Vs[P]
+    mn, energy = Us[U + axis], Us[P]
     F = np.empty_like(Vs)
-    F[RHO] = rho * un
-    F[U + axis] = rho * un * un + p / cfg.epsilon**2
-    F[V - axis] = rho * Vs[U] * Vs[V]
-    F[P] = un * (total_energy(*Vs, cfg) + p)
+    F[RHO] = mn
+    F[U + axis] = mn * un + p / cfg.epsilon**2
+    F[V - axis] = Us[U] * Vs[V]
+    F[P] = un * (energy + p)
     return F
 
 
@@ -54,26 +55,25 @@ def cu_flux_conservative(traces: Traces, cfg: SolverConfig, axis: int) -> np.nda
     """
     minus, plus = traces
     s_minus, s_plus = conservative_speeds(traces, cfg, axis)
+    u_minus, u_plus = prim_to_cons(minus, cfg), prim_to_cons(plus, cfg)
     return cu_flux(
-        prim_to_cons(minus, cfg), prim_to_cons(plus, cfg),
-        flux_from_primitive(minus, cfg, axis), flux_from_primitive(plus, cfg, axis),
+        u_minus, u_plus,
+        flux_from_primitive(minus, u_minus, cfg, axis),
+        flux_from_primitive(plus, u_plus, cfg, axis),
         s_minus, s_plus,
     )
 
 
-def assemble_conservative_rhs(
-    grid: GridSpec,
-    cfg: SolverConfig,
-    traces: list[Traces],
-) -> np.ndarray:
-    """Semi-discrete rate dU/dt = -div(fluxes) from the reconstruction
-    ``traces`` of the primitive state, shape (4, nx, ny).
+def flux_divergence(traces: Traces, cfg: SolverConfig, axis: int, h: float) -> np.ndarray:
+    """Difference quotient (f[i+1/2] - f[i-1/2]) / h of the central-upwind
+    fluxes normal to ``axis`` for the cells of one axis-first block, from
+    their reconstruction ``traces``, shape (4, n, m).  The semi-discrete rate
+    dU/dt is minus its sum over both axes.
 
-    Exactly telescoping under periodic boundaries: the componentwise sum
-    over the domain vanishes to round-off.
+    Exactly telescoping under periodic boundaries: the componentwise sum of
+    the rate over the domain vanishes to round-off.
     """
-    D = np.zeros((4, grid.nx, grid.ny))
-    for axis, tr in enumerate(traces):
-        f = cu_flux_conservative(tr, cfg, axis)
-        along(D, axis)[...] -= (f[:, 1:] - f[:, :-1]) / grid.spacing(axis)
-    return D
+    f = cu_flux_conservative(traces, cfg, axis)
+    div = f[:, 1:] - f[:, :-1]
+    div /= h
+    return div

@@ -29,12 +29,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .conservative import assemble_conservative_rhs
+from .conservative import flux_divergence
 from .elliptic import pressure_system, solve_helmholtz
 from .errors import NoConvergence, NonPhysicalState
-from .grid import GridSpec, fill_ghosts, padded
-from .nonstiff import DELTA, SplitScalars, assemble_nonstiff, modified_sound_speed, split_scalars
-from .reconstruction import limited_interfaces
+from .grid import AXIS_X, AXIS_Y, GridSpec, along, fill_ghosts, padded
+from .nonstiff import DELTA, SplitScalars, modified_sound_speed, nonstiff_rate, split_scalars
+from .reconstruction import limited_traces
 from .state import (
     ConservativeField,
     PrimitiveField,
@@ -49,6 +49,14 @@ MAX_REJECTIONS = 3
 
 # Blend function: edges of the transition band and the exponent of its branches.
 EPS0, EPS1, ALPHA = 0.15, 0.4, 14.0
+
+# Cells across the axis in one strip of build_stage.  Each array of a strip
+# (traces, fluxes, temporaries) is 4 x (n+1) x STRIP doubles, about 200 kB at
+# n = 200, so the strip's working set stays in a 2 MB per-core L2 where
+# whole-grid passes stream every array from L3.  Explosion 200^2 on a 2-core
+# Xeon (numpy 2.4), median ms per step of 5 runs: widths 8, 16, 32, 48, 64 and
+# 256 took 119, 109, 100, 103, 101 and 127; whole-grid passes took 149.
+STRIP = 32
 
 
 @dataclass
@@ -99,11 +107,28 @@ class StageBuffers:
 
 
 def build_stage(Vf: PrimitiveField, grid: GridSpec, cfg: SolverConfig) -> StageBuffers:
-    """One reconstruction pass feeding both operators of a stage."""
+    """Both explicit operators of a stage from one reconstruction pass.
+
+    Each axis, x before y, is cut into strips of STRIP interior cells across
+    it, each with its full ghost padding along it.  A strip runs the whole
+    pipeline (traces, nonstiff rate, conservative flux divergence) while its
+    arrays stay in cache, where whole-grid passes would stream every
+    temporary from memory.  Every cell sums its x and then its y part, so
+    the result does not depend on the strip width.
+    """
     scalars = split_scalars(Vf, grid, cfg.epsilon)
-    traces = limited_interfaces(Vf, grid, cfg.theta)
-    R = assemble_nonstiff(Vf, grid, cfg, scalars, traces)
-    D = assemble_conservative_rhs(grid, cfg, traces)
+    g = grid.ghost
+    R = np.zeros((4, grid.nx, grid.ny))
+    D = np.zeros_like(R)
+    for axis in (AXIS_X, AXIS_Y):
+        Vs, Rs, Ds, h = along(Vf.array, axis), along(R, axis), along(D, axis), grid.spacing(axis)
+        m = Rs.shape[-1]
+        for j0 in range(0, m, STRIP):
+            j1 = min(j0 + STRIP, m)
+            block = Vs[..., g + j0:g + j1]
+            traces = limited_traces(block, h, cfg.theta, axis, j0)
+            Rs[..., j0:j1] += nonstiff_rate(block[:, g:-g], traces, scalars, cfg, axis, h)
+            Ds[..., j0:j1] -= flux_divergence(traces, cfg, axis, h)
     return StageBuffers(scalars, R, D)
 
 

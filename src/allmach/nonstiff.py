@@ -11,8 +11,10 @@ linear path with the midpoint rule.  Each of these pieces is written once,
 along axis 0, and runs along y on transposed views with the roles of the
 normal and tangential velocity exchanged.
 
-Operator fields returned here are stacked interior arrays of shape
-(4, nx, ny) ordered (rho, u, v, p).
+``nonstiff_rate`` returns the part of the operator one axis contributes
+to the cells of one axis-first block of the grid, shape (4, n, m) ordered
+(rho, u, v, p); ``integrator.build_stage`` sums these into the stage's
+(4, nx, ny) operator.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPhysicalState
-from .grid import GridSpec, along
+from .grid import GridSpec
 from .reconstruction import P, RHO, U, V, Traces, minmod
 from .state import PrimitiveField, SolverConfig
 
@@ -99,23 +101,39 @@ def antidiffusion(v_minus, v_plus, f_minus, f_plus, s_minus, s_plus):
     """Built-in anti-diffusion correction of the central-upwind flux.
 
     Uses the intermediate state reconstructed from the one-sided speeds; the
-    minmod keeps the correction between zero and the interface jump.
+    minmod keeps the correction between zero and the interface jump.  Works
+    in place on two arrays of its own and returns one of them.
     """
-    v_int = (s_plus * v_plus - s_minus * v_minus - f_plus + f_minus) / (s_plus - s_minus)
-    return minmod(v_int - v_minus, v_plus - v_int)
+    v_int = np.asarray(s_plus * v_plus)
+    scratch = np.asarray(s_minus * v_minus)
+    v_int -= scratch
+    v_int -= f_plus
+    v_int += f_minus
+    v_int /= s_plus - s_minus
+    np.subtract(v_int, v_minus, out=scratch)
+    np.subtract(v_plus, v_int, out=v_int)
+    return minmod(scratch, v_int, out=v_int)
 
 
 def cu_flux(v_minus, v_plus, f_minus, f_plus, s_minus, s_plus):
-    """Central-upwind numerical flux with anti-diffusion.
+    """Central-upwind numerical flux with anti-diffusion,
+    (s+ f- - s- f+)/(s+ - s-) + (s+ s-/(s+ - s-)) (v+ - v- - dv).
 
     Consistency: for equal one-sided states the flux reduces to the exact
-    flux of that state.
+    flux of that state.  Works in place on the anti-diffusion's array and
+    one scratch array; plain float on scalars.
     """
     dv = antidiffusion(v_minus, v_plus, f_minus, f_plus, s_minus, s_plus)
     den = s_plus - s_minus
-    return (s_plus * f_minus - s_minus * f_plus) / den + (
-        s_plus * s_minus / den
-    ) * (v_plus - v_minus - dv)
+    flux = np.asarray(s_plus * f_minus)
+    scratch = np.asarray(s_minus * f_plus)
+    flux -= scratch
+    flux /= den
+    np.subtract(v_plus, v_minus, out=scratch)
+    scratch -= dv
+    scratch *= s_plus * s_minus / den
+    flux += scratch
+    return float(flux) if flux.ndim == 0 else flux
 
 
 def _bmat_apply(
@@ -156,35 +174,32 @@ def nonconservative_terms(
     return cell, psi
 
 
-def assemble_nonstiff(
-    Vf: PrimitiveField,
-    grid: GridSpec,
-    cfg: SolverConfig,
+def nonstiff_rate(
+    Vbar: np.ndarray,
+    traces: Traces,
     scalars: SplitScalars,
-    traces: list[Traces],
+    cfg: SolverConfig,
+    axis: int,
+    h: float,
 ) -> np.ndarray:
-    """Full explicit operator of one stage, shape (4, nx, ny).
+    """The part of one stage's explicit operator that comes from the
+    interfaces normal to ``axis``, for the cells of one axis-first block:
+    ``Vbar`` (4, n, m) holds their averages and ``traces`` their
+    reconstruction, which the conservative operator shares.
 
-    For smooth fields this approximates, to second order, the divergence of
-    the mass flux, the velocity advection plus the density-weighted pressure
-    gradient, and the pressure advection plus (p - p_min)-weighted
-    dilatation.  ``traces`` is the reconstruction of ``Vf`` it shares with
-    the conservative operator.
+    Summed over both axes, for smooth fields this approximates, to second
+    order, the divergence of the mass flux, the velocity advection plus the
+    density-weighted pressure gradient, and the pressure advection plus
+    (p - p_min)-weighted dilatation.
     """
-    Vbar = Vf.array[grid.interior]
-    R = np.zeros_like(Vbar)
-    for axis, tr in enumerate(traces):
-        minus, plus = tr
-        s_minus, s_plus = nonstiff_speeds(tr, scalars, cfg, axis)
-        f = cu_flux(
-            minus, plus, nonstiff_flux(minus, axis), nonstiff_flux(plus, axis), s_minus, s_plus
-        )
-        cell, psi = nonconservative_terms(tr, along(Vbar, axis), scalars, cfg, axis)
-        den = s_plus - s_minus
-        along(R, axis)[...] += (
-            f[:, 1:] - f[:, :-1]
-            - cell
-            - (s_plus[:-1] / den[:-1]) * psi[:, :-1]
-            + (s_minus[1:] / den[1:]) * psi[:, 1:]
-        ) / grid.spacing(axis)
-    return R
+    minus, plus = traces
+    s_minus, s_plus = nonstiff_speeds(traces, scalars, cfg, axis)
+    f = cu_flux(minus, plus, nonstiff_flux(minus, axis), nonstiff_flux(plus, axis), s_minus, s_plus)
+    cell, psi = nonconservative_terms(traces, Vbar, scalars, cfg, axis)
+    den = s_plus - s_minus
+    rate = f[:, 1:] - f[:, :-1]
+    rate -= cell
+    rate -= (s_plus[:-1] / den[:-1]) * psi[:, :-1]
+    rate += (s_minus[1:] / den[1:]) * psi[:, 1:]
+    rate /= h
+    return rate

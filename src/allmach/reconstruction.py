@@ -6,9 +6,12 @@ pass feeds both the primitive-form and the conservative-form operators:
 conservative interface states are obtained by transforming the reconstructed
 primitive values.
 
-Every kernel here works along axis 0 of its (transposed, for y) input; see
-``grid.along``.  Slopes are computed on the interior plus the first ghost
-ring so that the interfaces on the physical boundary have two-sided values.
+Every kernel here works along axis 0 of one axis-first block of shape
+(4, n+2g, m): the n cells along the axis with their g ghost cells at each
+end, for m cells across it (a strip of the grid, transposed for y; see
+``grid.along``).  Slopes are computed on the interior plus the first ghost
+ring along the axis, so that the interfaces on the physical boundary have
+two-sided values.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonPhysicalState
-from .grid import AXIS_X, AXIS_Y, GridSpec, along
-from .state import PrimitiveField
 
 RHO, U, V, P = 0, 1, 2, 3
 
@@ -30,10 +31,10 @@ Traces = tuple[np.ndarray, np.ndarray]
 def minmod(*zs, out=None):
     """Minimum of the arguments if all positive, maximum if all negative,
     zero otherwise.  Componentwise on arrays, written into ``out`` when
-    given; plain float on scalars."""
+    given (``out`` may be one of the arguments); plain float on scalars."""
     if len(zs) < 2:
         raise ValueError("minmod needs at least two arguments")
-    lo = np.asarray(np.minimum(zs[0], zs[1], out=out))
+    lo = np.asarray(np.minimum(zs[0], zs[1]))
     hi = np.asarray(np.maximum(zs[0], zs[1]))
     for z in zs[2:]:
         np.minimum(lo, z, out=lo)
@@ -42,49 +43,52 @@ def minmod(*zs, out=None):
     # so at most one of the two clipped terms is nonzero.
     np.maximum(lo, 0.0, out=lo)
     np.minimum(hi, 0.0, out=hi)
-    lo += hi
+    lo = np.add(lo, hi, out=lo if out is None else out)
     return float(lo) if lo.ndim == 0 else lo
 
 
-def compute_slopes(Vf: PrimitiveField, grid: GridSpec, theta: float) -> np.ndarray:
-    """Generalized-minmod slopes of every primitive component along each
-    axis, shape (2, 4, nx+2g, ny+2g): ``slopes[AXIS_X]`` holds d/dx.
-
-    Ghosts of ``Vf`` must be filled.  Produces values on all padded cells
-    except the outermost ring (left at zero).
+def compute_slopes(Vs: np.ndarray, h: float, theta: float) -> np.ndarray:
+    """Generalized-minmod slopes along axis 0 of a block (4, n+2g, m) with
+    spacing ``h``, on every row but the first and last: shape (4, n+2g-2, m).
     """
-    slopes = np.zeros((2,) + Vf.array.shape)
-    for axis in (AXIS_X, AXIS_Y):
-        Vs, h = along(Vf.array, axis), grid.spacing(axis)
-        c, left, right = Vs[:, 1:-1, 1:-1], Vs[:, :-2, 1:-1], Vs[:, 2:, 1:-1]
-        minmod(
-            theta * (c - left) / h,
-            (right - left) / (2.0 * h),
-            theta * (right - c) / h,
-            out=along(slopes[axis], axis)[:, 1:-1, 1:-1],
-        )
-    return slopes
+    one_sided = Vs[:, 1:] - Vs[:, :-1]
+    one_sided *= theta
+    one_sided /= h
+    central = (Vs[:, 2:] - Vs[:, :-2]) / (2.0 * h)
+    return minmod(one_sided[:, :-1], central, one_sided[:, 1:], out=central)
 
 
-def limited_interfaces(Vf: PrimitiveField, grid: GridSpec, theta: float) -> list[Traces]:
-    """Piecewise-linear values at interface midpoints from generalized-minmod
-    slopes, traces per axis.
+def limited_traces(Vs: np.ndarray, h: float, theta: float, axis: int, j0: int) -> Traces:
+    """Piecewise-linear values at the interface midpoints of a block along
+    ``axis`` from generalized-minmod slopes.  ``j0`` is the interior index of
+    the block's first cell across the axis; it and ``axis`` only serve to
+    name the cell of a failure.
 
     For theta in [1, 2] every trace lies between the averages of the two
     cells that share its interface, so positive cell averages give positive
     density and pressure traces up to round-off.  Raises NonPhysicalState,
-    naming the component, if any density or pressure trace is non-positive.
+    naming the component, the axis and the interior index (i, j) of the cell
+    whose trace is lowest, if any density or pressure trace is non-positive.
     """
-    slopes = compute_slopes(Vf, grid, theta)
-    g = grid.ghost
-    traces = []
-    for axis in (AXIS_X, AXIS_Y):
-        Vs, s, half = along(Vf.array, axis), along(slopes[axis], axis), 0.5 * grid.spacing(axis)
-        left = (slice(None), slice(g - 1, -g), slice(g, -g))  # owners of the minus traces
-        right = (slice(None), slice(g, 1 - g), slice(g, -g))
-        traces.append((Vs[left] + half * s[left], Vs[right] - half * s[right]))
+    s = compute_slopes(Vs, h, theta)
+    s *= 0.5 * h
+    # With g = 2 ghosts the slopes start at row 1: the minus traces are owned
+    # by rows 1 .. n+1, the plus traces by rows 2 .. n+2.
+    minus = Vs[:, 1:-2] + s[:, :-1]
+    plus = Vs[:, 2:-1] - s[:, 1:]
     for comp, name in ((RHO, "density"), (P, "pressure")):
-        lowest = min(float(t[comp].min()) for pair in traces for t in pair)
+        lowest = min(float(minus[comp].min()), float(plus[comp].min()))
         if lowest <= 0.0:
-            raise NonPhysicalState(f"reconstructed {name} non-positive (min {lowest:.3g})")
-    return traces
+            _raise_non_positive(name, lowest, minus[comp], plus[comp], axis, j0)
+    return minus, plus
+
+
+def _raise_non_positive(name, lowest, minus, plus, axis, j0):
+    """Locate the lowest of a component's traces and raise NonPhysicalState."""
+    owner, t = (-1, minus) if float(minus.min()) == lowest else (0, plus)
+    k, j = np.unravel_index(np.argmin(t), t.shape)
+    along_cell, across_cell = int(k) + owner, j0 + int(j)
+    cell = (along_cell, across_cell) if axis == 0 else (across_cell, along_cell)
+    raise NonPhysicalState(
+        f"reconstructed {name} non-positive (min {lowest:.3g}) along {'xy'[axis]} at cell {cell}"
+    )

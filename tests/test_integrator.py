@@ -2,10 +2,14 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import allmach.integrator as integrator
+from allmach.conservative import flux_divergence
 from allmach.elliptic import HelmholtzSystem, operator_divergence, solve_helmholtz
 from allmach.errors import NoConvergence, NonPhysicalState
-from allmach.grid import GridSpec, fill_ghosts, padded
+from allmach.grid import AXIS_X, AXIS_Y, OUTFLOW, PERIODIC, GridSpec, along, fill_ghosts, padded
 from allmach.integrator import (
     EPS0,
     EPS1,
@@ -17,7 +21,8 @@ from allmach.integrator import (
     si_dec_step,
     switching_weight,
 )
-from allmach.nonstiff import DELTA, SplitScalars, split_scalars
+from allmach.nonstiff import DELTA, SplitScalars, nonstiff_rate, split_scalars
+from allmach.reconstruction import limited_traces
 from allmach.state import (
     ConservativeField,
     PrimitiveField,
@@ -536,3 +541,55 @@ class TestStageGolden:
         V.p[core] = 0.5 + rng.random((70, 40))
         fill_ghosts(V, grid)
         assert stage_digest(V, grid, SolverConfig(epsilon=0.3)) == RANDOM_STAGE_DIGEST
+
+
+def whole_grid_operators(Vf, grid, cfg):
+    """Reference for build_stage: each axis's kernels run once on the whole
+    grid, the cell averages sliced from the interior rather than the block."""
+    g = grid.ghost
+    scalars = split_scalars(Vf, grid, cfg.epsilon)
+    Vbar = Vf.array[grid.interior]
+    R, D = np.zeros_like(Vbar), np.zeros_like(Vbar)
+    for axis in (AXIS_X, AXIS_Y):
+        h = grid.spacing(axis)
+        traces = limited_traces(along(Vf.array, axis)[..., g:-g], h, cfg.theta, axis, 0)
+        along(R, axis)[...] += nonstiff_rate(along(Vbar, axis), traces, scalars, cfg, axis, h)
+        along(D, axis)[...] -= flux_divergence(traces, cfg, axis, h)
+    return R, D
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(
+    nx=st.integers(3, 40),
+    extra=st.integers(1, 30),
+    transpose=st.booleans(),
+    bcs=st.tuples(st.sampled_from((PERIODIC, OUTFLOW)), st.sampled_from((PERIODIC, OUTFLOW))),
+    theta=st.floats(1.0, 2.0),
+    eps=st.sampled_from((1.0, 0.5, 0.1, 1e-3)),
+    odd=st.integers(2, 31),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_strips_do_not_change_the_stage(nx, extra, transpose, bcs, theta, eps, odd, seed):
+    # Strip widths: one cell, one that divides neither grid size, the
+    # default, and one wider than the grid.
+    ny = nx + extra
+    if transpose:
+        nx, ny = ny, nx
+    assume(nx % odd and ny % odd)
+    grid = GridSpec(nx, ny, 0.0, 1.0, 0.0, 1.3, bc_x=bcs[0], bc_y=bcs[1])
+    rng = np.random.default_rng(seed)
+    V = PrimitiveField.zeros(grid)
+    core = grid.interior
+    V.rho[core] = 0.5 + rng.random((nx, ny))
+    V.u[core] = rng.standard_normal((nx, ny))
+    V.v[core] = rng.standard_normal((nx, ny))
+    V.p[core] = 0.5 + rng.random((nx, ny))
+    fill_ghosts(V, grid)
+    cfg = SolverConfig(epsilon=eps, theta=theta)
+    R, D = whole_grid_operators(V, grid, cfg)
+    for width in (1, odd, 32, max(nx, ny) + 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(integrator, "STRIP", width)
+            stage = build_stage(V, grid, cfg)
+        assert np.array_equal(stage.nonstiff, R), width
+        assert np.array_equal(stage.cons_rhs, D), width

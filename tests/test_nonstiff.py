@@ -5,11 +5,11 @@ import pytest
 
 from allmach.errors import NonPhysicalState
 from allmach.grid import AXIS_X, AXIS_Y, GridSpec, along, fill_ghosts
+from allmach.integrator import build_stage
 from allmach.nonstiff import (
     DELTA,
     SplitScalars,
     antidiffusion,
-    assemble_nonstiff,
     cu_flux,
     modified_sound_speed,
     nonconservative_terms,
@@ -17,7 +17,7 @@ from allmach.nonstiff import (
     nonstiff_speeds,
     split_scalars,
 )
-from allmach.reconstruction import limited_interfaces
+from allmach.reconstruction import limited_traces
 from allmach.state import PrimitiveField, SolverConfig
 
 
@@ -30,6 +30,12 @@ def smooth_field(grid):
     V.v[grid.interior] = 0.5 + 0.2 * np.sin(tp * X + 1.0) * np.sin(tp * Y)
     V.p[grid.interior] = 2.0 + 0.4 * np.cos(tp * X + 0.5) * np.cos(tp * Y + 1.0)
     return fill_ghosts(V, grid)
+
+
+def traces_along(V, grid, axis, theta):
+    """(minus, plus) traces along ``axis`` of the whole grid, axis first."""
+    g = grid.ghost
+    return limited_traces(along(V.array, axis)[..., g:-g], grid.spacing(axis), theta, axis, 0)
 
 
 class TestSplitScalars:
@@ -159,9 +165,8 @@ class TestSpeeds:
         fill_ghosts(V, grid)
         cfg = SolverConfig(epsilon=0.3, gamma=1.4)
         s = split_scalars(V, grid, cfg.epsilon)
-        traces = limited_interfaces(V, grid, cfg.theta)
         for axis in (AXIS_X, AXIS_Y):
-            s_minus, s_plus = nonstiff_speeds(traces[axis], s, cfg, axis)
+            s_minus, s_plus = nonstiff_speeds(traces_along(V, grid, axis, cfg.theta), s, cfg, axis)
             assert np.all(s_minus <= -DELTA) and np.all(s_plus >= DELTA)
 
 
@@ -236,10 +241,10 @@ class TestNonconservativeTerms:
         V.p[:] = 2.0
         cfg = SolverConfig(epsilon=0.5, gamma=1.4)
         s = split_scalars(V, grid, cfg.epsilon)
-        traces = limited_interfaces(V, grid, cfg.theta)
         Vbar = V.array[grid.interior]
         for axis in (AXIS_X, AXIS_Y):
-            for term in nonconservative_terms(traces[axis], along(Vbar, axis), s, cfg, axis):
+            traces = traces_along(V, grid, axis, cfg.theta)
+            for term in nonconservative_terms(traces, along(Vbar, axis), s, cfg, axis):
                 assert np.allclose(term, 0.0, atol=1e-15)
 
     def test_pressure_jump_drives_velocity_row(self):
@@ -304,7 +309,7 @@ class TestAssembledOperator:
         V.p[:] = 0.9
         cfg = SolverConfig(epsilon=0.4, gamma=1.4)
         s = split_scalars(V, grid, cfg.epsilon)
-        R = assemble_nonstiff(V, grid, cfg, s, limited_interfaces(V, grid, cfg.theta))
+        R = build_stage(V, grid, cfg).nonstiff
         assert np.allclose(R, 0.0, atol=1e-14)
 
     def test_second_order_consistency(self):
@@ -315,7 +320,7 @@ class TestAssembledOperator:
             V = smooth_field(grid)
             cfg = SolverConfig(**cfg_kwargs)
             s = split_scalars(V, grid, cfg.epsilon)
-            R = assemble_nonstiff(V, grid, cfg, s, limited_interfaces(V, grid, cfg.theta))
+            R = build_stage(V, grid, cfg).nonstiff
             Ra = analytic_operator(grid, cfg.epsilon, cfg.gamma, s.rho_max, s.p_min)
             errors.append(np.abs(R - Ra).mean(axis=(1, 2)))
         ratios = errors[0] / errors[1]
@@ -335,7 +340,7 @@ class TestAssembledOperator:
             fill_ghosts(V, grid)
             cfg = SolverConfig(epsilon=1.0, gamma=1.4)
             s = split_scalars(V, grid, cfg.epsilon)
-            R = assemble_nonstiff(V, grid, cfg, s, limited_interfaces(V, grid, cfg.theta))
+            R = build_stage(V, grid, cfg).nonstiff
             exact = c * np.pi * np.cos(2 * np.pi * X)
             errors.append(np.abs(R[0] - exact).mean())
         assert 3.2 <= errors[0] / errors[1] <= 4.8
@@ -354,7 +359,7 @@ class TestAssembledOperator:
         fill_ghosts(V, grid)
         cfg = SolverConfig(epsilon=1.0, gamma=1.4)
         s = split_scalars(V, grid, cfg.epsilon)
-        R = assemble_nonstiff(V, grid, cfg, s, limited_interfaces(V, grid, cfg.theta))
+        R = build_stage(V, grid, cfg).nonstiff
         assert np.abs(R[3]).max() <= 1e-13
         # the velocity rows see only the density-weighted pressure gradient,
         # which also vanishes here

@@ -5,12 +5,9 @@ from hypothesis import strategies as st
 
 from allmach.errors import NonPhysicalState
 from allmach.grid import AXIS_X, AXIS_Y, OUTFLOW, PERIODIC, GridSpec, along, fill_ghosts
-from allmach.reconstruction import (
-    compute_slopes,
-    limited_interfaces,
-    minmod,
-)
-from allmach.state import PrimitiveField
+from allmach.integrator import build_stage
+from allmach.reconstruction import compute_slopes, limited_traces, minmod
+from allmach.state import PrimitiveField, SolverConfig
 
 
 def field_from_function(grid, fn_rho, fn_u=None, fn_v=None, fn_p=None):
@@ -21,6 +18,27 @@ def field_from_function(grid, fn_rho, fn_u=None, fn_v=None, fn_p=None):
     V.v[grid.interior] = fn_v(X, Y) if fn_v else 0.0
     V.p[grid.interior] = fn_p(X, Y) if fn_p else 1.0
     return fill_ghosts(V, grid)
+
+
+def block(V, grid, axis):
+    """The whole grid as one axis-first block: every interior cell across
+    ``axis``, with its ghost padding along it."""
+    g = grid.ghost
+    return along(V.array, axis)[..., g:-g]
+
+
+def slopes_along(V, grid, axis, theta):
+    """Slopes along ``axis`` of the whole grid; row k belongs to the cell
+    with interior index k - 1 along the axis."""
+    return compute_slopes(block(V, grid, axis), grid.spacing(axis), theta)
+
+
+def traces_per_axis(V, grid, theta):
+    """(minus, plus) traces of the whole grid per axis, each axis first."""
+    return [
+        limited_traces(block(V, grid, axis), grid.spacing(axis), theta, axis, 0)
+        for axis in (AXIS_X, AXIS_Y)
+    ]
 
 
 class TestMinmod:
@@ -47,16 +65,31 @@ class TestMinmod:
             minmod(1.0)
 
 
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(data=st.data(), count=st.sampled_from((2, 3)), size=st.integers(1, 8))
+def test_minmod_out_may_be_any_argument(data, count, size):
+    values = st.lists(
+        st.floats(-1e3, 1e3, allow_nan=False) | st.just(0.0), min_size=size, max_size=size
+    )
+    zs = [np.array(data.draw(values)) for _ in range(count)]
+    expected = minmod(*zs)
+    for position in range(count):
+        args = [z.copy() for z in zs]
+        got = minmod(*args, out=args[position])
+        assert got is args[position]
+        assert np.array_equal(got, expected)
+
+
 class TestSlopes:
     def test_linear_data_reproduced_exactly(self):
         grid = GridSpec(8, 8, 0.0, 1.0, 0.0, 1.0, bc_x="outflow", bc_y="outflow")
         V = field_from_function(grid, lambda x, y: 2.0 + 3.0 * x)
-        slopes = compute_slopes(V, grid, theta=1.3)
-        g = grid.ghost
-        # cells touching the boundary see flattened (extrapolated) ghosts
-        inner = (slice(g + 1, g + grid.nx - 1), slice(g, g + grid.ny))
-        assert np.allclose(slopes[AXIS_X, 0][inner], 3.0, rtol=1e-13)
-        assert np.allclose(slopes[AXIS_Y, 0][inner], 0.0, atol=1e-13)
+        sx = slopes_along(V, grid, AXIS_X, theta=1.3)
+        sy = slopes_along(V, grid, AXIS_Y, theta=1.3)
+        # cells touching the boundary see flattened (extrapolated) ghosts:
+        # interior x cells 1 .. nx-2, every interior y cell
+        assert np.allclose(sx[0, 2:grid.nx], 3.0, rtol=1e-13)
+        assert np.allclose(sy[0, 1:grid.ny + 1, 1:grid.nx - 1], 0.0, atol=1e-13)
 
     def test_extremum_clips_to_zero(self):
         grid = GridSpec(5, 4, 0.0, 5.0, 0.0, 4.0, bc_x="outflow", bc_y="outflow")
@@ -65,9 +98,8 @@ class TestSlopes:
         V.u[grid.interior] = 0.0
         V.p[grid.interior] = 1.0
         fill_ghosts(V, grid)
-        slopes = compute_slopes(V, grid, theta=1.3)
-        g = grid.ghost
-        assert slopes[AXIS_X, 0, g + 2, g] == 0.0  # local max in the middle cell
+        slopes = slopes_along(V, grid, AXIS_X, theta=1.3)
+        assert slopes[0, 3, 0] == 0.0  # local max in the middle cell (2, 0)
 
     def test_three_cell_hand_value(self):
         # cells (0, 1, 3), dx=1, theta=2: minmod(2, 1.5, 4) = 1.5 at the middle
@@ -78,25 +110,24 @@ class TestSlopes:
         V.u[grid.interior] = 0.0
         V.p[grid.interior] = 1.0
         fill_ghosts(V, grid)
-        slopes = compute_slopes(V, grid, theta=2.0)
+        slopes = slopes_along(V, grid, AXIS_X, theta=2.0)
         expected = minmod(2.0 * (1.0 - 0.0), (3.0 - 0.0) / 2.0, 2.0 * (3.0 - 1.0))
         assert expected == 1.5
-        g = grid.ghost
-        assert slopes[AXIS_X, 0, g + 1, g] == pytest.approx(expected, rel=1e-14)
+        assert slopes[0, 2, 0] == pytest.approx(expected, rel=1e-14)  # cell (1, 0)
 
 
 class TestInterfaces:
     def test_constant_field(self):
         grid = GridSpec(6, 6, 0.0, 1.0, 0.0, 1.0)
         V = field_from_function(grid, lambda x, y: np.full_like(x, 1.7))
-        (xm, xp), (ym, yp) = limited_interfaces(V, grid, 1.3)
+        (xm, xp), (ym, yp) = traces_per_axis(V, grid, 1.3)
         assert np.allclose(xm[0], 1.7) and np.allclose(xp[0], 1.7)
         assert np.allclose(ym[0], 1.7) and np.allclose(yp[0], 1.7)
 
     def test_linear_field_exact_midpoints(self):
         grid = GridSpec(8, 8, 0.0, 1.0, 0.0, 1.0, bc_x="outflow", bc_y="outflow")
         V = field_from_function(grid, lambda x, y: 1.0 + 2.0 * x + 0.5 * y)
-        (xm, xp), _ = limited_interfaces(V, grid, 1.3)
+        (xm, xp), _ = traces_per_axis(V, grid, 1.3)
         xs = grid.x_lo + np.arange(grid.nx + 1) * grid.dx
         yc = grid.y_lo + (np.arange(grid.ny) + 0.5) * grid.dy
         exact = 1.0 + 2.0 * xs[:, None] + 0.5 * yc[None, :]
@@ -113,7 +144,7 @@ class TestInterfaces:
         V.u[grid.interior] = 0.0
         V.p[grid.interior] = 1.0
         fill_ghosts(V, grid)
-        (xm, _), _ = limited_interfaces(V, grid, 2.0)
+        (xm, _), _ = traces_per_axis(V, grid, 2.0)
         assert xm[0][2, 0] == pytest.approx(2.0 + 0.5 * 1.5, rel=1e-14)
 
     def test_second_order_interface_accuracy(self):
@@ -123,7 +154,7 @@ class TestInterfaces:
             grid = GridSpec(n, n, 0.0, 1.0, 0.0, 1.0)
             fn = lambda x, y: 2.0 + np.sin(2 * np.pi * x + 0.3) * np.cos(2 * np.pi * y)
             V = field_from_function(grid, fn)
-            (xm, xp), (ym, yp) = limited_interfaces(V, grid, 1.3)
+            (xm, xp), (ym, yp) = traces_per_axis(V, grid, 1.3)
             xs = grid.x_lo + np.arange(grid.nx + 1) * grid.dx
             yc = grid.y_lo + (np.arange(grid.ny) + 0.5) * grid.dy
             exact_x = fn(xs[:, None], yc[None, :])
@@ -150,7 +181,7 @@ class TestInterfaces:
             0.5 + rng.random(grid.shape),
         )))
         fill_ghosts(V, grid)
-        (xm, _), _ = limited_interfaces(V, grid, 2.0)
+        (xm, _), _ = traces_per_axis(V, grid, 2.0)
         Vs = V.array
         g = grid.ghost
         lo = np.minimum(
@@ -172,7 +203,7 @@ class TestInterfaces:
             lambda x, y: 1.0 + x + 2.0 * y,
             fn_p=lambda x, y: 4.0 - x - y,
         )
-        (xm, xp), _ = limited_interfaces(V, grid, 1.3)
+        (xm, xp), _ = traces_per_axis(V, grid, 1.3)
         inner = slice(2, -2)
         assert np.allclose(xm[3][inner], xp[3][inner], rtol=1e-13)
 
@@ -208,7 +239,7 @@ def test_traces_lie_between_neighbouring_averages(nx, extra, lengths, bcs, theta
     V.p[core] = decades()
     fill_ghosts(V, grid)
     g = grid.ghost
-    for axis, (minus, plus) in enumerate(limited_interfaces(V, grid, theta)):
+    for axis, (minus, plus) in enumerate(traces_per_axis(V, grid, theta)):
         Vs = along(V.array, axis)
         a, b = Vs[:, g - 1:-g, g:-g], Vs[:, g:1 - g, g:-g]  # the two cells of each interface
         slack = 8.0 * np.spacing(np.maximum(np.abs(a), np.abs(b)))
@@ -224,11 +255,11 @@ class TestPositivity:
         grid = GridSpec(4, 4, 0.0, 1.0, 0.0, 1.0)
         V = field_from_function(grid, lambda x, y: np.full_like(x, 0.1), fn_p=lambda x, y: 0.1)
         for comp, name in ((0, "density"), (3, "pressure")):
-            slopes = compute_slopes(V, grid, theta=1.3)
-            slopes[AXIS_X, comp, grid.ghost + 1, grid.ghost + 1] = 100.0  # trace goes negative
-            monkeypatch.setattr(rec, "compute_slopes", lambda Vf, grid, theta, s=slopes: s)
-            with pytest.raises(NonPhysicalState, match=name):
-                limited_interfaces(V, grid, 1.3)
+            slopes = slopes_along(V, grid, AXIS_X, theta=1.3)
+            slopes[comp, 2, 1] = 100.0  # cell (1, 1): its left trace goes negative
+            monkeypatch.setattr(rec, "compute_slopes", lambda Vs, h, theta, s=slopes: s)
+            with pytest.raises(NonPhysicalState, match=rf"{name} .* along x at cell \(1, 1\)"):
+                build_stage(V, grid, SolverConfig(epsilon=1.0))
 
     def test_round_off_zero_trace_rejected(self):
         # theta = 2 next to a 17-decade drop: the cell of average 1 gets the
@@ -239,5 +270,21 @@ class TestPositivity:
         V.rho[grid.interior] = np.array([9.0, 5.0, 1.0, 1e-17, 1e-17])[:, None]
         V.p[grid.interior] = 1.0
         fill_ghosts(V, grid)
-        with pytest.raises(NonPhysicalState, match="density"):
-            limited_interfaces(V, grid, 2.0)
+        with pytest.raises(NonPhysicalState, match=r"density .* along x at cell \(2, 0\)"):
+            build_stage(V, grid, SolverConfig(epsilon=1.0, theta=2.0))
+
+    @pytest.mark.parametrize("strip", [1, 32])
+    def test_failure_names_the_grid_cell_in_any_strip(self, monkeypatch, strip):
+        # the drop above, along y in the middle column only: the strip of
+        # width 1 that holds it starts at x index 1
+        import allmach.integrator as integrator
+
+        monkeypatch.setattr(integrator, "STRIP", strip)
+        grid = GridSpec(3, 5, 0.0, 3.0, 0.0, 5.0, bc_x="outflow", bc_y="outflow")
+        V = PrimitiveField.zeros(grid)
+        V.rho[grid.interior] = 1.0
+        V.rho[grid.interior][1] = [9.0, 5.0, 1.0, 1e-17, 1e-17]
+        V.p[grid.interior] = 1.0
+        fill_ghosts(V, grid)
+        with pytest.raises(NonPhysicalState, match=r"density .* along y at cell \(1, 2\)"):
+            build_stage(V, grid, SolverConfig(epsilon=1.0, theta=2.0))

@@ -14,11 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from allmach.benchmarks import CASES
-from allmach.conservative import assemble_conservative_rhs
 from allmach.grid import OUTFLOW, PERIODIC, GridSpec, fill_ghosts
-from allmach.integrator import DualState, si_dec_step
-from allmach.nonstiff import assemble_nonstiff, split_scalars
-from allmach.reconstruction import limited_interfaces
+from allmach.integrator import DualState, build_stage, si_dec_step
 from allmach.state import PrimitiveField, SolverConfig
 
 PRIMITIVE = ("rho", "u", "v", "p")
@@ -94,13 +91,10 @@ def test_explicit_operators_commute_with_transposition(nx, extra, lengths, bc_x,
     VT = transposed_field(V, grid)
     cfg = SolverConfig(epsilon=eps, gamma=1.4)
 
-    traces = limited_interfaces(V, grid, cfg.theta)
-    tracesT = limited_interfaces(VT, gridT, cfg.theta)
+    stage, stageT = build_stage(V, grid, cfg), build_stage(VT, gridT, cfg)
 
-    R = assemble_nonstiff(V, grid, cfg, split_scalars(V, grid, eps), traces)
-    RT = assemble_nonstiff(VT, gridT, cfg, split_scalars(VT, gridT, eps), tracesT)
+    R, RT = stage.nonstiff, stageT.nonstiff
     assert np.abs(swap_stack(R) - RT).max() <= 1e-14 * np.abs(R).max()
 
-    D = assemble_conservative_rhs(grid, cfg, traces)
-    DT = assemble_conservative_rhs(gridT, cfg, tracesT)
+    D, DT = stage.cons_rhs, stageT.cons_rhs
     assert np.abs(swap_stack(D) - DT).max() <= 1e-14 * np.abs(D).max()
