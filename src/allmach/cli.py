@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 failed diagnostic probe, 2 non-physical state,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -32,7 +33,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    values = [float(tok) for tok in text.split(",") if tok.strip()]
+    if not all(map(math.isfinite, values)):
+        raise ValueError("non-finite value")
+    return values
 
 
 def int_list(text: str) -> list[int]:

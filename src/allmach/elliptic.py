@@ -36,9 +36,6 @@ from .state import PrimitiveField, SolverConfig
 from .nonstiff import SplitScalars
 from .stiff import discrete_divergence, stiff_coefficients
 
-U_COMP, V_COMP, P_COMP = 1, 2, 3
-
-
 @dataclass
 class HelmholtzSystem:
     """One assembled pressure system; boundary kind comes from the grid."""
@@ -58,43 +55,23 @@ def compact_laplacian(p: np.ndarray, grid: GridSpec) -> np.ndarray:
     )
 
 
-def operator_divergence(op: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Discrete divergence of the velocity components of an operator field.
-
-    Operator fields are interior-only, so the components are extended into
-    the ghost layers by the grid's boundary rule first (exact wrap for
-    periodic, zeroth-order extrapolation for outflow).
-    """
-    return discrete_divergence(padded(op[U_COMP], grid), padded(op[V_COMP], grid), grid)
-
-
 def pressure_system(
-    Vn: PrimitiveField,
-    brackets: tuple[np.ndarray, ...],
+    Vstar: PrimitiveField,
     scalars: SplitScalars,
     dt: float,
     cfg: SolverConfig,
     grid: GridSpec,
 ) -> HelmholtzSystem:
-    """Pressure system of one semi-implicit stage.
+    """Pressure system of a stage from its ghost-filled explicit prediction.
 
-    The stage subtracts dt * E from ``Vn`` for every bracket E, then
-    dt * grad p / (eps^2 rho_max) from the velocity and
-    dt * gamma p_min * div u from the pressure.  Substituting the divergence
-    of the new velocity into the pressure update eliminates that velocity:
-    each bracket enters the right-hand side once through its pressure
-    component and once, with a plus, through the divergence of its velocity
-    components.  ``scalars`` are the extrema of the stage that freezes the
-    linearization.
+    Substituting the velocity update u = u* - dt * grad_h p / (eps^2 rho_max)
+    into the pressure update p = p* - dt * gamma p_min * div_h u, with the
+    compact Laplacian in place of div_h grad_h, gives the system for p.
+    ``scalars`` are the extrema of the stage that freezes the linearization.
     """
     eps2_rhomax, gp = stiff_coefficients(scalars, cfg)
     sigma = dt**2 * gp / eps2_rhomax
-    rhs = Vn.p[grid.interior].copy()
-    for E in brackets:
-        rhs -= dt * E[P_COMP]
-    rhs -= dt * gp * discrete_divergence(Vn.u, Vn.v, grid)
-    for E in brackets:
-        rhs += dt**2 * gp * operator_divergence(E, grid)
+    rhs = Vstar.p[grid.interior] - dt * gp * discrete_divergence(Vstar.u, Vstar.v, grid)
     return HelmholtzSystem(sigma, rhs, grid)
 
 

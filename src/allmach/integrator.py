@@ -1,14 +1,14 @@
 """Two-stage semi-implicit time integrator for the dual-state solver.
 
 One step advances the primitive and conservative solution copies together.
-Every stage is the same procedure, ``_stage``: from the old state, subtract
-dt times the explicit operator brackets, solve the pressure system built from
-them, push the velocities by the new pressure gradient, advance the
-conservative copy by dt times its rate, and blend the primitive copy with the
-conservative one.  The predictor applies it once with the old stage's
-explicit operator; with order=2 the corrector applies it again with the
-trapezoidal mean of the old and predictor operators plus the half difference
-of the matched stiff operators, and the predictor stage's extrema.
+Every stage is the same procedure, ``_stage``: from the old state, form the
+explicit prediction V* = V - dt * E, solve the pressure system of V*, push
+the velocities by the new pressure gradient, advance the conservative copy by
+dt times its rate, and blend the primitive copy with the conservative one.
+The predictor applies it with E the old stage's nonstiff operator; with
+order=2 the corrector applies it again with E the trapezoidal mean of the old
+and predictor nonstiff operators plus the half difference of the matched stiff
+operators, and the predictor stage's extrema.
 
 The blend weight depends only on the Mach number: at high Mach the
 conservative (shock correct) branch wins, at low Mach the pressure-robust
@@ -194,26 +194,23 @@ def post_process(
 
 def _stage(
     state: DualState,
-    brackets: tuple[np.ndarray, ...],
+    E: np.ndarray,
     cons_rate: np.ndarray,
     scalars: SplitScalars,
     dt: float,
     grid: GridSpec,
     cfg: SolverConfig,
 ) -> tuple[DualState, float]:
-    """One semi-implicit stage from ``state``; returns the blended new state
-    and the pressure solve's residual.
-
-    ``brackets`` are the interior operator fields that advance the primitive
-    copy explicitly, ``cons_rate`` the conservative copy's rate, and
-    ``scalars`` the extrema that freeze the stiff coefficients.
+    """One semi-implicit stage from ``state`` with the primitive copy's
+    explicit operator ``E`` and the conservative copy's rate ``cons_rate``;
+    returns the blended new state and the pressure solve's residual.
+    ``scalars`` are the extrema that freeze the stiff coefficients.
     """
     core = grid.interior
-    p, _, residual = solve_helmholtz(pressure_system(state.V, brackets, scalars, dt, cfg, grid))
-
     V = PrimitiveField(state.V.array.copy())
-    for E in brackets:
-        V.array[core] -= dt * E
+    V.array[core] -= dt * E
+    fill_ghosts(V, grid)
+    p, _, residual = solve_helmholtz(pressure_system(V, scalars, dt, cfg, grid))
     V.p[core] = p
     eps2_rhomax, _ = stiff_coefficients(scalars, cfg)
     push = dt * (1.0 / eps2_rhomax)
@@ -243,18 +240,16 @@ def si_dec_step(
     stage_n = build_stage(state.V, grid, cfg)
     if dt is None:
         dt = compute_dt(state.V, stage_n.scalars, grid, cfg)
-    new, res = _stage(
-        state, (stage_n.nonstiff,), stage_n.cons_rhs, stage_n.scalars, dt, grid, cfg
-    )
+    new, res = _stage(state, stage_n.nonstiff, stage_n.cons_rhs, stage_n.scalars, dt, grid, cfg)
     residuals = (res,)
 
     if cfg.order == 2:
         stage_s = build_stage(new.V, grid, cfg)
         L_nn = assemble_stiff(stage_n.scalars, cfg, state.V, grid)
         L_ss = assemble_stiff(stage_s.scalars, cfg, new.V, grid)
-        brackets = (0.5 * (stage_n.nonstiff + stage_s.nonstiff), 0.5 * (L_nn - L_ss))
+        E = 0.5 * (stage_n.nonstiff + stage_s.nonstiff) + 0.5 * (L_nn - L_ss)
         cons_rate = 0.5 * (stage_n.cons_rhs + stage_s.cons_rhs)
-        new, res = _stage(state, brackets, cons_rate, stage_s.scalars, dt, grid, cfg)
+        new, res = _stage(state, E, cons_rate, stage_s.scalars, dt, grid, cfg)
         residuals += (res,)
 
     V, core = new.V, grid.interior
@@ -288,6 +283,8 @@ def run(
     failure that ends the run is re-raised as the same exception type,
     prefixed with the step index and its start time.
     """
+    if not math.isfinite(t_final):
+        raise ValueError(f"t_final must be finite, got {t_final}")
     if t_final < state.t:
         raise ValueError("t_final precedes the current time")
     report = RunReport() if report is None else report

@@ -15,6 +15,7 @@ where eps is the reference Mach number.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -44,12 +45,14 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in (0, 1]")
-        if self.gamma <= 1.0:
-            raise ValueError("gamma must exceed 1")
-        if self.k_cfl <= 0.0:
-            raise ValueError("k_cfl must be positive")
-        if self.dt_override is not None and (self.dt_override[0] < 0 or self.dt_override[1] <= 0.0):
-            raise ValueError("dt_override needs a non-negative count and a positive step")
+        if not 1.0 < self.gamma < math.inf:
+            raise ValueError("gamma must exceed 1 and be finite")
+        if not 0.0 < self.k_cfl < math.inf:
+            raise ValueError("k_cfl must be positive and finite")
+        if self.dt_override is not None and not (
+            self.dt_override[0] >= 0 and 0.0 < self.dt_override[1] < math.inf
+        ):
+            raise ValueError("dt_override needs a non-negative count and a positive finite step")
         if not 1.0 <= self.theta <= 2.0:
             raise ValueError("theta must lie in [1, 2]")
         if self.order not in (1, 2):
@@ -81,11 +84,24 @@ def _component(index: int) -> property:
     return property(lambda fld: fld.array[index], write)
 
 
+def _at_cell(what: str, values: np.ndarray, flat: int) -> NonPhysicalState:
+    """The error naming interior cell ``flat`` of ``values`` and its value."""
+    i, j = np.unravel_index(flat, values.shape)
+    return NonPhysicalState(f"{what} at cell ({i}, {j}): {values[i, j]:.6g}")
+
+
+def _check_positive(what: str, values: np.ndarray) -> None:
+    """Raise naming the lowest interior cell unless every value is positive."""
+    if (values <= 0.0).any():
+        raise _at_cell(f"non-positive {what}", values, np.argmin(values))
+
+
 def _check_finite(fld: _Field, names, grid: GridSpec) -> None:
-    finite = np.isfinite(fld.array[grid.interior]).all(axis=(1, 2))
-    for name, ok in zip(names, finite):
-        if not ok:
-            raise NonPhysicalState(f"non-finite {name}")
+    values = fld.array[grid.interior]
+    finite = np.isfinite(values)
+    if not finite.all():
+        c = int(np.argmin(finite.all(axis=(1, 2))))  # the first component with one
+        raise _at_cell(f"non-finite {names[c]}", values[c], np.argmin(finite[c]))
 
 
 class PrimitiveField(_Field):
@@ -94,14 +110,12 @@ class PrimitiveField(_Field):
     rho, u, v, p = (_component(i) for i in range(4))
 
     def validate(self, grid: GridSpec) -> "PrimitiveField":
-        """Raise NonPhysicalState unless interior cells are finite with
-        positive density and pressure."""
+        """Raise NonPhysicalState, naming the failing interior cell, unless
+        interior cells are finite with positive density and pressure."""
         core = grid.interior
         _check_finite(self, ("rho", "u", "v", "p"), grid)
-        if (self.rho[core] <= 0.0).any():
-            raise NonPhysicalState("non-positive density")
-        if (self.p[core] <= 0.0).any():
-            raise NonPhysicalState("non-positive pressure")
+        _check_positive("density", self.rho[core])
+        _check_positive("pressure", self.p[core])
         return self
 
 
@@ -114,11 +128,9 @@ class ConservativeField(_Field):
         core = grid.interior
         _check_finite(self, ("rho", "mx", "my", "E"), grid)
         rho = self.rho[core]
-        if (rho <= 0.0).any():
-            raise NonPhysicalState("non-positive density")
+        _check_positive("density", rho)
         kinetic = 0.5 * cfg.epsilon**2 * (self.mx[core] ** 2 + self.my[core] ** 2) / rho
-        if (self.E[core] - kinetic <= 0.0).any():
-            raise NonPhysicalState("non-positive internal energy")
+        _check_positive("internal energy", self.E[core] - kinetic)
         return self
 
 

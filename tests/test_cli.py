@@ -151,7 +151,7 @@ def test_snapshot_series_golden(tmp_path, capsys):
         digest.update(p.name.encode())
         digest.update(p.read_bytes())
     assert digest.hexdigest() == (
-        "4c6322b787b20d81bbbf58b9282da68ef10444eba5e9dce826bb3b4bea1ad1ed"
+        "49a8a0cccb7e24cbeb4ebca275b412e86552ebd31bceb3795e1d0dc442c69ff7"
     )
 
 
@@ -265,12 +265,17 @@ def test_empty_snap_times_write_only_the_final_file(tmp_path):
 
 
 def test_final_time_before_the_start_is_config_error(tmp_path, capsys):
-    code = cli.main([
-        "run", "--case", "gresho", "--nx", "8", "--t-final", "-1", "--out-dir", str(tmp_path),
-    ])
-    assert code == 4
-    assert "t_final precedes the current time" in capsys.readouterr().err
-    assert list(tmp_path.glob("*.dat")) == []
+    for t_final, message in (
+        ("-1", "t_final precedes the current time"),
+        ("nan", "t_final must be finite"),
+        ("inf", "t_final must be finite"),
+    ):
+        code = cli.main([
+            "run", "--case", "gresho", "--nx", "8", "--t-final", t_final, "--out-dir", str(tmp_path),
+        ])
+        assert code == 4, t_final
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.glob("*.dat")) == []
 
 
 def test_nonphysical_state_maps_to_exit_2(monkeypatch, capsys):
@@ -303,11 +308,32 @@ def test_blowup_run_exits_with_failure_code(tmp_path, capsys):
     assert "step 0, t=0: " in capsys.readouterr().err
 
 
-def test_negative_cfl_is_config_error(capsys):
-    # a non-positive CFL number must not reach the stepper (0 never advances)
-    code = cli.main(["run", "--case", "gresho", "--nx", "8", "--t-final", "0.01", "--cfl", "-0.5"])
+def test_negative_cfl_is_config_error(tmp_path, capsys):
+    # a non-positive or non-finite CFL number must not reach the stepper (0
+    # never advances, nan and inf give a non-finite step)
+    for cfl in ("-0.5", "nan", "inf"):
+        code = cli.main([
+            "run", "--case", "gresho", "--nx", "8", "--t-final", "0.01", "--cfl", cfl,
+            "--out-dir", str(tmp_path),
+        ])
+        assert code == 4, cfl
+        assert "k_cfl must be positive" in capsys.readouterr().err
+        assert list(tmp_path.glob("*.dat")) == []
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--snap-times", "0.005,nan", "invalid float_list value"),
+    ("--dt-override", "2:nan", "positive finite step"),
+    ("--dt-override", "2:inf", "positive finite step"),
+])
+def test_non_finite_run_input_is_config_error(tmp_path, capsys, flag, value, message):
+    code = cli.main([
+        "run", "--case", "gresho", "--nx", "8", "--t-final", "0.01", flag, value,
+        "--out-dir", str(tmp_path),
+    ])
     assert code == 4
-    assert "k_cfl must be positive" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.glob("*.dat")) == []
 
 
 def test_convergence_config_error_exits_4(capsys):

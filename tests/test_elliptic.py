@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from allmach.elliptic import (
     HelmholtzSystem,
@@ -8,9 +10,11 @@ from allmach.elliptic import (
     solve_helmholtz,
 )
 from allmach.errors import NoConvergence
-from allmach.grid import GridSpec, fill_ghost_array, fill_ghosts
+from allmach.grid import OUTFLOW, PERIODIC, GridSpec, fill_ghost_array, fill_ghosts
+from allmach.grid import padded as padded_copy
 from allmach.nonstiff import SplitScalars
 from allmach.state import PrimitiveField, SolverConfig
+from allmach.stiff import discrete_divergence
 
 
 def padded(grid, fn):
@@ -51,13 +55,23 @@ class TestCompactLaplacian:
         assert 3.5 <= errors[0] / errors[1] <= 4.5
 
 
+def random_state(grid, rng):
+    """Ghost-filled state with positive density and pressure."""
+    V = PrimitiveField(np.stack((
+        0.5 + rng.random(grid.shape),
+        rng.standard_normal(grid.shape),
+        rng.standard_normal(grid.shape),
+        0.5 + rng.random(grid.shape),
+    )))
+    return fill_ghosts(V, grid)
+
+
 class TestPredictorSystem:
     def test_constant_static_state_fixed_point(self):
         grid = GridSpec(8, 8, 0.0, 1.0, 0.0, 1.0)
         cfg = SolverConfig(epsilon=0.2, gamma=1.4)
         V = uniform_state(grid, p=2.5)
-        R = np.zeros((4, 8, 8))
-        sys = pressure_system(V, (R,), SplitScalars(1.0016, 2.4984), 0.01, cfg, grid)
+        sys = pressure_system(V, SplitScalars(1.0016, 2.4984), 0.01, cfg, grid)
         assert np.allclose(sys.rhs, 2.5, rtol=1e-14)
         q, _, _ = solve_helmholtz(sys)
         assert np.allclose(q, 2.5, rtol=1e-13)
@@ -67,33 +81,25 @@ class TestPredictorSystem:
         grid = GridSpec(8, 8, 0.0, 1.0, 0.0, 1.0)
         cfg = SolverConfig(epsilon=0.1, gamma=1.4)
         V = uniform_state(grid)
-        R = np.zeros((4, 8, 8))
-        sys = pressure_system(V, (R,), SplitScalars(2.0, 1.0), 0.01, cfg, grid)
+        sys = pressure_system(V, SplitScalars(2.0, 1.0), 0.01, cfg, grid)
         expected = 0.01**2 * 1.4 * 1.0 / (0.1**2 * 2.0)
         assert expected == pytest.approx(7e-3, rel=1e-12)
         assert sys.sigma == pytest.approx(expected, rel=1e-14)
 
     def test_rhs_polynomial_in_dt(self):
-        # rhs(dt) = p + a dt + b dt^2 with frozen fields; pin via three samples
+        # affine in dt for a fixed prediction: rhs(dt) = p* + a dt; pin via two samples
         rng = np.random.default_rng(6)
         grid = GridSpec(8, 8, 0.0, 1.0, 0.0, 1.0)
         cfg = SolverConfig(epsilon=0.5, gamma=1.4)
-        V = PrimitiveField(np.stack((
-            0.5 + rng.random(grid.shape),
-            rng.standard_normal(grid.shape),
-            rng.standard_normal(grid.shape),
-            0.5 + rng.random(grid.shape),
-        )))
-        fill_ghosts(V, grid)
-        R = rng.standard_normal((4, 8, 8))
+        V = random_state(grid, rng)
         s = SplitScalars(3.0, 0.1)
-        r1 = pressure_system(V, (R,), s, 0.01, cfg, grid).rhs
-        r2 = pressure_system(V, (R,), s, 0.02, cfg, grid).rhs
-        r3 = pressure_system(V, (R,), s, 0.03, cfg, grid).rhs
+        r1 = pressure_system(V, s, 0.01, cfg, grid).rhs
+        r2 = pressure_system(V, s, 0.02, cfg, grid).rhs
+        r3 = pressure_system(V, s, 0.03, cfg, grid).rhs
         p0 = V.p[grid.interior]
-        a = (4.0 * (r1 - p0) - (r2 - p0)) / 0.02  # eliminate the quadratic part
-        b = ((r2 - p0) - 2.0 * (r1 - p0)) / (2.0 * 0.01**2)
-        assert np.allclose(p0 + 0.03 * a + 0.03**2 * b, r3, rtol=1e-9, atol=1e-12)
+        a = (r2 - r1) / 0.01
+        assert np.allclose(2.0 * r1 - r2, p0, rtol=1e-12, atol=1e-12)
+        assert np.allclose(p0 + 0.03 * a, r3, rtol=1e-9, atol=1e-12)
 
 
 class TestCorrectorSystem:
@@ -101,41 +107,61 @@ class TestCorrectorSystem:
         grid = GridSpec(8, 8, 0.0, 1.0, 0.0, 1.0)
         cfg = SolverConfig(epsilon=0.2, gamma=1.4)
         V = uniform_state(grid, p=1.7)
-        zero = np.zeros((4, 8, 8))
         s = SplitScalars(1.0, 1.69)
-        sys = pressure_system(V, (0.5 * (zero + zero), 0.5 * (zero - zero)), s, 0.02, cfg, grid)
-        q, _, _ = solve_helmholtz(sys)
+        q, _, _ = solve_helmholtz(pressure_system(V, s, 0.02, cfg, grid))
         assert np.allclose(q, 1.7, rtol=1e-13)
-
-    def test_stage_equality_collapses_to_predictor(self):
-        # identical predictor stage: the stiff bracket cancels and the system
-        # equals the predictor one built with the same scalars
-        rng = np.random.default_rng(12)
-        grid = GridSpec(8, 8, 0.0, 1.0, 0.0, 1.0)
-        cfg = SolverConfig(epsilon=0.5, gamma=1.4)
-        V = PrimitiveField(np.stack((
-            0.5 + rng.random(grid.shape),
-            rng.standard_normal(grid.shape),
-            rng.standard_normal(grid.shape),
-            0.5 + rng.random(grid.shape),
-        )))
-        fill_ghosts(V, grid)
-        R = rng.standard_normal((4, 8, 8))
-        L = rng.standard_normal((4, 8, 8))
-        s = SplitScalars(2.5, 0.3)
-        sys2 = pressure_system(V, (0.5 * (R + R), 0.5 * (L - L)), s, 0.015, cfg, grid)
-        sys1 = pressure_system(V, (R,), s, 0.015, cfg, grid)
-        assert sys2.sigma == pytest.approx(sys1.sigma, rel=1e-14)
-        assert np.allclose(sys2.rhs, sys1.rhs, rtol=1e-12, atol=1e-13)
 
     def test_shift_uses_predictor_stage_scalars(self):
         grid = GridSpec(8, 8, 0.0, 1.0, 0.0, 1.0)
         cfg = SolverConfig(epsilon=0.5, gamma=1.4)
         V = uniform_state(grid)
-        zero = np.zeros((4, 8, 8))
         s_star = SplitScalars(3.0, 0.7)
-        sys = pressure_system(V, (0.5 * (zero + zero), 0.5 * (zero - zero)), s_star, 0.02, cfg, grid)
+        sys = pressure_system(V, s_star, 0.02, cfg, grid)
         assert sys.sigma == pytest.approx(0.02**2 * 1.4 * 0.7 / (0.25 * 3.0), rel=1e-14)
+
+
+def bracket_system(Vn, brackets, scalars, dt, cfg, grid):
+    """The system written with the explicit brackets E kept apart from Vn:
+    each enters through its pressure component and, with a plus, through
+    the divergence of its ghost-padded velocity components."""
+    gp = cfg.gamma * scalars.p_min
+    sigma = dt**2 * gp / (cfg.epsilon**2 * scalars.rho_max)
+    rhs = Vn.p[grid.interior].copy()
+    for E in brackets:
+        rhs -= dt * E[3]
+    rhs -= dt * gp * discrete_divergence(Vn.u, Vn.v, grid)
+    for E in brackets:
+        rhs += dt**2 * gp * discrete_divergence(padded_copy(E[1], grid), padded_copy(E[2], grid), grid)
+    return sigma, rhs
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    nx=st.integers(3, 20),
+    ny=st.integers(3, 20),
+    bcs=st.tuples(st.sampled_from((PERIODIC, OUTFLOW)), st.sampled_from((PERIODIC, OUTFLOW))),
+    n_brackets=st.integers(1, 2),
+    eps=st.floats(0.01, 1.0),
+    dt=st.floats(1e-4, 0.1),
+    rho_max=st.floats(0.5, 4.0),
+    p_min=st.floats(0.05, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_prediction_system_matches_bracket_form(nx, ny, bcs, n_brackets, eps, dt, rho_max, p_min, seed):
+    # Ghost filling is linear under both boundary rules, so the system of
+    # the ghost-filled prediction Vn - dt * sum(E) is the bracket form.
+    grid = GridSpec(nx, ny, 0.0, 1.0, 0.0, 1.7, bc_x=bcs[0], bc_y=bcs[1])
+    cfg = SolverConfig(epsilon=eps)
+    rng = np.random.default_rng(seed)
+    Vn = random_state(grid, rng)
+    brackets = [rng.standard_normal((4, nx, ny)) for _ in range(n_brackets)]
+    scalars = SplitScalars(rho_max, p_min)
+    Vstar = Vn.copy()
+    Vstar.array[grid.interior] -= dt * sum(brackets)
+    sys = pressure_system(fill_ghosts(Vstar, grid), scalars, dt, cfg, grid)
+    sigma, rhs = bracket_system(Vn, brackets, scalars, dt, cfg, grid)
+    assert sys.sigma == sigma
+    assert np.abs(sys.rhs - rhs).max() <= 1e-12 * np.abs(rhs).max()
 
 
 class TestHelmholtzSolver:

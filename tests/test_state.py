@@ -146,6 +146,12 @@ class TestConfig:
             {"epsilon": 0.5, "dt_override": (-1, 1e-3)},
             {"epsilon": 0.5, "dt_override": (3, 0.0)},
             {"epsilon": 0.5, "dt_override": (3, -1e-3)},
+            {"epsilon": 0.5, "gamma": np.nan},
+            {"epsilon": 0.5, "gamma": np.inf},
+            {"epsilon": 0.5, "k_cfl": np.nan},
+            {"epsilon": 0.5, "k_cfl": np.inf},
+            {"epsilon": 0.5, "dt_override": (3, np.nan)},
+            {"epsilon": 0.5, "dt_override": (3, np.inf)},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
@@ -157,7 +163,7 @@ class TestValidation:
     def test_negative_pressure_detected(self, grid):
         V = uniform_primitive(grid, 1.0, 0.0, 0.0, 1.0)
         V.p[grid.ghost + 1, grid.ghost + 1] = -0.1
-        with pytest.raises(NonPhysicalState):
+        with pytest.raises(NonPhysicalState, match=r"non-positive pressure at cell \(1, 1\): -0\.1$"):
             V.validate(grid)
 
     def test_ghost_values_not_validated(self, grid):
@@ -167,8 +173,8 @@ class TestValidation:
 
     def test_nan_detected(self, grid):
         V = uniform_primitive(grid, 1.0, 0.0, 0.0, 1.0)
-        V.u[grid.ghost, grid.ghost] = np.nan
-        with pytest.raises(NonPhysicalState):
+        V.u[grid.ghost + 2, grid.ghost] = np.nan
+        with pytest.raises(NonPhysicalState, match=r"non-finite u at cell \(2, 0\): nan$"):
             V.validate(grid)
 
 
@@ -187,15 +193,15 @@ class TestConservativeValidation:
 
     def test_non_positive_density_rejected(self, grid, cfg, U):
         U.rho[grid.ghost + 1, grid.ghost + 2] = 0.0
-        with pytest.raises(NonPhysicalState, match="non-positive density"):
+        with pytest.raises(NonPhysicalState, match=r"non-positive density at cell \(1, 2\): 0$"):
             U.validate(grid, cfg)
 
     def test_non_positive_internal_energy_rejected(self, grid, cfg, U):
         U.E[grid.ghost + 2, grid.ghost + 1] = 0.2  # below the kinetic energy
-        with pytest.raises(NonPhysicalState, match="non-positive internal energy"):
+        with pytest.raises(NonPhysicalState, match=r"non-positive internal energy at cell \(2, 1\): -0\.05$"):
             U.validate(grid, cfg)
 
     def test_non_finite_momentum_rejected(self, grid, cfg, U):
         U.mx[grid.ghost, grid.ghost + 3] = np.inf
-        with pytest.raises(NonPhysicalState, match="non-finite mx"):
+        with pytest.raises(NonPhysicalState, match=r"non-finite mx at cell \(0, 3\): inf$"):
             U.validate(grid, cfg)
