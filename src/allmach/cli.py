@@ -135,14 +135,13 @@ def cmd_run(ns) -> int:
             raise ConfigError(f"snapshot times {t0} and {t1} both map to {name1}")
 
     out_path = Path(ns.out_dir) if ns.out_dir else None
-    if out_path:
-        out_path.mkdir(parents=True, exist_ok=True)
     report = RunReport()
     for t, name in named:
         # run returns at once for a time at the start, and rejects a t_end
-        # before it
+        # before it or not finite; a rejected run makes no directory
         state, _ = run(state, grid, cfg, t, report=report)
         if out_path:
+            out_path.mkdir(parents=True, exist_ok=True)
             snapshot_write(state, grid, cfg, out_path / name)
     summary = (
         f"{case.name}: {report.steps} steps ({report.rejections} rejected) to t={state.t:.6g} "

@@ -181,15 +181,20 @@ def post_process(
     first.  At vanishing Mach numbers the weight rounds to exactly 1 and U
     is left unchecked: it is still advanced (its fluxes come from V, so it
     stays finite and conservative) but its positivity cannot be maintained
-    against the 1/eps^2 flux amplification.  U itself is never modified.
+    against the 1/eps^2 flux amplification.
+
+    Neither input is modified.  Below weight 1 the result is a new field:
+    the blend scales the transform of U in place, then adds s * V_raw.
+    At weight 1 the result is V_raw itself.
     """
     s = switching_weight(cfg.epsilon)
     if s == 1.0:
         return V_raw
-    from_U = cons_to_prim(U.validate(grid, cfg), cfg)
-    if s == 0.0:
-        return from_U
-    return PrimitiveField((1.0 - s) * from_U.array + s * V_raw.array)
+    out = cons_to_prim(U.validate(grid, cfg), cfg)
+    if s != 0.0:
+        out.array *= 1.0 - s
+        out.array += s * V_raw.array
+    return out
 
 
 def _stage(
@@ -217,6 +222,7 @@ def _stage(
     gx, gy = central_gradient(padded(p, grid), grid)
     V.u[core] -= push * gx
     V.v[core] -= push * gy
+    del p, gx, gy  # freed before U's copy and the blend
 
     U = ConservativeField(state.U.array.copy())
     U.array[core] += dt * cons_rate
@@ -234,6 +240,13 @@ def si_dec_step(
 ) -> tuple[DualState, StepReport]:
     """Advance both solution copies by one step.
 
+    With order=2 the corrector starts from ``state`` again, so of the
+    predictor it needs only E and the conservative rate.  Both are formed
+    in the first stage's operator buffers, and those two arrays and
+    ``state`` are all that live into the corrector's ``_stage``: the
+    predicted V and U, the second stage's operators and the stiff
+    difference are freed first.
+
     Propagates NonPhysicalState and NoConvergence; the state is untouched on
     failure.
     """
@@ -244,12 +257,25 @@ def si_dec_step(
     residuals = (res,)
 
     if cfg.order == 2:
-        stage_s = build_stage(new.V, grid, cfg)
-        L_nn = assemble_stiff(stage_n.scalars, cfg, state.V, grid)
-        L_ss = assemble_stiff(stage_s.scalars, cfg, new.V, grid)
-        E = 0.5 * (stage_n.nonstiff + stage_s.nonstiff) + 0.5 * (L_nn - L_ss)
-        cons_rate = 0.5 * (stage_n.cons_rhs + stage_s.cons_rhs)
-        new, res = _stage(state, E, cons_rate, stage_s.scalars, dt, grid, cfg)
+        V_s = new.V
+        del new  # the predictor's U is dead: the corrector starts from state
+        stage_s = build_stage(V_s, grid, cfg)
+        # E = 0.5*(N_n + N_s) + 0.5*(L_nn - L_ss) and the trapezoidal
+        # conservative rate, formed in the first stage's buffers
+        E = stage_n.nonstiff
+        E += stage_s.nonstiff
+        E *= 0.5
+        cons_rate = stage_n.cons_rhs
+        cons_rate += stage_s.cons_rhs
+        cons_rate *= 0.5
+        scalars = stage_s.scalars
+        del stage_s
+        L = assemble_stiff(stage_n.scalars, cfg, state.V, grid)
+        L -= assemble_stiff(scalars, cfg, V_s, grid)
+        del V_s
+        E += 0.5 * L
+        del L
+        new, res = _stage(state, E, cons_rate, scalars, dt, grid, cfg)
         residuals += (res,)
 
     V, core = new.V, grid.interior

@@ -29,25 +29,21 @@ def _fmt(value) -> str:
 
 
 def snapshot_rows(state: DualState, grid: GridSpec, cfg: SolverConfig) -> np.ndarray:
-    """Cell table in file order, shape (nx*ny, 14)."""
+    """Cell table in file order, shape (nx*ny, 14), filled column by column
+    in one (ny, nx, 14) array: k-major, so cell (j, k) is row k*nx + j."""
     core = grid.interior
     X, Y = grid.cell_centers()
     nx, ny = grid.nx, grid.ny
-
-    def flat(a: np.ndarray) -> np.ndarray:
-        return a.T.ravel()  # k-major
-
-    cols = [
-        np.tile(np.arange(nx), ny),
-        np.repeat(np.arange(ny), nx),
-        flat(X),
-        flat(Y),
-    ]
-    cols += [flat(a[core]) for a in state.V.components()]
-    cols += [flat(a[core]) for a in state.U.components()]
-    cols.append(flat(local_mach(state.V, cfg.gamma, grid)))
-    cols.append(flat(vorticity(state.V, grid)))
-    return np.column_stack(cols)
+    table = np.empty((ny, nx, 14))
+    table[..., 0] = np.arange(nx)
+    table[..., 1] = np.arange(ny)[:, None]
+    table[..., 2] = X.T
+    table[..., 3] = Y.T
+    table[..., 4:8] = state.V.array[core].T
+    table[..., 8:12] = state.U.array[core].T
+    table[..., 12] = local_mach(state.V, cfg.gamma, grid).T
+    table[..., 13] = vorticity(state.V, grid).T
+    return table.reshape(nx * ny, 14)
 
 
 def snapshot_header(state: DualState, grid: GridSpec, cfg: SolverConfig) -> dict:

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,9 +157,15 @@ class TestPostProcess:
         cfg = SolverConfig(epsilon=0.3, gamma=1.4)
         V_raw, U = self.make_pair(grid, cfg)
         before = [a.copy() for a in U.components()]
-        post_process(V_raw, U, grid, cfg)
+        V_before = V_raw.array.copy()
+        out = post_process(V_raw, U, grid, cfg)
         for a, b in zip(U.components(), before):
             assert np.array_equal(a, b)
+        assert V_raw.array.tobytes() == V_before.tobytes()
+        # the in-place blend keeps the two-product form's rounding
+        s = switching_weight(cfg.epsilon)
+        want = (1.0 - s) * cons_to_prim(U, cfg).array + s * V_raw.array
+        assert out.array.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("eps", [0.3, 1.0])
     def test_conservative_copy_validated_where_it_counts(self, eps):
@@ -230,6 +237,33 @@ class TestStep:
         with pytest.raises(NoConvergence):
             for _ in range(10):
                 state, _ = si_dec_step(state, grid, cfg, dt=0.5)
+
+    def test_step_holds_few_full_grid_arrays(self):
+        # tracemalloc peak of one order-2 step after a warm-up step, in state
+        # arrays: the two new solution copies, the old stage's two operators
+        # that the corrector reuses, and the transients of each stage
+        from allmach.benchmarks import CASES
+
+        case = CASES["explosion"]
+        n = 128
+        grid = case.make_grid(n, n, 0.9)
+        cfg = case.config(0.9, order=2)
+        state = DualState.from_primitive(case.initial_state(grid, 0.9), grid, cfg)
+        state, _ = si_dec_step(state, grid, cfg)
+        unit = 4 * (n + 4) ** 2 * 8
+        assert state.V.array.nbytes == unit
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            si_dec_step(state, grid, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 10 * unit, peak / unit
 
     def test_blowup_raises(self):
         # advective blow-up with a positive shift: density goes negative

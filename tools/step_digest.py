@@ -2,7 +2,9 @@
 
 Each run steps one benchmark case 20 times at its CFL step, at orders 1 and
 2, and prints one sha256 over the final V, U and t and every StepReport.  A
-refactor that keeps the arithmetic keeps every digest.
+refactor that keeps the arithmetic keeps every digest.  Next to the digest it
+prints the tracemalloc peak of the run's second step (the first one after a
+warm-up) in state arrays, the bytes of one ghost-padded four-component field.
 
     PYTHONPATH=src python tools/step_digest.py
     PYTHONPATH=src python tools/step_digest.py --save before.npz
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import tracemalloc
 
 import numpy as np
 
@@ -44,8 +47,8 @@ COMPONENTS = ("rho", "u", "v", "p")
 
 def run(name: str, eps: float, n: int, order: int, ulp: bool = False) -> dict:
     """Final V, U and t, the step reports as rows (dt, residuals..., max|div
-    u|, p fluctuation) and their digest; the initial values are raised by
-    one ulp when ``ulp``."""
+    u|, p fluctuation), their digest and the second step's memory peak in
+    state arrays; the initial values are raised by one ulp when ``ulp``."""
     case = CASES[name]
     grid = case.make_grid(n, n, eps)
     cfg = case.config(eps, order=order)
@@ -54,8 +57,16 @@ def run(name: str, eps: float, n: int, order: int, ulp: bool = False) -> dict:
         V0.array[:] = np.nextafter(V0.array, np.inf)
     state = DualState.from_primitive(V0, grid, cfg)
     rows = []
-    for _ in range(STEPS):
-        state, rep = si_dec_step(state, grid, cfg)
+    for i in range(STEPS):
+        if i == 1:
+            tracemalloc.start()
+            try:
+                state, rep = si_dec_step(state, grid, cfg)
+                peak = tracemalloc.get_traced_memory()[1] / state.V.array.nbytes
+            finally:
+                tracemalloc.stop()
+        else:
+            state, rep = si_dec_step(state, grid, cfg)
         rows.append((rep.dt, *rep.solve_residuals, rep.max_divergence, rep.pressure_fluctuation))
     out = {"V": state.V.array[grid.interior], "U": state.U.array, "t": np.array(state.t),
            "reports": np.array(rows)}
@@ -63,6 +74,7 @@ def run(name: str, eps: float, n: int, order: int, ulp: bool = False) -> dict:
     for key in ("reports", "V", "U", "t"):
         h.update(out[key].tobytes())
     out["digest"] = np.array(h.hexdigest())
+    out["step_peak"] = peak
     return out
 
 
@@ -104,9 +116,10 @@ def main(argv=None) -> int:
             except (NonPhysicalState, NoConvergence) as exc:
                 print(f"{label:28s} FAILED: {exc}")
                 continue
-            print(f"{label:28s} {out['digest']}", flush=True)
+            print(f"{label:28s} {out['digest']}  step peak {out['step_peak']:5.2f} state arrays",
+                  flush=True)
             if ns.save:
-                store.update({f"{label}.{key}": a for key, a in out.items()})
+                store.update({f"{label}.{k}": a for k, a in out.items() if k != "step_peak"})
                 store[f"{label}.V_ulp"] = run(name, eps, n, order, ulp=True)["V"]
             if saved is not None and f"{label}.V" in saved:
                 worst = max(worst, compare(out, saved, label))
