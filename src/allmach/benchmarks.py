@@ -3,9 +3,8 @@
 Five standard cases: a translating Mach-scaled smooth vortex with an exact
 solution, the steady low-Mach vortex of Gresho type, a two-layer baroclinic
 flow driven by an acoustic wave, a doubly periodic double shear layer, and a
-radial explosion with outflow boundaries.  Initial cell averages come from
-midpoint evaluation of the pointwise data; exact fields can optionally be
-sampled with a 3x3 Gauss rule per cell for projection studies.
+radial explosion with outflow boundaries.  Initial and exact cell averages
+both come from midpoint evaluation of the pointwise data.
 """
 
 from __future__ import annotations
@@ -25,24 +24,12 @@ from .stiff import central_gradient
 
 PointState = Callable[[np.ndarray, np.ndarray], tuple]
 
-_GAUSS3 = ((-math.sqrt(0.6), 5.0 / 18.0), (0.0, 8.0 / 18.0), (math.sqrt(0.6), 5.0 / 18.0))
 
-
-def evaluate_field(grid: GridSpec, fn: PointState, quadrature: str = "midpoint") -> PrimitiveField:
-    """Sample a pointwise state onto interior cell averages."""
+def evaluate_field(grid: GridSpec, fn: PointState) -> PrimitiveField:
+    """Cell averages of a pointwise state by the midpoint rule, ghosts filled."""
     X, Y = grid.cell_centers()
     out = PrimitiveField.zeros(grid)
-    core = out.array[grid.interior]
-    if quadrature == "midpoint":
-        core[...] = [np.asarray(c, dtype=float) + np.zeros_like(X) for c in fn(X, Y)]
-    elif quadrature == "gauss3":
-        for ax, wx in _GAUSS3:
-            for ay, wy in _GAUSS3:
-                vals = fn(X + 0.5 * grid.dx * ax, Y + 0.5 * grid.dy * ay)
-                for a, c in zip(core, vals):
-                    a += 2.0 * wx * 2.0 * wy * 0.25 * (np.asarray(c, dtype=float) + np.zeros_like(X))
-    else:
-        raise ValueError(f"unknown quadrature {quadrature!r}")
+    out.array[grid.interior] = [np.asarray(c, dtype=float) + np.zeros_like(X) for c in fn(X, Y)]
     return fill_ghosts(out, grid)
 
 
@@ -66,12 +53,10 @@ class BenchmarkCase:
     def initial_state(self, grid: GridSpec, eps: float) -> PrimitiveField:
         return evaluate_field(grid, self.state_at(eps, 0.0))
 
-    def exact_state(
-        self, grid: GridSpec, eps: float, t: float, quadrature: str = "midpoint"
-    ) -> PrimitiveField:
+    def exact_state(self, grid: GridSpec, eps: float, t: float) -> PrimitiveField:
         if not self.has_exact:
             raise ValueError(f"case {self.name!r} has no exact solution")
-        return evaluate_field(grid, self.state_at(eps, t), quadrature)
+        return evaluate_field(grid, self.state_at(eps, t))
 
     def config(self, eps: float, **overrides) -> SolverConfig:
         kwargs = dict(epsilon=eps, gamma=self.gamma, k_cfl=self.default_cfl)

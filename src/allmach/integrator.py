@@ -68,11 +68,9 @@ class DualState:
     t: float = 0.0
 
     @classmethod
-    def from_primitive(
-        cls, Vf: PrimitiveField, grid: GridSpec, cfg: SolverConfig, t: float = 0.0
-    ) -> "DualState":
+    def from_primitive(cls, Vf: PrimitiveField, grid: GridSpec, cfg: SolverConfig) -> "DualState":
         fill_ghosts(Vf, grid).validate(grid)
-        return cls(Vf, ConservativeField(prim_to_cons(Vf.array, cfg)), t)
+        return cls(Vf, ConservativeField(prim_to_cons(Vf.array, cfg)))
 
 
 @dataclass
@@ -132,23 +130,13 @@ def build_stage(Vf: PrimitiveField, grid: GridSpec, cfg: SolverConfig) -> StageB
     return StageBuffers(scalars, R, D)
 
 
-def compute_dt(
-    Vf: PrimitiveField,
-    scalars: SplitScalars,
-    grid: GridSpec,
-    cfg: SolverConfig,
-    t_remaining: Optional[float] = None,
-) -> float:
-    """CFL time step from the split-subsystem speeds on cell averages,
-    clipped to the remaining time when given."""
+def compute_dt(Vf: PrimitiveField, scalars: SplitScalars, grid: GridSpec, cfg: SolverConfig) -> float:
+    """The CFL step alone, from the split-subsystem speeds floored at DELTA."""
     core = grid.interior
     c_mod = modified_sound_speed(Vf.rho[core], Vf.p[core], scalars, cfg.epsilon, cfg.gamma)
     sx = max(float((np.abs(Vf.u[core]) + c_mod).max()), DELTA)
     sy = max(float((np.abs(Vf.v[core]) + c_mod).max()), DELTA)
-    dt = cfg.k_cfl * min(grid.dx / sx, grid.dy / sy)
-    if t_remaining is not None:
-        dt = min(dt, t_remaining)
-    return dt
+    return cfg.k_cfl * min(grid.dx / sx, grid.dy / sy)
 
 
 def switching_weight(eps: float) -> float:
@@ -169,7 +157,7 @@ def switching_weight(eps: float) -> float:
 
 def post_process(
     V_raw: PrimitiveField,
-    U: ConservativeField,
+    U: Optional[ConservativeField],
     grid: GridSpec,
     cfg: SolverConfig,
 ) -> PrimitiveField:
@@ -185,7 +173,7 @@ def post_process(
 
     Neither input is modified.  Below weight 1 the result is a new field:
     the blend scales the transform of U in place, then adds s * V_raw.
-    At weight 1 the result is V_raw itself.
+    At weight 1 the result is V_raw itself and U is not read.
     """
     s = switching_weight(cfg.epsilon)
     if s == 1.0:
@@ -200,7 +188,7 @@ def post_process(
 def _stage(
     state: DualState,
     E: np.ndarray,
-    cons_rate: np.ndarray,
+    cons_rate: Optional[np.ndarray],
     scalars: SplitScalars,
     dt: float,
     grid: GridSpec,
@@ -210,6 +198,7 @@ def _stage(
     explicit operator ``E`` and the conservative copy's rate ``cons_rate``;
     returns the blended new state and the pressure solve's residual.
     ``scalars`` are the extrema that freeze the stiff coefficients.
+    ``cons_rate`` None leaves U out, for the order-2 predictor at weight 1.
     """
     core = grid.interior
     V = PrimitiveField(state.V.array.copy())
@@ -224,9 +213,11 @@ def _stage(
     V.v[core] -= push * gy
     del p, gx, gy  # freed before U's copy and the blend
 
-    U = ConservativeField(state.U.array.copy())
-    U.array[core] += dt * cons_rate
-    fill_ghosts(U, grid)
+    U = None
+    if cons_rate is not None:
+        U = ConservativeField(state.U.array.copy())
+        U.array[core] += dt * cons_rate
+        fill_ghosts(U, grid)
     fill_ghosts(V, grid)
     V = post_process(V, U, grid, cfg).validate(grid)
     return DualState(V, U, state.t + dt), residual
@@ -245,7 +236,7 @@ def si_dec_step(
     in the first stage's operator buffers, and those two arrays and
     ``state`` are all that live into the corrector's ``_stage``: the
     predicted V and U, the second stage's operators and the stiff
-    difference are freed first.
+    difference are freed first.  At weight 1 the predictor skips U too.
 
     Propagates NonPhysicalState and NoConvergence; the state is untouched on
     failure.
@@ -253,7 +244,8 @@ def si_dec_step(
     stage_n = build_stage(state.V, grid, cfg)
     if dt is None:
         dt = compute_dt(state.V, stage_n.scalars, grid, cfg)
-    new, res = _stage(state, stage_n.nonstiff, stage_n.cons_rhs, stage_n.scalars, dt, grid, cfg)
+    rate = stage_n.cons_rhs if cfg.order == 1 or switching_weight(cfg.epsilon) < 1.0 else None
+    new, res = _stage(state, stage_n.nonstiff, rate, stage_n.scalars, dt, grid, cfg)
     residuals = (res,)
 
     if cfg.order == 2:
@@ -295,8 +287,9 @@ def run(
     callback: Optional[Callback] = None,
     report: Optional[RunReport] = None,
 ) -> tuple[DualState, RunReport]:
-    """Step until t_final (the last step is clipped to land exactly); the
-    callback runs after every step and may return False to stop early.
+    """Step until t_final; the callback runs after every step and may return
+    False to stop early.  Every step, forced or CFL, is clipped to the time
+    left, so the last one lands on t_final exactly.
 
     Each step's StepReport is appended to ``report`` (a new RunReport unless
     given).  Runs that continue one another on one report count as one run:
@@ -316,13 +309,12 @@ def run(
     report = RunReport() if report is None else report
     rel_eps = 1e-12 * max(1.0, abs(t_final))
     while state.t < t_final - rel_eps:
-        remaining = t_final - state.t
         forced = cfg.dt_override is not None and report.steps < cfg.dt_override[0]
         if forced:
-            dt = min(cfg.dt_override[1], remaining)
+            dt = cfg.dt_override[1]
         else:
-            scalars = split_scalars(state.V, grid, cfg.epsilon)
-            dt = compute_dt(state.V, scalars, grid, cfg, remaining)
+            dt = compute_dt(state.V, split_scalars(state.V, grid, cfg.epsilon), grid, cfg)
+        dt = min(dt, t_final - state.t)
         for attempt in range(MAX_REJECTIONS + 1):
             try:
                 state, step_rep = si_dec_step(state, grid, cfg, dt)

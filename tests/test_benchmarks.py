@@ -176,21 +176,6 @@ class TestErrorMachinery:
         rates = observed_rate(np.array([4e-2]), np.array([1e-2]))
         assert rates[0] == pytest.approx(2.0, rel=1e-13)
 
-    def test_projection_rates_with_quadrature_exact_side(self):
-        # midpoint initialization vs 3x3 Gauss cell averages: pure projection
-        # error, second order
-        case = CASES["vortex"]
-        errors = []
-        for n in (32, 64, 128):
-            grid = case.make_grid(n, n, 1.0)
-            init = case.initial_state(grid, 1.0)
-            exact = case.exact_state(grid, 1.0, 0.0, quadrature="gauss3")
-            errors.append(l1_error(init, exact, grid))
-        r1 = observed_rate(errors[0], errors[1])
-        r2 = observed_rate(errors[1], errors[2])
-        for r in (r1, r2):
-            assert np.all(r >= 1.7) and np.all(r <= 2.3)
-
     def test_study_rows_and_rates(self):
         table = convergence_study(CASES["vortex"], [1.0], [16, 32], t_final=0.01)
         assert len(table.rows) == 2

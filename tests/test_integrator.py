@@ -59,7 +59,7 @@ class TestTimeStep:
         assert expected == pytest.approx(0.011875, rel=1e-14)
         assert dt == pytest.approx(expected, rel=1e-14)
 
-    def test_static_state_clips_to_remaining_time(self):
+    def test_static_state_speed_is_floored_by_delta(self):
         grid = GridSpec(10, 10, 0.0, 1.0, 0.0, 1.0)
         V = PrimitiveField.zeros(grid)
         V.rho[:] = 1.0
@@ -68,7 +68,6 @@ class TestTimeStep:
         s = SplitScalars(rho_max=1.0, p_min=1.0)  # c = 0, so the floor rules
         dt_free = compute_dt(V, s, grid, cfg)
         assert dt_free == pytest.approx(0.475 * 0.1 / DELTA, rel=1e-12)
-        assert compute_dt(V, s, grid, cfg, t_remaining=0.5) == 0.5
 
 
 class TestSwitchingWeight:
@@ -209,6 +208,28 @@ class TestStep:
             for a, b in zip(VU.components(), state.V.components()):
                 assert np.abs(a[grid.interior] - b[grid.interior]).max() <= 1e-13
 
+    @pytest.mark.parametrize("eps, order, built", [(1e-3, 2, 1), (0.3, 2, 2), (1e-3, 1, 1)])
+    def test_conservative_copies_built_per_step(self, monkeypatch, eps, order, built):
+        # at weight 1 the order-2 predictor's U would be dropped unread, so
+        # only the corrector advances U
+        from allmach.benchmarks import CASES
+
+        made = []
+
+        class Counted(ConservativeField):
+            def __init__(self, array):
+                made.append(1)
+                super().__init__(array)
+
+        case = CASES["gresho"]
+        grid = case.make_grid(16, 16, eps)
+        cfg = case.config(eps, order=order)
+        state = DualState.from_primitive(case.initial_state(grid, eps), grid, cfg)
+        monkeypatch.setattr(integrator, "ConservativeField", Counted)
+        new, _ = si_dec_step(state, grid, cfg)
+        assert len(made) == built
+        assert isinstance(new.U, Counted)
+
     def test_first_order_mode_runs_single_stage(self):
         from allmach.benchmarks import CASES
 
@@ -296,6 +317,17 @@ class TestRun:
         out, report = run(state, grid, cfg, t_final=0.05)
         assert out.t == pytest.approx(0.05, abs=1e-13)
 
+    def test_cfl_step_is_clipped_to_the_final_time(self):
+        # eps^4-shifted split scalars give a static state a CFL step of about
+        # 4e7, so the whole interval is one clipped step
+        grid = GridSpec(10, 10, 0.0, 1.0, 0.0, 1.0)
+        cfg = SolverConfig(epsilon=1e-3, gamma=1.4)
+        state = uniform_state(grid, cfg)
+        assert compute_dt(state.V, split_scalars(state.V, grid, 1e-3), grid, cfg) > 1e7
+        out, report = run(state, grid, cfg, t_final=0.5)
+        assert [r.dt for r in report.reports] == [0.5]
+        assert out.t == 0.5
+
     def test_dt_override_then_cfl(self):
         from allmach.benchmarks import CASES
 
@@ -328,7 +360,7 @@ class TestRun:
         grid = case.make_grid(16, 16, 0.1)
         cfg = case.config(0.1)
         state = DualState.from_primitive(case.initial_state(grid, 0.1), grid, cfg)
-        dt = compute_dt(state.V, split_scalars(state.V, grid, 0.1), grid, cfg, 0.05)
+        dt = min(compute_dt(state.V, split_scalars(state.V, grid, 0.1), grid, cfg), 0.05)
         attempts = []
 
         def failing(state, grid, cfg, dt):
