@@ -5,10 +5,11 @@ Every stage is the same procedure, ``_stage``: from the old state, form the
 explicit prediction V* = V - dt * E, solve the pressure system of V*, push
 the velocities by the new pressure gradient, advance the conservative copy by
 dt times its rate, and blend the primitive copy with the conservative one.
-The predictor applies it with E the old stage's nonstiff operator; with
-order=2 the corrector applies it again with E the trapezoidal mean of the old
-and predictor nonstiff operators plus the half difference of the matched stiff
-operators, and the predictor stage's extrema.
+A step owns one operator pair, E and the conservative rate.  The predictor
+applies it with the old stage's operators; with order=2 the predicted
+stage's operators and the difference of the matched stiff operators are
+added on top, and the corrector applies the halved sum, the trapezoidal
+mean, with the predicted stage's extrema.
 
 The blend weight depends only on the Mach number: at high Mach the
 conservative (shock correct) branch wins, at low Mach the pressure-robust
@@ -95,29 +96,22 @@ class RunReport:
         return len(self.reports)
 
 
-@dataclass
-class StageBuffers:
-    """Split scalars and operator fields of one stage."""
-
-    scalars: SplitScalars
-    nonstiff: np.ndarray
-    cons_rhs: np.ndarray
-
-
-def build_stage(Vf: PrimitiveField, grid: GridSpec, cfg: SolverConfig) -> StageBuffers:
-    """Both explicit operators of a stage from one reconstruction pass.
+def build_stage(
+    Vf: PrimitiveField, grid: GridSpec, cfg: SolverConfig, R: np.ndarray, D: np.ndarray
+) -> SplitScalars:
+    """Add a stage's nonstiff operator into ``R`` and its conservative rate
+    into ``D``, both (4, nx, ny), from one reconstruction pass; return the
+    stage's split scalars.
 
     Each axis, x before y, is cut into strips of STRIP interior cells across
     it, each with its full ghost padding along it.  A strip runs the whole
     pipeline (traces, nonstiff rate, conservative flux divergence) while its
     arrays stay in cache, where whole-grid passes would stream every
-    temporary from memory.  Every cell sums its x and then its y part, so
+    temporary from memory.  Every cell adds its x and then its y part, so
     the result does not depend on the strip width.
     """
     scalars = split_scalars(Vf, grid, cfg.epsilon)
     g = grid.ghost
-    R = np.zeros((4, grid.nx, grid.ny))
-    D = np.zeros_like(R)
     for axis in (AXIS_X, AXIS_Y):
         Vs, Rs, Ds, h = along(Vf.array, axis), along(R, axis), along(D, axis), grid.spacing(axis)
         m = Rs.shape[-1]
@@ -127,7 +121,7 @@ def build_stage(Vf: PrimitiveField, grid: GridSpec, cfg: SolverConfig) -> StageB
             traces = limited_traces(block, h, cfg.theta, axis, j0)
             Rs[..., j0:j1] += nonstiff_rate(block[:, g:-g], traces, scalars, cfg, axis, h)
             Ds[..., j0:j1] -= flux_divergence(traces, cfg, axis, h)
-    return StageBuffers(scalars, R, D)
+    return scalars
 
 
 def compute_dt(Vf: PrimitiveField, scalars: SplitScalars, grid: GridSpec, cfg: SolverConfig) -> float:
@@ -231,43 +225,38 @@ def si_dec_step(
 ) -> tuple[DualState, StepReport]:
     """Advance both solution copies by one step.
 
+    The step owns one zeroed operator pair, E and the conservative rate.
     With order=2 the corrector starts from ``state`` again, so of the
-    predictor it needs only E and the conservative rate.  Both are formed
-    in the first stage's operator buffers, and those two arrays and
-    ``state`` are all that live into the corrector's ``_stage``: the
-    predicted V and U, the second stage's operators and the stiff
-    difference are freed first.  At weight 1 the predictor skips U too.
+    predictor it needs only that pair: the predicted stage's operators are
+    added into it, then the stiff difference, and the sum is halved.  The
+    predicted V and U and the stiff difference are freed before the
+    corrector's ``_stage``.  At weight 1 the predictor skips U.
 
     Propagates NonPhysicalState and NoConvergence; the state is untouched on
     failure.
     """
-    stage_n = build_stage(state.V, grid, cfg)
+    E = np.zeros((4, grid.nx, grid.ny))
+    cons_rate = np.zeros_like(E)
+    scalars = build_stage(state.V, grid, cfg, E, cons_rate)
     if dt is None:
-        dt = compute_dt(state.V, stage_n.scalars, grid, cfg)
-    rate = stage_n.cons_rhs if cfg.order == 1 or switching_weight(cfg.epsilon) < 1.0 else None
-    new, res = _stage(state, stage_n.nonstiff, rate, stage_n.scalars, dt, grid, cfg)
+        dt = compute_dt(state.V, scalars, grid, cfg)
+    rate = cons_rate if cfg.order == 1 or switching_weight(cfg.epsilon) < 1.0 else None
+    new, res = _stage(state, E, rate, scalars, dt, grid, cfg)
     residuals = (res,)
 
     if cfg.order == 2:
         V_s = new.V
         del new  # the predictor's U is dead: the corrector starts from state
-        stage_s = build_stage(V_s, grid, cfg)
-        # E = 0.5*(N_n + N_s) + 0.5*(L_nn - L_ss) and the trapezoidal
-        # conservative rate, formed in the first stage's buffers
-        E = stage_n.nonstiff
-        E += stage_s.nonstiff
-        E *= 0.5
-        cons_rate = stage_n.cons_rhs
-        cons_rate += stage_s.cons_rhs
-        cons_rate *= 0.5
-        scalars = stage_s.scalars
-        del stage_s
-        L = assemble_stiff(stage_n.scalars, cfg, state.V, grid)
-        L -= assemble_stiff(scalars, cfg, V_s, grid)
+        # E = 0.5*(N_n + N_s + L_nn - L_ss), cons_rate = 0.5*(D_n + D_s)
+        scalars_s = build_stage(V_s, grid, cfg, E, cons_rate)
+        L = assemble_stiff(scalars, cfg, state.V, grid)
+        L -= assemble_stiff(scalars_s, cfg, V_s, grid)
         del V_s
-        E += 0.5 * L
+        E += L
         del L
-        new, res = _stage(state, E, cons_rate, scalars, dt, grid, cfg)
+        E *= 0.5
+        cons_rate *= 0.5
+        new, res = _stage(state, E, cons_rate, scalars_s, dt, grid, cfg)
         residuals += (res,)
 
     V, core = new.V, grid.interior

@@ -13,7 +13,7 @@ normal and tangential velocity exchanged.
 
 ``nonstiff_rate`` returns the part of the operator one axis contributes
 to the cells of one axis-first block of the grid, shape (4, n, m) ordered
-(rho, u, v, p); ``integrator.build_stage`` sums these into the stage's
+(rho, u, v, p); ``integrator.build_stage`` adds these into the step's
 (4, nx, ny) operator.
 """
 

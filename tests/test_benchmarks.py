@@ -147,6 +147,11 @@ class TestExplosionCase:
         assert case.final_time(1.0) == 0.25
         assert case.final_time(0.3) == 0.08
 
+    def test_has_no_exact_solution(self):
+        case = CASES["explosion"]
+        with pytest.raises(ValueError, match="'explosion' has no exact solution"):
+            case.exact_state(case.make_grid(8, 8, 1.0), 1.0, 0.0)
+
 
 class TestErrorMachinery:
     def test_identical_fields(self):
@@ -202,6 +207,11 @@ class TestErrorMachinery:
         table = convergence_study(CASES["vortex"], [0.5, 1.0], [16], t_final=0.01)
         assert table.rows[0].failed == "non-positive density"
         assert not table.rows[1].failed
+        text = table.format_text().splitlines()
+        assert text[1].endswith("FAILED: non-positive density")
+        assert "FAILED" not in text[2]
+        machine = table.format_delimited().splitlines()
+        assert len(machine) == 2 and machine[1].startswith("16 1 ")
 
     def test_config_error_is_not_a_failed_row(self):
         with pytest.raises(ValueError):

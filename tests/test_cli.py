@@ -151,7 +151,7 @@ def test_snapshot_series_golden(tmp_path, capsys):
         digest.update(p.name.encode())
         digest.update(p.read_bytes())
     assert digest.hexdigest() == (
-        "49a8a0cccb7e24cbeb4ebca275b412e86552ebd31bceb3795e1d0dc442c69ff7"
+        "59765731d2b4e8e6d84929cd249c0131cafdd56051dc4cc2bac8d4164facc357"
     )
 
 
@@ -170,7 +170,9 @@ def test_malformed_dt_override_is_config_error(tmp_path):
 def test_config_file_supplies_values_and_flags_win(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(
+        "# gresho at a moderate Mach number\n"
         "case = gresho\n"
+        "\n"
         "eps = 0.1\n"
         "nx = 8\n"
         "t-final = 0.01  # inline comment\n"
@@ -194,6 +196,13 @@ def test_config_file_unknown_key_is_config_error(tmp_path, capsys, line, key):
     cfg_file.write_text(f"case = gresho\nnx = 8\nt-final = 0.01\n{line}\n")
     assert cli.main(["run", "--config", str(cfg_file)]) == 4
     assert f"unknown key {key!r}" in capsys.readouterr().err
+
+
+def test_config_file_line_without_equals_is_config_error(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("case = gresho\n# nx = 8\nnx 8\n")
+    assert cli.main(["run", "--config", str(cfg_file)]) == 4
+    assert f"{cfg_file}:3: expected key = value" in capsys.readouterr().err
 
 
 def test_config_file_value_is_parsed_like_its_flag(tmp_path, capsys):
@@ -347,6 +356,11 @@ def test_convergence_config_error_exits_4(capsys):
 
 def test_usage_error_exits_4():
     assert cli.main(["run", "--bogus-flag"]) == 4
+
+
+def test_run_without_case_is_config_error(capsys):
+    assert cli.main(["run", "--nx", "8"]) == 4
+    assert "--case" in capsys.readouterr().err
 
 
 def test_diagnose_probes_pass(capsys):

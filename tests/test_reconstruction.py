@@ -259,7 +259,7 @@ class TestPositivity:
             slopes[comp, 2, 1] = 100.0  # cell (1, 1): its left trace goes negative
             monkeypatch.setattr(rec, "compute_slopes", lambda Vs, h, theta, s=slopes: s)
             with pytest.raises(NonPhysicalState, match=rf"{name} .* along x at cell \(1, 1\)"):
-                build_stage(V, grid, SolverConfig(epsilon=1.0))
+                build_stage(V, grid, SolverConfig(epsilon=1.0), *np.zeros((2, 4, grid.nx, grid.ny)))
 
     def test_round_off_zero_trace_rejected(self):
         # theta = 2 next to a 17-decade drop: the cell of average 1 gets the
@@ -271,7 +271,8 @@ class TestPositivity:
         V.p[grid.interior] = 1.0
         fill_ghosts(V, grid)
         with pytest.raises(NonPhysicalState, match=r"density .* along x at cell \(2, 0\)"):
-            build_stage(V, grid, SolverConfig(epsilon=1.0, theta=2.0))
+            build_stage(V, grid, SolverConfig(epsilon=1.0, theta=2.0),
+                        *np.zeros((2, 4, grid.nx, grid.ny)))
 
     @pytest.mark.parametrize("strip", [1, 32])
     def test_failure_names_the_grid_cell_in_any_strip(self, monkeypatch, strip):
@@ -287,4 +288,5 @@ class TestPositivity:
         V.p[grid.interior] = 1.0
         fill_ghosts(V, grid)
         with pytest.raises(NonPhysicalState, match=r"density .* along y at cell \(1, 2\)"):
-            build_stage(V, grid, SolverConfig(epsilon=1.0, theta=2.0))
+            build_stage(V, grid, SolverConfig(epsilon=1.0, theta=2.0),
+                        *np.zeros((2, 4, grid.nx, grid.ny)))

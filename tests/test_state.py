@@ -93,6 +93,19 @@ class TestTransforms:
         assert np.allclose(U.E, 2.1 / 0.4, rtol=1e-12)
 
 
+class TestGridSpec:
+    @pytest.mark.parametrize("args, kwargs, message", [
+        ((2, 4, 0.0, 1.0, 0.0, 1.0), {}, "at least 3 cells"),
+        ((4, 2, 0.0, 1.0, 0.0, 1.0), {}, "at least 3 cells"),
+        ((4, 4, 1.0, 1.0, 0.0, 1.0), {}, "bounds must be increasing"),
+        ((4, 4, 0.0, 1.0, 0.0, -1.0), {}, "bounds must be increasing"),
+        ((4, 4, 0.0, 1.0, 0.0, 1.0), {"bc_y": "wall"}, "unknown boundary kind 'wall'"),
+    ])
+    def test_invalid_grid_rejected(self, args, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            GridSpec(*args, **kwargs)
+
+
 class TestGhostFilling:
     def test_periodic_wrap_indices(self):
         grid = GridSpec(4, 4, 0.0, 1.0, 0.0, 1.0)

@@ -11,14 +11,16 @@ and the minor page faults of its third step, which runs untraced.
     PYTHONPATH=src python tools/step_digest.py --save before.npz
     PYTHONPATH=src python tools/step_digest.py --compare before.npz
 
-``--save`` stores each run's final state, step reports and digest, and the
-final primitive state of the same run started from every initial value raised
-by one ulp (``np.nextafter``).  ``--compare`` says whether the final state and
-the reports are bit-identical to the saved ones, and prints, per component of
-V, the max |delta| between this tree's final state and the saved one next to
-the saved run's own 1-ulp sensitivity, and the largest ratio of the two.  A
-digest can differ while the state is identical: the solve residuals are
-round-off that does not feed back into the state.
+``--save`` stores each run's final state, step reports, digest and step
+peak, and the final primitive state of the same run started from every
+initial value raised by one ulp (``np.nextafter``).  ``--compare`` says
+whether the final state and the reports are bit-identical to the saved ones,
+and prints, per component of V, the max |delta| between this tree's final
+state and the saved one next to the saved run's own 1-ulp sensitivity, and
+the largest ratio of the two.  It prints the saved step peak next to this
+tree's when the saved file has one.  A digest can differ while the state is
+identical: the solve residuals are round-off that does not feed back into
+the state.
 """
 
 from __future__ import annotations
@@ -102,6 +104,9 @@ def compare(new: dict, saved, label: str) -> float:
     sens = np.abs(old["V_ulp"] - old["V"]).max(axis=(1, 2))
     ratio = max(d / s if s > 0.0 else (np.inf if d > 0.0 else 0.0) for d, s in zip(delta, sens))
     print(f"    state {'bit-identical' if state_same else 'differs'}; {reports}")
+    if f"{label}.step_peak" in saved:
+        print(f"    step peak {float(saved[f'{label}.step_peak']):5.2f} saved, "
+              f"{new['step_peak']:5.2f} now (state arrays)")
     print(f"    max|delta| vs 1-ulp sensitivity, ratio {ratio:.3g}")
     for c, d, s in zip(COMPONENTS, delta, sens):
         print(f"    {c:4s} {d:9.2e} {s:9.2e}")
@@ -127,7 +132,8 @@ def main(argv=None) -> int:
             print(f"{label:28s} {out['digest']}  step peak {out['step_peak']:5.2f} state arrays"
                   f"  {out['step_faults']:5d} minor faults", flush=True)
             if ns.save:
-                store.update({f"{label}.{k}": out[k] for k in ("V", "U", "t", "reports", "digest")})
+                keys = ("V", "U", "t", "reports", "digest", "step_peak")
+                store.update({f"{label}.{k}": out[k] for k in keys})
                 store[f"{label}.V_ulp"] = run(name, eps, n, order, ulp=True)["V"]
             if saved is not None and f"{label}.V" in saved:
                 worst = max(worst, compare(out, saved, label))
