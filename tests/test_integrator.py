@@ -59,6 +59,19 @@ class TestTimeStep:
         assert expected == pytest.approx(0.011875, rel=1e-14)
         assert dt == pytest.approx(expected, rel=1e-14)
 
+    def test_hand_value_with_unequal_spacing(self):
+        # dx=0.1, dy=0.4, max(|u|+c)=2, max(|v|+c)=4: the x limit 0.1/2 binds,
+        # where a swapped spacing or axis would give 0.1/4
+        grid = GridSpec(10, 5, 0.0, 1.0, 0.0, 2.0)
+        V = PrimitiveField.zeros(grid)
+        V.rho[:] = 1.0
+        V.p[:] = 1.0
+        V.u[grid.interior] = np.linspace(0.0, 2.0, 10)[:, None]
+        V.v[grid.interior] = np.linspace(0.0, 4.0, 5)[None, :]
+        cfg = SolverConfig(epsilon=1.0, gamma=1.4, k_cfl=0.475)
+        dt = compute_dt(V, SplitScalars(rho_max=1.0, p_min=0.5), grid, cfg)
+        assert dt == pytest.approx(0.475 * 0.1 / 2.0, rel=1e-14)
+
     def test_static_state_speed_is_floored_by_delta(self):
         grid = GridSpec(10, 10, 0.0, 1.0, 0.0, 1.0)
         V = PrimitiveField.zeros(grid)
@@ -527,7 +540,25 @@ class TestReferenceStep:
         case = CASES[name]
         grid = case.make_grid(n, n, eps)
         cfg = case.config(eps, order=order)
-        state = ref = DualState.from_primitive(case.initial_state(grid, eps), grid, cfg)
+        self.check_steps(case.initial_state(grid, eps), grid, cfg)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("eps", [1e-3, 0.3])  # weight 1, blended
+    def test_non_square_grid_with_unequal_spacing(self, eps, order):
+        # a smooth state, periodic along x and outflow along y, dx != dy
+        grid = GridSpec(12, 9, 0.0, 1.0, 0.0, 2.0, bc_x=PERIODIC, bc_y=OUTFLOW)
+        X, Y = grid.cell_centers()
+        V = PrimitiveField.zeros(grid)
+        core = grid.interior
+        V.rho[core] = 1.0 + 0.2 * np.sin(2.0 * np.pi * X) * np.cos(0.5 * np.pi * Y)
+        V.u[core] = 0.3 + 0.2 * np.cos(2.0 * np.pi * X) * np.sin(0.5 * np.pi * Y)
+        V.v[core] = -0.1 + 0.3 * np.sin(2.0 * np.pi * X) * Y * (2.0 - Y)
+        V.p[core] = 1.0 + eps**2 * np.cos(2.0 * np.pi * X) * np.cos(0.5 * np.pi * Y)
+        self.check_steps(V, grid, SolverConfig(epsilon=eps, order=order))
+
+    @staticmethod
+    def check_steps(V0, grid, cfg):
+        state = ref = DualState.from_primitive(V0, grid, cfg)
         for _ in range(5):
             state, rep = si_dec_step(state, grid, cfg)
             ref, dt, residuals = reference_step(ref, grid, cfg)
