@@ -16,11 +16,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NoConvergence, NonPhysicalState
-from .grid import OUTFLOW, PERIODIC, GridSpec, fill_ghosts
+from .grid import AXIS_X, AXIS_Y, OUTFLOW, PERIODIC, GridSpec, fill_ghosts
 from .integrator import DualState, RunReport, compute_dt, run
 from .nonstiff import split_scalars
 from .state import PrimitiveField, SolverConfig
-from .stiff import central_gradient
+from .stiff import central_difference
 
 PointState = Callable[[np.ndarray, np.ndarray], tuple]
 
@@ -224,9 +224,7 @@ def local_mach(Vf: PrimitiveField, gamma: float, grid: GridSpec) -> np.ndarray:
 
 def vorticity(Vf: PrimitiveField, grid: GridSpec) -> np.ndarray:
     """Central-difference curl v_x - u_y, on interior cells."""
-    vx, _ = central_gradient(Vf.v, grid)
-    _, uy = central_gradient(Vf.u, grid)
-    return vx - uy
+    return central_difference(Vf.v, grid, AXIS_X) - central_difference(Vf.u, grid, AXIS_Y)
 
 
 def l1_error(numeric: PrimitiveField, exact: PrimitiveField, grid: GridSpec) -> np.ndarray:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence
-from .grid import PERIODIC, GridSpec, padded
+from .grid import AXIS_X, AXIS_Y, PERIODIC, GridSpec, along, padded
 from .state import PrimitiveField, SolverConfig
 from .nonstiff import SplitScalars
 from .stiff import discrete_divergence, stiff_coefficients
@@ -46,13 +46,14 @@ class HelmholtzSystem:
 
 
 def compact_laplacian(p: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """5-point Laplacian of a padded scalar field, on interior cells."""
-    g, nx, ny = grid.ghost, grid.nx, grid.ny
-    c = p[g:g + nx, g:g + ny]
-    return (
-        (p[g - 1:g + nx - 1, g:g + ny] - 2.0 * c + p[g + 1:g + nx + 1, g:g + ny]) / grid.dx**2
-        + (p[g:g + nx, g - 1:g + ny - 1] - 2.0 * c + p[g:g + nx, g + 1:g + ny + 1]) / grid.dy**2
-    )
+    """5-point Laplacian of a padded scalar field, on interior cells: the
+    second difference along x plus the one along y."""
+    g, lap = grid.ghost, []
+    for axis in (AXIS_X, AXIS_Y):
+        b = along(p, axis)
+        second = b[g - 1:-g - 1, g:-g] - 2.0 * b[g:-g, g:-g] + b[g + 1:1 - g, g:-g]
+        lap.append(along(second, axis) / grid.spacing(axis) ** 2)
+    return lap[0] + lap[1]
 
 
 def pressure_system(

@@ -1,10 +1,10 @@
 """Two-stage semi-implicit time integrator for the dual-state solver.
 
-One step advances the primitive and conservative solution copies together.
-Every stage is the same procedure, ``_stage``: from the old state, form the
-explicit prediction V* = V - dt * E, solve the pressure system of V*, push
-the velocities by the new pressure gradient, advance the conservative copy by
-dt times its rate, and blend the primitive copy with the conservative one.
+Every stage advances the primitive and conservative solution copies together
+by the same procedure, ``_stage``: from the old state, form the explicit
+prediction V* = V - dt * E, solve the pressure system of V*, push each
+velocity component by the new pressure's difference along its axis, advance
+the conservative copy by dt times its rate, and blend the two copies.
 A step owns one operator pair, E and the conservative rate.  The predictor
 applies it with the old stage's operators; with order=2 the predicted
 stage's operators and the difference of the matched stiff operators are
@@ -33,7 +33,7 @@ import numpy as np
 from .conservative import flux_divergence
 from .elliptic import pressure_system, solve_helmholtz
 from .errors import NoConvergence, NonPhysicalState
-from .grid import AXIS_X, AXIS_Y, GridSpec, along, fill_ghosts, padded
+from .grid import AXIS_X, AXIS_Y, GridSpec, along, fill_ghost_array, fill_ghosts
 from .nonstiff import DELTA, SplitScalars, modified_sound_speed, nonstiff_rate, split_scalars
 from .reconstruction import limited_traces
 from .state import (
@@ -43,7 +43,7 @@ from .state import (
     cons_to_prim,
     prim_to_cons,
 )
-from .stiff import assemble_stiff, central_gradient, discrete_divergence, stiff_coefficients
+from .stiff import assemble_stiff, central_difference, discrete_divergence, stiff_coefficients
 
 # Halvings of a failed CFL step before the run gives up on it.
 MAX_REJECTIONS = 3
@@ -128,9 +128,10 @@ def compute_dt(Vf: PrimitiveField, scalars: SplitScalars, grid: GridSpec, cfg: S
     """The CFL step alone, from the split-subsystem speeds floored at DELTA."""
     core = grid.interior
     c_mod = modified_sound_speed(Vf.rho[core], Vf.p[core], scalars, cfg.epsilon, cfg.gamma)
-    sx = max(float((np.abs(Vf.u[core]) + c_mod).max()), DELTA)
-    sy = max(float((np.abs(Vf.v[core]) + c_mod).max()), DELTA)
-    return cfg.k_cfl * min(grid.dx / sx, grid.dy / sy)
+    return cfg.k_cfl * min(
+        grid.spacing(axis) / max(float((np.abs(Vf.array[1 + axis][core]) + c_mod).max()), DELTA)
+        for axis in (AXIS_X, AXIS_Y)
+    )
 
 
 def switching_weight(eps: float) -> float:
@@ -151,7 +152,7 @@ def switching_weight(eps: float) -> float:
 
 def post_process(
     V_raw: PrimitiveField,
-    U: Optional[ConservativeField],
+    U: ConservativeField,
     grid: GridSpec,
     cfg: SolverConfig,
 ) -> PrimitiveField:
@@ -182,7 +183,7 @@ def post_process(
 def _stage(
     state: DualState,
     E: np.ndarray,
-    cons_rate: Optional[np.ndarray],
+    cons_rate: np.ndarray,
     scalars: SplitScalars,
     dt: float,
     grid: GridSpec,
@@ -192,26 +193,21 @@ def _stage(
     explicit operator ``E`` and the conservative copy's rate ``cons_rate``;
     returns the blended new state and the pressure solve's residual.
     ``scalars`` are the extrema that freeze the stiff coefficients.
-    ``cons_rate`` None leaves U out, for the order-2 predictor at weight 1.
     """
     core = grid.interior
     V = PrimitiveField(state.V.array.copy())
     V.array[core] -= dt * E
     fill_ghosts(V, grid)
-    p, _, residual = solve_helmholtz(pressure_system(V, scalars, dt, cfg, grid))
-    V.p[core] = p
+    V.p[core], _, residual = solve_helmholtz(pressure_system(V, scalars, dt, cfg, grid))
+    fill_ghost_array(V.p, grid)
     eps2_rhomax, _ = stiff_coefficients(scalars, cfg)
     push = dt * (1.0 / eps2_rhomax)
-    gx, gy = central_gradient(padded(p, grid), grid)
-    V.u[core] -= push * gx
-    V.v[core] -= push * gy
-    del p, gx, gy  # freed before U's copy and the blend
+    for axis in (AXIS_X, AXIS_Y):  # u along x, v along y
+        V.array[1 + axis][core] -= push * central_difference(V.p, grid, axis)
 
-    U = None
-    if cons_rate is not None:
-        U = ConservativeField(state.U.array.copy())
-        U.array[core] += dt * cons_rate
-        fill_ghosts(U, grid)
+    U = ConservativeField(state.U.array.copy())
+    U.array[core] += dt * cons_rate
+    fill_ghosts(U, grid)
     fill_ghosts(V, grid)
     V = post_process(V, U, grid, cfg).validate(grid)
     return DualState(V, U, state.t + dt), residual
@@ -230,7 +226,7 @@ def si_dec_step(
     predictor it needs only that pair: the predicted stage's operators are
     added into it, then the stiff difference, and the sum is halved.  The
     predicted V and U and the stiff difference are freed before the
-    corrector's ``_stage``.  At weight 1 the predictor skips U.
+    corrector's ``_stage``.
 
     Propagates NonPhysicalState and NoConvergence; the state is untouched on
     failure.
@@ -240,8 +236,7 @@ def si_dec_step(
     scalars = build_stage(state.V, grid, cfg, E, cons_rate)
     if dt is None:
         dt = compute_dt(state.V, scalars, grid, cfg)
-    rate = cons_rate if cfg.order == 1 or switching_weight(cfg.epsilon) < 1.0 else None
-    new, res = _stage(state, E, rate, scalars, dt, grid, cfg)
+    new, res = _stage(state, E, cons_rate, scalars, dt, grid, cfg)
     residuals = (res,)
 
     if cfg.order == 2:

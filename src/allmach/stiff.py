@@ -3,7 +3,8 @@
 The stiff part couples the pressure gradient, scaled by the reference
 1/(eps^2 * rho_max), to the velocity divergence, scaled by gamma * p_min.
 Its semi-implicit evaluation mixes two time levels: the scalar coefficients
-come from one stage, the differentiated fields from another.
+come from one stage, the differentiated fields from another.  Each difference
+is a ``central_difference`` along one axis, with velocity component 1 + axis.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ def stiff_coefficients(scalars: SplitScalars, cfg: SolverConfig) -> tuple[float,
     return cfg.epsilon**2 * scalars.rho_max, cfg.gamma * scalars.p_min
 
 
-def _central_difference(a: np.ndarray, grid: GridSpec, axis: int) -> np.ndarray:
+def central_difference(a: np.ndarray, grid: GridSpec, axis: int) -> np.ndarray:
     """Second-order central difference along ``axis`` of a padded scalar
     field, on interior cells."""
     g, b = grid.ghost, along(a, axis)
@@ -31,12 +32,12 @@ def _central_difference(a: np.ndarray, grid: GridSpec, axis: int) -> np.ndarray:
 
 def central_gradient(p: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Second-order central gradient of a padded scalar field (interior)."""
-    return _central_difference(p, grid, AXIS_X), _central_difference(p, grid, AXIS_Y)
+    return central_difference(p, grid, AXIS_X), central_difference(p, grid, AXIS_Y)
 
 
 def discrete_divergence(u: np.ndarray, v: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Central-difference divergence of a padded vector field (interior)."""
-    return _central_difference(u, grid, AXIS_X) + _central_difference(v, grid, AXIS_Y)
+    return central_difference(u, grid, AXIS_X) + central_difference(v, grid, AXIS_Y)
 
 
 def assemble_stiff(
@@ -50,9 +51,8 @@ def assemble_stiff(
     differentiated.
     """
     eps2_rhomax, gamma_pmin = stiff_coefficients(scalars, cfg)
-    px, py = central_gradient(Vf.p, grid)
     L = np.zeros((4, grid.nx, grid.ny))
-    L[1] = 1.0 / eps2_rhomax * px
-    L[2] = 1.0 / eps2_rhomax * py
+    for axis in (AXIS_X, AXIS_Y):
+        L[1 + axis] = 1.0 / eps2_rhomax * central_difference(Vf.p, grid, axis)
     L[3] = gamma_pmin * discrete_divergence(Vf.u, Vf.v, grid)
     return L
