@@ -65,9 +65,10 @@ class BenchmarkCase:
 
     def initial_dt(self, n: int, eps: float, **overrides) -> float:
         """CFL step of the initial state on the n x n grid."""
+        cfg = self.config(eps, **overrides)  # checks eps before the domain uses it
         grid = self.make_grid(n, n, eps)
         V0 = self.initial_state(grid, eps)
-        return compute_dt(V0, split_scalars(V0, grid, eps), grid, self.config(eps, **overrides))
+        return compute_dt(V0, split_scalars(V0, grid, eps), grid, cfg)
 
 
 def _wrap(z: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -294,8 +295,8 @@ def run_case(
     **cfg_overrides,
 ) -> tuple[GridSpec, DualState, RunReport, SolverConfig]:
     """Set up and run one benchmark to its final (or a given) time."""
+    cfg = case.config(eps, **cfg_overrides)  # checks eps before the domain uses it
     grid = case.make_grid(nx, ny, eps)
-    cfg = case.config(eps, **cfg_overrides)
     state = DualState.from_primitive(case.initial_state(grid, eps), grid, cfg)
     t_end = case.final_time(eps) if t_final is None else t_final
     state, report = run(state, grid, cfg, t_end, callback=callback)

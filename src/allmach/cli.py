@@ -119,8 +119,8 @@ def cmd_run(ns) -> int:
     eps, nx = ns.eps, ns.nx
     ny = nx if ns.ny is None else ns.ny
 
+    cfg = case.config(eps, **_scheme_overrides(ns))  # checks eps before the domain uses it
     grid = case.make_grid(nx, ny, eps)
-    cfg = case.config(eps, **_scheme_overrides(ns))
     state = DualState.from_primitive(case.initial_state(grid, eps), grid, cfg)
     t_end = case.final_time(eps) if ns.t_final is None else ns.t_final
 

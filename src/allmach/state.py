@@ -45,6 +45,8 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in (0, 1]")
+        if self.epsilon**2 == 0.0 or not math.isfinite(1.0 / self.epsilon**2):
+            raise ValueError(f"epsilon={self.epsilon:g} is too small: 1/epsilon^2 overflows")
         if not 1.0 < self.gamma < math.inf:
             raise ValueError("gamma must exceed 1 and be finite")
         if not 0.0 < self.k_cfl < math.inf:

@@ -84,6 +84,14 @@ class TestBaroclinicCase:
         assert u[0] == pytest.approx(math.sqrt(1.4), rel=1e-14)
         assert v[0] == 0.0
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0])
+    def test_mach_number_checked_before_the_domain_uses_it(self, eps):
+        case = CASES["baroclinic"]
+        with pytest.raises(ValueError, match="epsilon must lie in"):
+            run_case(case, eps, 8, 8)
+        with pytest.raises(ValueError, match="epsilon must lie in"):
+            case.initial_dt(8, eps)
+
     def test_pressure_trough_is_unity(self):
         fn = CASES["baroclinic"].state_at(0.05, 0.0)
         rho, u, v, p = fn(np.array([20.0]), np.array([1.0]))  # cos = -1

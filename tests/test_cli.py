@@ -346,6 +346,17 @@ def test_non_finite_run_input_is_config_error(tmp_path, capsys, flag, value, mes
     assert list(tmp_path.glob("*.dat")) == []
 
 
+@pytest.mark.parametrize("case, eps, message", [
+    ("baroclinic", "0", "epsilon must lie in (0, 1]"),  # the domain divides by eps
+    ("baroclinic", "-1", "epsilon must lie in (0, 1]"),
+    ("gresho", "1e-158", "1/epsilon^2 overflows"),
+    ("gresho", "1e-200", "1/epsilon^2 overflows"),
+])
+def test_mach_number_out_of_range_is_config_error(capsys, case, eps, message):
+    assert cli.main(["run", "--case", case, f"--eps={eps}", "--nx", "8"]) == 4
+    assert message in capsys.readouterr().err
+
+
 def test_convergence_config_error_exits_4(capsys):
     code = cli.main([
         "convergence", "--case", "vortex", "--n-list", "8", "--t-final", "0.01", "--theta", "3",

@@ -165,11 +165,16 @@ class TestConfig:
             {"epsilon": 0.5, "k_cfl": np.inf},
             {"epsilon": 0.5, "dt_override": (3, np.nan)},
             {"epsilon": 0.5, "dt_override": (3, np.inf)},
+            {"epsilon": 1e-158},  # 1/eps^2 overflows
+            {"epsilon": 1e-200},  # eps^2 underflows to 0
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    def test_smallest_mach_numbers_with_finite_inverse_square_accepted(self):
+        assert SolverConfig(epsilon=1e-154).epsilon == 1e-154
 
 
 class TestValidation:

@@ -33,3 +33,43 @@ def test_save_then_compare_on_the_same_tree(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert out.count("state bit-identical; reports bit-identical") == 2
     assert " saved, " not in out
+
+
+def test_compare_exits_1_unless_every_run_is_bit_identical(tmp_path, monkeypatch, capsys):
+    tool = load_tool()
+    monkeypatch.setattr(tool, "RUNS", [("gresho", 1e-3, 16)])
+    monkeypatch.setattr(tool, "STEPS", 3)
+    saved, altered = str(tmp_path / "saved.npz"), str(tmp_path / "altered.npz")
+    assert tool.main(["--save", saved]) == 0
+    with np.load(saved) as data:
+        runs = {k: data[k] for k in data.files}
+    runs["gresho_0.001_16_o2.V"][0, 0, 0] += 1e-12
+    np.savez(altered, **runs)
+    capsys.readouterr()
+
+    assert tool.main(["--compare", saved]) == 0
+    assert capsys.readouterr().out.endswith("bit-identical: 2 of 2 runs\n")
+    assert tool.main(["--compare", altered]) == 1
+    out = capsys.readouterr().out
+    assert "state differs" in out
+    assert out.endswith("bit-identical: 1 of 2 runs\n")
+
+    del runs["gresho_0.001_16_o1.V"]  # a run the saved file does not hold
+    np.savez(altered, **runs)
+    assert tool.main(["--compare", altered]) == 1
+    out = capsys.readouterr().out
+    assert "no saved run" in out
+    assert out.endswith("bit-identical: 0 of 2 runs\n")
+
+    step = tool.run
+
+    def failing_order_2(name, eps, n, order, ulp=False):
+        if order == 2:
+            raise tool.NonPhysicalState("blown up")
+        return step(name, eps, n, order, ulp)
+
+    monkeypatch.setattr(tool, "run", failing_order_2)
+    assert tool.main(["--compare", saved]) == 1
+    out = capsys.readouterr().out
+    assert "FAILED: blown up" in out
+    assert out.endswith("bit-identical: 1 of 2 runs\n")

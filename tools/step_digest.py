@@ -20,7 +20,9 @@ state and the saved one next to the saved run's own 1-ulp sensitivity, and
 the largest ratio of the two.  It prints the saved step peak next to this
 tree's when the saved file has one.  A digest can differ while the state is
 identical: the solve residuals are round-off that does not feed back into
-the state.
+the state.  It ends with ``bit-identical: k of m runs`` and exits 1 unless
+every run has a saved counterpart, does not fail, and has its final state
+and reports bit-identical to it.
 """
 
 from __future__ import annotations
@@ -88,14 +90,17 @@ def run(name: str, eps: float, n: int, order: int, ulp: bool = False) -> dict:
     return out
 
 
-def compare(new: dict, saved, label: str) -> float:
+def compare(new: dict, saved, label: str) -> tuple[float, bool]:
     """Print how the run differs from the saved one; return the largest
-    ratio of max|delta V| to the saved 1-ulp sensitivity."""
+    ratio of max|delta V| to the saved 1-ulp sensitivity and whether the
+    final state and the reports are bit-identical."""
     old = {key: saved[f"{label}.{key}"] for key in ("V", "U", "t", "reports", "V_ulp")}
     state_same = all(new[k].tobytes() == old[k].tobytes() for k in ("V", "U", "t"))
-    if new["reports"].shape != old["reports"].shape:
+    layout_same = new["reports"].shape == old["reports"].shape
+    reports_same = layout_same and new["reports"].tobytes() == old["reports"].tobytes()
+    if not layout_same:
         reports = "report layout differs"
-    elif new["reports"].tobytes() == old["reports"].tobytes():
+    elif reports_same:
         reports = "reports bit-identical"
     else:
         rel = np.abs(new["reports"] - old["reports"]).max(axis=0) / np.abs(old["reports"]).max(axis=0)
@@ -110,7 +115,7 @@ def compare(new: dict, saved, label: str) -> float:
     print(f"    max|delta| vs 1-ulp sensitivity, ratio {ratio:.3g}")
     for c, d, s in zip(COMPONENTS, delta, sens):
         print(f"    {c:4s} {d:9.2e} {s:9.2e}")
-    return ratio
+    return ratio, state_same and reports_same
 
 
 def main(argv=None) -> int:
@@ -120,7 +125,7 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     saved = np.load(ns.compare) if ns.compare else None
     store = {}
-    worst = 0.0
+    worst, identical = 0.0, 0
     for name, eps, n in RUNS:
         for order in (1, 2):
             label = f"{name}_{eps:g}_{n}_o{order}"
@@ -135,13 +140,20 @@ def main(argv=None) -> int:
                 keys = ("V", "U", "t", "reports", "digest", "step_peak")
                 store.update({f"{label}.{k}": out[k] for k in keys})
                 store[f"{label}.V_ulp"] = run(name, eps, n, order, ulp=True)["V"]
-            if saved is not None and f"{label}.V" in saved:
-                worst = max(worst, compare(out, saved, label))
+            if saved is None:
+                continue
+            if f"{label}.V" not in saved:
+                print("    no saved run")
+                continue
+            ratio, same = compare(out, saved, label)
+            worst, identical = max(worst, ratio), identical + same
     if ns.save:
         np.savez(ns.save, **store)
-    if saved is not None:
-        print(f"largest ratio of max|delta| to the 1-ulp sensitivity: {worst:.3g}")
-    return 0
+    if saved is None:
+        return 0
+    print(f"largest ratio of max|delta| to the 1-ulp sensitivity: {worst:.3g}")
+    print(f"bit-identical: {identical} of {2 * len(RUNS)} runs")
+    return 0 if identical == 2 * len(RUNS) else 1
 
 
 if __name__ == "__main__":
