@@ -5,16 +5,16 @@ update into one linear system, assembled by ``pressure_system``:
 
     (I - sigma * Lap_h) p = rhs,
 
-with the compact 5-point Laplacian and sigma = dt^2 * gamma * p_min /
-(eps^2 * rho_max).  On the uniform grid, with periodic or mirrored (outflow)
-ghosts, the operator has constant coefficients and separates by axis, so one
-fixed orthonormal eigenbasis per axis diagonalizes it exactly (the fast
-diagonalization method of Lynch, Rice & Thomas, 1964).  The solve is a
-transform to that basis, a division by 1 + sigma * lambda, and the transform
-back.  The operator is positive definite for sigma >= 0 and stays so for the
-slightly negative sigma that can occur at large Mach numbers while every
-1 + sigma * lambda is positive; the solver checks exactly those divisors
-instead of requiring sigma > 0.
+with the compact 5-point Laplacian, one second difference per axis, and
+sigma = dt^2 * gamma * p_min / (eps^2 * rho_max).  On the uniform grid, with
+periodic or mirrored (outflow) ghosts, the operator has constant coefficients
+and separates by axis, so one fixed orthonormal eigenbasis per axis
+diagonalizes it exactly (the fast diagonalization method of Lynch, Rice &
+Thomas, 1964).  The solve is a transform to that basis, a division by
+1 + sigma * lambda, and the transform back.  The operator is positive definite
+for sigma >= 0 and stays so for the slightly negative sigma that can occur at
+large Mach numbers while every 1 + sigma * lambda is positive; the solver
+checks exactly those divisors instead of requiring sigma > 0.
 
 The constant mode is split off: the Laplacian annihilates constants under
 both ghost rules, so the mean of the solution equals the mean of the
