@@ -3,14 +3,15 @@
 Five standard cases: a translating Mach-scaled smooth vortex with an exact
 solution, the steady low-Mach vortex of Gresho type, a two-layer baroclinic
 flow driven by an acoustic wave, a doubly periodic double shear layer, and a
-radial explosion with outflow boundaries.  Initial and exact cell averages
-both come from midpoint evaluation of the pointwise data.
+radial explosion with outflow boundaries.  A case's data is a pointwise
+``state_at(eps, t, x, y) -> (rho, u, v, p)``, whose midpoint evaluation gives
+the initial and exact cell averages; ``BenchmarkCase.start`` sets up a run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,14 +23,15 @@ from .nonstiff import split_scalars
 from .state import PrimitiveField, SolverConfig
 from .stiff import central_difference
 
-PointState = Callable[[np.ndarray, np.ndarray], tuple]
+PointState = Callable[[float, float, np.ndarray, np.ndarray], tuple]
 
 
-def evaluate_field(grid: GridSpec, fn: PointState) -> PrimitiveField:
+def evaluate_field(grid: GridSpec, state_at: PointState, eps: float, t: float) -> PrimitiveField:
     """Cell averages of a pointwise state by the midpoint rule, ghosts filled."""
     X, Y = grid.cell_centers()
     out = PrimitiveField.zeros(grid)
-    out.array[grid.interior] = [np.asarray(c, dtype=float) + np.zeros_like(X) for c in fn(X, Y)]
+    values = state_at(eps, t, X, Y)
+    out.array[grid.interior] = [np.asarray(c, dtype=float) + np.zeros_like(X) for c in values]
     return fill_ghosts(out, grid)
 
 
@@ -42,7 +44,7 @@ class BenchmarkCase:
     bc: str
     default_cfl: float
     domain: Callable[[float], tuple[float, float, float, float]]
-    state_at: Callable[[float, float], PointState]  # (eps, t) -> pointwise state
+    state_at: PointState  # (eps, t, x, y) -> (rho, u, v, p)
     final_time: Callable[[float], float]
     has_exact: bool = False
 
@@ -51,112 +53,101 @@ class BenchmarkCase:
         return GridSpec(nx, ny, x_lo, x_hi, y_lo, y_hi, bc_x=self.bc, bc_y=self.bc)
 
     def initial_state(self, grid: GridSpec, eps: float) -> PrimitiveField:
-        return evaluate_field(grid, self.state_at(eps, 0.0))
+        return evaluate_field(grid, self.state_at, eps, 0.0)
 
     def exact_state(self, grid: GridSpec, eps: float, t: float) -> PrimitiveField:
         if not self.has_exact:
             raise ValueError(f"case {self.name!r} has no exact solution")
-        return evaluate_field(grid, self.state_at(eps, t))
+        return evaluate_field(grid, self.state_at, eps, t)
 
     def config(self, eps: float, **overrides) -> SolverConfig:
         kwargs = dict(epsilon=eps, gamma=self.gamma, k_cfl=self.default_cfl)
         kwargs.update(overrides)
         return SolverConfig(**kwargs)
 
+    def start(self, eps: float, nx: int, ny: int, **overrides) -> tuple[GridSpec, SolverConfig, DualState]:
+        """Grid, config and initial state of a run at Mach number eps on an
+        nx x ny grid.  The config is built first, so a bad eps is rejected
+        before the domain uses it."""
+        cfg = self.config(eps, **overrides)
+        grid = self.make_grid(nx, ny, eps)
+        return grid, cfg, DualState.from_primitive(self.initial_state(grid, eps), grid, cfg)
+
     def initial_dt(self, n: int, eps: float, **overrides) -> float:
         """CFL step of the initial state on the n x n grid."""
-        cfg = self.config(eps, **overrides)  # checks eps before the domain uses it
-        grid = self.make_grid(n, n, eps)
-        V0 = self.initial_state(grid, eps)
-        return compute_dt(V0, split_scalars(V0, grid, eps), grid, cfg)
+        grid, cfg, state = self.start(eps, n, n, **overrides)
+        return compute_dt(state.V, split_scalars(state.V, grid, eps), grid, cfg)
 
 
 def _wrap(z: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return (z - lo) % (hi - lo) + lo
 
 
-def _vortex_state(eps: float, t: float) -> PointState:
-    def fn(x, y):
-        xr = _wrap(x - t, -10.0, 10.0)
-        yr = _wrap(y - t, -10.0, 10.0)
-        e_full = np.exp(1.0 - (xr**2 + yr**2))
-        e_half = np.sqrt(e_full)
-        rho = 1.0 - eps**2 / (16.0 * math.pi**2) * e_full
-        u = 1.0 - eps * yr / (2.0 * math.pi) * e_half
-        v = 1.0 + eps * xr / (2.0 * math.pi) * e_half
-        # Energy 1 + eps^2 [rho^2 + rho(u^2+v^2)/2] with gamma = 2 gives:
-        p = 1.0 + eps**2 * rho**2
-        return rho, u, v, p
-
-    return fn
+def _vortex_state(eps: float, t: float, x: np.ndarray, y: np.ndarray) -> tuple:
+    xr = _wrap(x - t, -10.0, 10.0)
+    yr = _wrap(y - t, -10.0, 10.0)
+    e_full = np.exp(1.0 - (xr**2 + yr**2))
+    e_half = np.sqrt(e_full)
+    rho = 1.0 - eps**2 / (16.0 * math.pi**2) * e_full
+    u = 1.0 - eps * yr / (2.0 * math.pi) * e_half
+    v = 1.0 + eps * xr / (2.0 * math.pi) * e_half
+    # Energy 1 + eps^2 [rho^2 + rho(u^2+v^2)/2] with gamma = 2 gives:
+    p = 1.0 + eps**2 * rho**2
+    return rho, u, v, p
 
 
-def _gresho_state(eps: float, t: float) -> PointState:
-    def fn(x, y):
-        xr = x - 0.5
-        yr = y - 0.5
-        r = np.hypot(xr, yr)
-        psi = np.where(r < 0.2, 5.0 * r, np.where(r < 0.4, 2.0 - 5.0 * r, 0.0))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            u = np.where(r > 0.0, -yr / r * psi, 0.0)
-            v = np.where(r > 0.0, xr / r * psi, 0.0)
-        safe_r = np.where(r > 0.0, r, 1.0)
-        p = np.where(
-            r < 0.2,
-            1.0 + 12.5 * eps**2 * r**2,
-            np.where(
-                r < 0.4,
-                1.0 + eps**2 * (4.0 * np.log(5.0 * safe_r) + 4.0 - 20.0 * r + 12.5 * r**2),
-                1.0 + eps**2 * (4.0 * math.log(2.0) - 2.0),
-            ),
-        )
-        rho = np.ones_like(p)
-        return rho, u, v, p
-
-    return fn
+def _gresho_state(eps: float, t: float, x: np.ndarray, y: np.ndarray) -> tuple:
+    xr = x - 0.5
+    yr = y - 0.5
+    r = np.hypot(xr, yr)
+    psi = np.where(r < 0.2, 5.0 * r, np.where(r < 0.4, 2.0 - 5.0 * r, 0.0))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        u = np.where(r > 0.0, -yr / r * psi, 0.0)
+        v = np.where(r > 0.0, xr / r * psi, 0.0)
+    safe_r = np.where(r > 0.0, r, 1.0)
+    p = np.where(
+        r < 0.2,
+        1.0 + 12.5 * eps**2 * r**2,
+        np.where(
+            r < 0.4,
+            1.0 + eps**2 * (4.0 * np.log(5.0 * safe_r) + 4.0 - 20.0 * r + 12.5 * r**2),
+            1.0 + eps**2 * (4.0 * math.log(2.0) - 2.0),
+        ),
+    )
+    rho = np.ones_like(p)
+    return rho, u, v, p
 
 
-def _baroclinic_state(eps: float, t: float) -> PointState:
+def _baroclinic_state(eps: float, t: float, x: np.ndarray, y: np.ndarray) -> tuple:
     gamma = 1.4
-
-    def fn(x, y):
-        cosx = np.cos(eps * math.pi * x)
-        rho = 1.0 + eps / 2000.0 * (1.0 + cosx) + 4.5 * eps * y
-        rho = rho - np.where((y >= 0.0) & (y <= 1.0 / (5.0 * eps)), 0.0, 1.8)
-        u = 0.5 * math.sqrt(gamma) * (1.0 + cosx)
-        v = np.zeros_like(u)
-        p = 1.0 + 0.5 * eps * gamma * (1.0 + cosx)
-        return rho, u, v, p
-
-    return fn
+    cosx = np.cos(eps * math.pi * x)
+    rho = 1.0 + eps / 2000.0 * (1.0 + cosx) + 4.5 * eps * y
+    rho = rho - np.where((y >= 0.0) & (y <= 1.0 / (5.0 * eps)), 0.0, 1.8)
+    u = 0.5 * math.sqrt(gamma) * (1.0 + cosx)
+    v = np.zeros_like(u)
+    p = 1.0 + 0.5 * eps * gamma * (1.0 + cosx)
+    return rho, u, v, p
 
 
-def _double_shear_state(eps: float, t: float) -> PointState:
+def _double_shear_state(eps: float, t: float, x: np.ndarray, y: np.ndarray) -> tuple:
     gamma = 1.4
-
-    def fn(x, y):
-        u = np.where(
-            y <= math.pi,
-            np.tanh(15.0 * (y / math.pi - 0.5)),
-            np.tanh(15.0 * (1.5 - y / math.pi)),
-        )
-        v = 0.05 * np.sin(x)
-        rho = np.full_like(u, math.pi / 15.0)
-        p = np.full_like(u, 1.0 / gamma)
-        return rho, u, v, p
-
-    return fn
+    u = np.where(
+        y <= math.pi,
+        np.tanh(15.0 * (y / math.pi - 0.5)),
+        np.tanh(15.0 * (1.5 - y / math.pi)),
+    )
+    v = 0.05 * np.sin(x)
+    rho = np.full_like(u, math.pi / 15.0)
+    p = np.full_like(u, 1.0 / gamma)
+    return rho, u, v, p
 
 
-def _explosion_state(eps: float, t: float) -> PointState:
-    def fn(x, y):
-        inside = np.hypot(x, y) < 0.4
-        rho = np.where(inside, 1.0, 0.125)
-        p = np.where(inside, 1.0, 0.1)
-        zero = np.zeros_like(rho)
-        return rho, zero, zero, p
-
-    return fn
+def _explosion_state(eps: float, t: float, x: np.ndarray, y: np.ndarray) -> tuple:
+    inside = np.hypot(x, y) < 0.4
+    rho = np.where(inside, 1.0, 0.125)
+    p = np.where(inside, 1.0, 0.1)
+    zero = np.zeros_like(rho)
+    return rho, zero, zero, p
 
 
 def _explosion_final_time(eps: float) -> float:
@@ -295,27 +286,10 @@ def run_case(
     **cfg_overrides,
 ) -> tuple[GridSpec, DualState, RunReport, SolverConfig]:
     """Set up and run one benchmark to its final (or a given) time."""
-    cfg = case.config(eps, **cfg_overrides)  # checks eps before the domain uses it
-    grid = case.make_grid(nx, ny, eps)
-    state = DualState.from_primitive(case.initial_state(grid, eps), grid, cfg)
+    grid, cfg, state = case.start(eps, nx, ny, **cfg_overrides)
     t_end = case.final_time(eps) if t_final is None else t_final
     state, report = run(state, grid, cfg, t_end, callback=callback)
     return grid, state, report, cfg
-
-
-def uniform_step_override(
-    case: BenchmarkCase, eps: float, nx: int, t_final: float, **cfg_overrides
-) -> tuple[int, float]:
-    """Equidistribute the run into uniform steps at or below the CFL step.
-
-    Probes the CFL step of the initial state and splits the interval into the
-    matching whole number of equal steps, expressed through the dt_override
-    config hook.  Keeps refinement-study step sequences deterministic instead
-    of ending on an arbitrarily clipped remainder step.
-    """
-    dt0 = case.initial_dt(nx, eps, **cfg_overrides)
-    n = max(1, math.ceil(t_final / dt0))
-    return (n, t_final / n)
 
 
 def convergence_study(
@@ -328,8 +302,11 @@ def convergence_study(
 ) -> ErrorTable:
     """Errors against the exact solution over a mesh/Mach sweep.
 
-    A run that blows up or whose pressure solve fails marks its row and the
-    study continues; a configuration error propagates.
+    With ``uniform_steps`` and no ``dt_override`` given, a row runs the fewest
+    equal steps at or below the CFL step of its initial state, so refinement
+    studies do not end on a clipped remainder step.  A run that blows up or
+    whose pressure solve fails marks its row and the study continues; a
+    configuration error propagates.
     """
     if not case.has_exact:
         raise ValueError(f"case {case.name!r} has no exact solution")
@@ -341,13 +318,13 @@ def convergence_study(
         previous: Optional[ErrorRow] = None
         for n in n_list:
             t_end = case.final_time(eps) if t_final is None else t_final
-            overrides = dict(cfg_overrides)
             try:
-                if uniform_steps and "dt_override" not in overrides:
-                    overrides["dt_override"] = uniform_step_override(
-                        case, eps, n, t_end, **cfg_overrides
-                    )
-                grid, state, _, _ = run_case(case, eps, n, n, t_final=t_end, **overrides)
+                grid, cfg, state = case.start(eps, n, n, **cfg_overrides)
+                if uniform_steps and "dt_override" not in cfg_overrides:
+                    dt0 = compute_dt(state.V, split_scalars(state.V, grid, eps), grid, cfg)
+                    k = max(1, math.ceil(t_end / dt0))
+                    cfg = replace(cfg, dt_override=(k, t_end / k))
+                state, _ = run(state, grid, cfg, t_end)
                 exact = case.exact_state(grid, eps, t_end)
                 errors = l1_error(state.V, exact, grid)
             except (NonPhysicalState, NoConvergence) as exc:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .benchmarks import CASES, convergence_study, run_case
 from .errors import NoConvergence, NonPhysicalState
-from .integrator import DualState, RunReport, run, si_dec_step
+from .integrator import RunReport, run, si_dec_step
 from .stiff import discrete_divergence
 from .snapshots import snapshot_write
 
@@ -119,9 +119,7 @@ def cmd_run(ns) -> int:
     eps, nx = ns.eps, ns.nx
     ny = nx if ns.ny is None else ns.ny
 
-    cfg = case.config(eps, **_scheme_overrides(ns))  # checks eps before the domain uses it
-    grid = case.make_grid(nx, ny, eps)
-    state = DualState.from_primitive(case.initial_state(grid, eps), grid, cfg)
+    grid, cfg, state = case.start(eps, nx, ny, **_scheme_overrides(ns))
     t_end = case.final_time(eps) if ns.t_final is None else ns.t_final
 
     # Run to each requested time in turn and write the state there; %.6f
@@ -180,9 +178,7 @@ def cmd_diagnose(ns) -> int:
     ok &= passed
     print(f"{'PASS' if passed else 'FAIL'} dt-uniformity: dt({eps:g})/dt(1e-6) = {ratio:.4f}")
 
-    grid = case.make_grid(nx, nx, 1e-6)
-    cfg = case.config(1e-6)
-    state = DualState.from_primitive(case.initial_state(grid, 1e-6), grid, cfg)
+    grid, cfg, state = case.start(1e-6, nx, nx)
     div0 = float(np.abs(discrete_divergence(state.V.u, state.V.v, grid)).max())
     worst = div0
     for _ in range(20):

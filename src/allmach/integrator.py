@@ -161,17 +161,18 @@ def post_process(
     transform and the blend act cell by cell, so the result's are filled too.
 
     Whenever U can influence the result (weight below 1) it is validated
-    first.  At vanishing Mach numbers the weight rounds to exactly 1 and U
-    is left unchecked: it is still advanced (its fluxes come from V, so it
-    stays finite and conservative) but its positivity cannot be maintained
-    against the 1/eps^2 flux amplification.
+    first.  At vanishing Mach numbers the weight rounds to exactly 1 and U is
+    only checked to be finite: it is still advanced, but its positivity
+    cannot be maintained against the 1/eps^2 flux amplification, and by
+    eps = 1e-130 its fluxes overflow.
 
     Neither input is modified.  Below weight 1 the result is a new field:
     the blend scales the transform of U in place, then adds s * V_raw.
-    At weight 1 the result is V_raw itself and U is not read.
+    At weight 1 the result is V_raw itself.
     """
     s = switching_weight(cfg.epsilon)
     if s == 1.0:
+        U.check_finite(grid)
         return V_raw
     out = cons_to_prim(U.validate(grid, cfg), cfg)
     if s != 0.0:

@@ -65,8 +65,19 @@ class _Field:
     """Cell averages of four components in one ghost-padded array of shape
     (4, nx+2g, ny+2g); the named components are writable views into it."""
 
+    names: tuple[str, ...]
+
     def __init__(self, array: np.ndarray):
         self.array = array
+
+    def check_finite(self, grid: GridSpec) -> None:
+        """Raise NonPhysicalState, naming the first component with a
+        non-finite interior value and its cell, unless all are finite."""
+        values = self.array[grid.interior]
+        finite = np.isfinite(values)
+        if not finite.all():
+            c = int(np.argmin(finite.all(axis=(1, 2))))
+            raise _at_cell(f"non-finite {self.names[c]}", values[c], np.argmin(finite[c]))
 
     def components(self):
         return tuple(self.array)
@@ -98,24 +109,17 @@ def _check_positive(what: str, values: np.ndarray) -> None:
         raise _at_cell(f"non-positive {what}", values, np.argmin(values))
 
 
-def _check_finite(fld: _Field, names, grid: GridSpec) -> None:
-    values = fld.array[grid.interior]
-    finite = np.isfinite(values)
-    if not finite.all():
-        c = int(np.argmin(finite.all(axis=(1, 2))))  # the first component with one
-        raise _at_cell(f"non-finite {names[c]}", values[c], np.argmin(finite[c]))
-
-
 class PrimitiveField(_Field):
     """Cell averages of (rho, u, v, p) on a ghost-padded grid."""
 
+    names = ("rho", "u", "v", "p")
     rho, u, v, p = (_component(i) for i in range(4))
 
     def validate(self, grid: GridSpec) -> "PrimitiveField":
         """Raise NonPhysicalState, naming the failing interior cell, unless
         interior cells are finite with positive density and pressure."""
         core = grid.interior
-        _check_finite(self, ("rho", "u", "v", "p"), grid)
+        self.check_finite(grid)
         _check_positive("density", self.rho[core])
         _check_positive("pressure", self.p[core])
         return self
@@ -124,11 +128,12 @@ class PrimitiveField(_Field):
 class ConservativeField(_Field):
     """Cell averages of (rho, rho*u, rho*v, E) on the same grid."""
 
+    names = ("rho", "mx", "my", "E")
     rho, mx, my, E = (_component(i) for i in range(4))
 
     def validate(self, grid: GridSpec, cfg: SolverConfig) -> "ConservativeField":
         core = grid.interior
-        _check_finite(self, ("rho", "mx", "my", "E"), grid)
+        self.check_finite(grid)
         rho = self.rho[core]
         _check_positive("density", rho)
         kinetic = 0.5 * cfg.epsilon**2 * (self.mx[core] ** 2 + self.my[core] ** 2) / rho

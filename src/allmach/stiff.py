@@ -30,11 +30,6 @@ def central_difference(a: np.ndarray, grid: GridSpec, axis: int) -> np.ndarray:
     return along(b[g + 1:1 - g, g:-g] - b[g - 1:-g - 1, g:-g], axis) / (2.0 * grid.spacing(axis))
 
 
-def central_gradient(p: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Second-order central gradient of a padded scalar field (interior)."""
-    return central_difference(p, grid, AXIS_X), central_difference(p, grid, AXIS_Y)
-
-
 def discrete_divergence(u: np.ndarray, v: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Central-difference divergence of a padded vector field (interior)."""
     return central_difference(u, grid, AXIS_X) + central_difference(v, grid, AXIS_Y)

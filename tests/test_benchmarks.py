@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,25 +15,27 @@ from allmach.benchmarks import (
     run_case,
     vorticity,
 )
+from allmach.errors import NonPhysicalState
 from allmach.grid import GridSpec, fill_ghosts
+from allmach.integrator import run
 from allmach.state import PrimitiveField
 
 
 class TestVortexCase:
     def test_density_dip_hand_value(self):
-        fn = CASES["vortex"].state_at(1.0, 0.0)
+        fn = partial(CASES["vortex"].state_at, 1.0, 0.0)
         rho, u, v, p = fn(np.array([1.0]), np.array([0.0]))  # |x_r| = 1
         expected = 1.0 - math.exp(1.0 - 1.0) / (16.0 * math.pi**2)
         assert expected == pytest.approx(0.9936674260223539, rel=1e-12)
         assert rho[0] == pytest.approx(expected, rel=1e-14)
 
     def test_center_velocity(self):
-        fn = CASES["vortex"].state_at(1.0, 0.0)
+        fn = partial(CASES["vortex"].state_at, 1.0, 0.0)
         rho, u, v, p = fn(np.array([0.0]), np.array([0.0]))
         assert u[0] == 1.0 and v[0] == 1.0
 
     def test_incompressible_limit(self):
-        fn = CASES["vortex"].state_at(1e-8, 0.0)
+        fn = partial(CASES["vortex"].state_at, 1e-8, 0.0)
         x = np.linspace(-3.0, 3.0, 7)
         rho, u, v, p = fn(x, x)
         assert np.allclose(rho, 1.0, atol=1e-12)
@@ -50,7 +53,7 @@ class TestVortexCase:
 
 class TestGreshoCase:
     def test_far_field_pressure_hand_value(self):
-        fn = CASES["gresho"].state_at(0.1, 0.0)
+        fn = partial(CASES["gresho"].state_at, 0.1, 0.0)
         rho, u, v, p = fn(np.array([0.95]), np.array([0.5]))  # r = 0.45
         expected = 1.0 + 0.01 * (4.0 * math.log(2.0) - 2.0)
         assert expected == pytest.approx(1.0077258872223978, rel=1e-12)
@@ -64,7 +67,7 @@ class TestGreshoCase:
         assert outer == pytest.approx(inner, rel=1e-14)
 
     def test_peak_speed_at_inner_ring(self):
-        fn = CASES["gresho"].state_at(0.1, 0.0)
+        fn = partial(CASES["gresho"].state_at, 0.1, 0.0)
         rho, u, v, p = fn(np.array([0.7]), np.array([0.5]))  # r = 0.2
         assert math.hypot(u[0], v[0]) == pytest.approx(1.0, rel=1e-13)
 
@@ -73,13 +76,22 @@ class TestGreshoCase:
         V = CASES["gresho"].initial_state(grid, 0.1)
         assert np.isfinite(V.u).all() and np.isfinite(V.v).all()
 
+    def test_overflowing_conservative_copy_is_reported(self):
+        # at weight 1 the result never reads U, but U's fluxes overflow by
+        # eps = 1e-130; the run must stop rather than carry inf and nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonPhysicalState, match=r"non-finite (rho|mx|my|E) at cell"):
+                run_case(CASES["gresho"], 1e-140, 8, 8, t_final=1e-3)
+            _, state, report, _ = run_case(CASES["gresho"], 1e-100, 8, 8, t_final=1e-3)
+        assert report.steps >= 1 and np.isfinite(state.U.array).all()
+
 
 class TestBaroclinicCase:
     def test_domain_scales_with_mach_number(self):
         assert CASES["baroclinic"].domain(0.05) == (-20.0, 20.0, 0.0, 8.0)
 
     def test_velocity_crest_hand_value(self):
-        fn = CASES["baroclinic"].state_at(0.05, 0.0)
+        fn = partial(CASES["baroclinic"].state_at, 0.05, 0.0)
         rho, u, v, p = fn(np.array([0.0]), np.array([1.0]))  # cos = 1
         assert u[0] == pytest.approx(math.sqrt(1.4), rel=1e-14)
         assert v[0] == 0.0
@@ -93,12 +105,12 @@ class TestBaroclinicCase:
             case.initial_dt(8, eps)
 
     def test_pressure_trough_is_unity(self):
-        fn = CASES["baroclinic"].state_at(0.05, 0.0)
+        fn = partial(CASES["baroclinic"].state_at, 0.05, 0.0)
         rho, u, v, p = fn(np.array([20.0]), np.array([1.0]))  # cos = -1
         assert p[0] == pytest.approx(1.0, rel=1e-14)
 
     def test_density_layer_jump(self):
-        fn = CASES["baroclinic"].state_at(0.05, 0.0)
+        fn = partial(CASES["baroclinic"].state_at, 0.05, 0.0)
         below = fn(np.array([0.0]), np.array([3.99]))[0][0]
         above = fn(np.array([0.0]), np.array([4.01]))[0][0]
         assert below - above == pytest.approx(1.8, abs=0.01)
@@ -106,18 +118,18 @@ class TestBaroclinicCase:
 
 class TestDoubleShearCase:
     def test_lower_layer_hand_value(self):
-        fn = CASES["double_shear"].state_at(0.1, 0.0)
+        fn = partial(CASES["double_shear"].state_at, 0.1, 0.0)
         rho, u, v, p = fn(np.array([0.0]), np.array([math.pi / 4.0]))
         assert u[0] == pytest.approx(math.tanh(-3.75), rel=1e-14)
         assert math.tanh(-3.75) == pytest.approx(-0.9988944427261528, rel=1e-12)
 
     def test_interface_hand_value(self):
-        fn = CASES["double_shear"].state_at(0.1, 0.0)
+        fn = partial(CASES["double_shear"].state_at, 0.1, 0.0)
         rho, u, v, p = fn(np.array([0.0]), np.array([math.pi]))
         assert u[0] == pytest.approx(math.tanh(7.5), rel=1e-14)
 
     def test_background_state(self):
-        fn = CASES["double_shear"].state_at(0.1, 0.0)
+        fn = partial(CASES["double_shear"].state_at, 0.1, 0.0)
         rho, u, v, p = fn(np.array([1.0]), np.array([1.0]))
         assert rho[0] == pytest.approx(math.pi / 15.0, rel=1e-14)
         assert p[0] == pytest.approx(1.0 / 1.4, rel=1e-14)
@@ -137,7 +149,7 @@ class TestDoubleShearCase:
 
 class TestExplosionCase:
     def test_inside_and_outside_states(self):
-        fn = CASES["explosion"].state_at(1.0, 0.0)
+        fn = partial(CASES["explosion"].state_at, 1.0, 0.0)
         rho, u, v, p = fn(np.array([0.0, 0.9]), np.array([0.0, 0.9]))
         assert (rho[0], p[0]) == (1.0, 1.0)
         assert (rho[1], p[1]) == (0.125, 0.1)
@@ -209,9 +221,9 @@ class TestErrorMachinery:
             calls.append(args)
             if len(calls) == 1:
                 raise NonPhysicalState("non-positive density")
-            return run_case(*args, **kwargs)
+            return run(*args, **kwargs)
 
-        monkeypatch.setattr(benchmarks, "run_case", first_row_blows_up)
+        monkeypatch.setattr(benchmarks, "run", first_row_blows_up)
         table = convergence_study(CASES["vortex"], [0.5, 1.0], [16], t_final=0.01)
         assert table.rows[0].failed == "non-positive density"
         assert not table.rows[1].failed
@@ -220,6 +232,24 @@ class TestErrorMachinery:
         assert "FAILED" not in text[2]
         machine = table.format_delimited().splitlines()
         assert len(machine) == 2 and machine[1].startswith("16 1 ")
+
+    def test_uniform_steps_split_the_interval_at_or_below_the_cfl_step(self, monkeypatch):
+        import allmach.benchmarks as benchmarks
+
+        forced = []
+
+        def recording_run(state, grid, cfg, t_final, **kwargs):
+            forced.append(cfg.dt_override)
+            return run(state, grid, cfg, t_final, **kwargs)
+
+        monkeypatch.setattr(benchmarks, "run", recording_run)
+        case = CASES["gresho"]
+        table = convergence_study(case, [0.1], [8, 16], t_final=0.1, uniform_steps=True)
+        assert not any(row.failed for row in table.rows)
+        for n, (k, dt) in zip([8, 16], forced, strict=True):
+            dt0 = case.initial_dt(n, 0.1)
+            assert k >= 2 and k * dt == pytest.approx(0.1, rel=1e-14)
+            assert dt <= dt0 < 0.1 / (k - 1)  # the fewest equal steps within the CFL step
 
     def test_config_error_is_not_a_failed_row(self):
         with pytest.raises(ValueError):

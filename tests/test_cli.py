@@ -131,6 +131,7 @@ def test_snap_time_before_the_start_is_config_error(tmp_path, monkeypatch, capsy
     assert "snapshot time -0.5 precedes the start" in capsys.readouterr().err
 
 
+@pytest.mark.golden
 def test_snapshot_series_golden(tmp_path, capsys):
     # a snapshot at the start, forced steps that cross a snapshot time, a
     # repeated time and the final file; digest over sorted names and bytes

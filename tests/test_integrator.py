@@ -10,7 +10,7 @@ import allmach.integrator as integrator
 from allmach.conservative import flux_divergence
 from allmach.elliptic import HelmholtzSystem, solve_helmholtz
 from allmach.errors import NoConvergence, NonPhysicalState
-from allmach.grid import AXIS_X, AXIS_Y, OUTFLOW, PERIODIC, GridSpec, along, fill_ghosts, padded
+from allmach.grid import AXIS_X, AXIS_Y, OUTFLOW, PERIODIC, GridSpec, along, fill_ghosts
 from allmach.integrator import (
     EPS0,
     EPS1,
@@ -31,7 +31,6 @@ from allmach.state import (
     cons_to_prim,
     prim_to_cons,
 )
-from allmach.stiff import central_gradient, discrete_divergence
 
 
 def uniform_state(grid, cfg, rho=1.0, u=0.0, v=0.0, p=1.0):
@@ -94,11 +93,26 @@ class TestSwitchingWeight:
         assert switching_weight(0.5) == pytest.approx(0.5**14, rel=1e-13)
         assert switching_weight(0.5) == pytest.approx(6.103515625e-5, rel=1e-12)
 
+    @pytest.mark.parametrize("eps, expected", [(0.2, 0.9592214379471374), (0.3, 0.5701199608224566)])
+    def test_band_hand_value(self, eps, expected):
+        # s = ((eps - EPS0) / (EPS1 - EPS0))^2, bump exp(1 - 1/(1 - s)) between
+        # the outer branches' edge values 1 - 0.15^14 and 0.6^14
+        s = ((eps - 0.15) / (0.4 - 0.15)) ** 2
+        lo = 0.6**14
+        by_hand = np.exp(1.0 - 1.0 / (1.0 - s)) * ((1.0 - 0.15**14) - lo) + lo
+        assert by_hand == pytest.approx(expected, rel=1e-12)
+        assert switching_weight(eps) == pytest.approx(expected, rel=1e-12)
+
     def test_continuity_at_branch_edges(self):
         for edge in (EPS0, EPS1):
             below = switching_weight(edge - 1e-9)
             above = switching_weight(edge + 1e-9)
             assert below == pytest.approx(above, abs=1e-6)
+
+    def test_band_meets_the_outer_branches(self):
+        inside_lo, inside_hi = float(np.nextafter(EPS0, 1.0)), float(np.nextafter(EPS1, 0.0))
+        assert switching_weight(inside_lo) == pytest.approx(1.0 - EPS0**14, rel=0, abs=1e-12)
+        assert switching_weight(inside_hi) == pytest.approx((1.0 - EPS1) ** 14, rel=0, abs=1e-12)
 
     def test_monotone_decreasing(self):
         eps = np.linspace(1e-3, 1.0, 200)
@@ -471,43 +485,61 @@ class TestRun:
         assert abs(dts[1e-2] / dts[1e-6] - 1.0) <= 0.1
 
 
+def pad(interior, grid):
+    """Ghost-padded copy of interior values (..., nx, ny): np.pad along x,
+    then y, wrapping periodic axes and repeating the edge cell of outflow
+    ones."""
+    g = grid.ghost
+    for axis, bc in ((-2, grid.bc_x), (-1, grid.bc_y)):
+        width = [(0, 0)] * interior.ndim
+        width[axis] = (g, g)
+        interior = np.pad(interior, width, mode="wrap" if bc == PERIODIC else "edge")
+    return interior
+
+
+def ddx(a, grid):
+    """Central difference along x of a padded field, on interior cells."""
+    g, nx, ny = grid.ghost, grid.nx, grid.ny
+    return (a[g + 1:g + 1 + nx, g:g + ny] - a[g - 1:g - 1 + nx, g:g + ny]) / (2.0 * grid.dx)
+
+
+def ddy(a, grid):
+    """Central difference along y of a padded field, on interior cells."""
+    g, nx, ny = grid.ghost, grid.nx, grid.ny
+    return (a[g:g + nx, g + 1:g + 1 + ny] - a[g:g + nx, g - 1:g - 1 + ny]) / (2.0 * grid.dy)
+
+
 def reference_step(state, grid, cfg):
     """The two-stage step written out stage by stage (predictor, then
     trapezoidal corrector), with the stiff operator, the explicit prediction
-    and its pressure right-hand side inline.  Oracle for ``si_dec_step`` to
-    the last bit."""
+    and its pressure right-hand side inline, and ghosts and differences of
+    its own.  Oracle for ``si_dec_step`` to the last bit."""
     Vn, Un = state.V, state.U
     core = grid.interior
     eps2 = cfg.epsilon**2
 
     def stiff(scalars, Vf):
-        px, py = central_gradient(Vf.p, grid)
         L = np.zeros((4, grid.nx, grid.ny))
-        L[1] = 1.0 / (eps2 * scalars.rho_max) * px
-        L[2] = 1.0 / (eps2 * scalars.rho_max) * py
-        L[3] = cfg.gamma * scalars.p_min * discrete_divergence(Vf.u, Vf.v, grid)
+        L[1] = 1.0 / (eps2 * scalars.rho_max) * ddx(Vf.p, grid)
+        L[2] = 1.0 / (eps2 * scalars.rho_max) * ddy(Vf.p, grid)
+        L[3] = cfg.gamma * scalars.p_min * (ddx(Vf.u, grid) + ddy(Vf.v, grid))
         return L
 
     def stage(E, cons_rate, scalars, dt):
         # prediction V* = Vn - dt E, then p from
         # (I - sigma Lap_h) p = p* - dt gamma p_min div u*
-        V = PrimitiveField.zeros(grid)
-        for c in range(4):
-            V.array[c][core] = Vn.array[c][core] - dt * E[c]
-        fill_ghosts(V, grid)
+        V = PrimitiveField(pad(Vn.array[core] - dt * E, grid))
         gp = cfg.gamma * scalars.p_min
         sigma = dt**2 * gp / (eps2 * scalars.rho_max)
-        rhs = V.p[core] - dt * gp * discrete_divergence(V.u, V.v, grid)
+        rhs = V.p[core] - dt * gp * (ddx(V.u, grid) + ddy(V.v, grid))
         p, _, res = solve_helmholtz(HelmholtzSystem(sigma, rhs, grid))
         V.p[core] = p
-        gx, gy = central_gradient(padded(p, grid), grid)
+        p = pad(p, grid)
         coef = 1.0 / (eps2 * scalars.rho_max)
-        V.u[core] -= dt * coef * gx
-        V.v[core] -= dt * coef * gy
-        U = ConservativeField.zeros(grid)
-        U.array[core] = Un.array[core] + dt * cons_rate
-        fill_ghosts(U, grid)
-        fill_ghosts(V, grid)
+        V.u[core] -= dt * coef * ddx(p, grid)
+        V.v[core] -= dt * coef * ddy(p, grid)
+        U = ConservativeField(pad(Un.array[core] + dt * cons_rate, grid))
+        V = PrimitiveField(pad(V.array[core], grid))
         return DualState(post_process(V, U, grid, cfg), U, state.t + dt), res
 
     R, D = np.zeros((2, 4, grid.nx, grid.ny))
@@ -566,7 +598,7 @@ class TestReferenceStep:
             assert state.t == ref.t and rep.dt == dt
             assert rep.solve_residuals == residuals
             core = grid.interior
-            div = discrete_divergence(ref.V.u, ref.V.v, grid)
+            div = ddx(ref.V.u, grid) + ddy(ref.V.v, grid)
             assert rep.max_divergence == float(np.abs(div).max())
             assert rep.pressure_fluctuation == float(ref.V.p[core].max() - ref.V.p[core].min())
 
@@ -587,6 +619,7 @@ def stage_digest(Vf, grid, cfg):
     return h.hexdigest()
 
 
+@pytest.mark.golden
 class TestStageGolden:
     """The explicit stage pinned to the last bit.  Only elementwise IEEE
     operations and min/max reductions feed these digests (no step runs, so

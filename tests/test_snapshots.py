@@ -133,6 +133,7 @@ def _golden_snapshot():
 GOLDEN_SHA256 = "431c510c5936fb1848c8a4c875b1866bc35b0366ade25557e8f07ea3411a9113"
 
 
+@pytest.mark.golden
 def test_writer_bytes_match_golden_digest(tmp_path):
     header, rows = _golden_snapshot()
     path = tmp_path / "golden.dat"
