@@ -35,45 +35,27 @@ def flux_from_primitive(Vs: np.ndarray, Us: np.ndarray, cfg: SolverConfig, axis:
     return F
 
 
-def conservative_speeds(traces: Traces, cfg: SolverConfig, axis: int):
-    """Speed estimates from the full-system eigenvalues u_n +- c."""
-    minus, plus = traces
-    return one_sided_speeds(
-        minus, plus,
-        sound_speed(minus[RHO], minus[P], cfg),
-        sound_speed(plus[RHO], plus[P], cfg),
-        axis,
-    )
+def flux_divergence(traces: Traces, cfg: SolverConfig, axis: int, h: float) -> np.ndarray:
+    """Difference quotient (f[i+1/2] - f[i-1/2]) / h of the central-upwind
+    fluxes normal to ``axis`` for the cells of one axis-first block, from
+    their reconstruction ``traces``, shape (4, n, m).  The semi-discrete rate
+    dU/dt is minus its sum over both axes.  The one-sided speeds come from
+    u_n +- c and the interface states are the transforms of the traces.
 
-
-def cu_flux_conservative(traces: Traces, cfg: SolverConfig, axis: int) -> np.ndarray:
-    """Central-upwind fluxes of the conservative system at the interfaces
-    normal to ``axis``, shape (4, n+1, m) with the axis first.
-
-    Interface states are the transforms of the reconstructed primitive
-    traces; the anti-diffusion term reuses the same one-sided speeds.
+    Exactly telescoping under periodic boundaries: the componentwise sum of
+    the rate over the domain vanishes to round-off.
     """
     minus, plus = traces
-    s_minus, s_plus = conservative_speeds(traces, cfg, axis)
+    s_minus, s_plus = one_sided_speeds(
+        minus, plus, sound_speed(minus[RHO], minus[P], cfg), sound_speed(plus[RHO], plus[P], cfg), axis
+    )
     u_minus, u_plus = prim_to_cons(minus, cfg), prim_to_cons(plus, cfg)
-    return cu_flux(
+    f = cu_flux(
         u_minus, u_plus,
         flux_from_primitive(minus, u_minus, cfg, axis),
         flux_from_primitive(plus, u_plus, cfg, axis),
         s_minus, s_plus,
     )
-
-
-def flux_divergence(traces: Traces, cfg: SolverConfig, axis: int, h: float) -> np.ndarray:
-    """Difference quotient (f[i+1/2] - f[i-1/2]) / h of the central-upwind
-    fluxes normal to ``axis`` for the cells of one axis-first block, from
-    their reconstruction ``traces``, shape (4, n, m).  The semi-discrete rate
-    dU/dt is minus its sum over both axes.
-
-    Exactly telescoping under periodic boundaries: the componentwise sum of
-    the rate over the domain vanishes to round-off.
-    """
-    f = cu_flux_conservative(traces, cfg, axis)
     div = f[:, 1:] - f[:, :-1]
     div /= h
     return div

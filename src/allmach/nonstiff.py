@@ -76,17 +76,6 @@ def one_sided_speeds(minus, plus, c_minus, c_plus, axis):
     return np.minimum(lo, -DELTA), np.maximum(hi, DELTA)
 
 
-def nonstiff_speeds(traces: Traces, scalars: SplitScalars, cfg: SolverConfig, axis: int):
-    """Speed estimates from the split-subsystem eigenvalues u_n +- c_tilde."""
-    minus, plus = traces
-    return one_sided_speeds(
-        minus, plus,
-        modified_sound_speed(minus[RHO], minus[P], scalars, cfg.epsilon, cfg.gamma),
-        modified_sound_speed(plus[RHO], plus[P], scalars, cfg.epsilon, cfg.gamma),
-        axis,
-    )
-
-
 def nonstiff_flux(Vs: np.ndarray, axis: int) -> np.ndarray:
     """Flux of the split subsystem along ``axis``: (rho*u, u^2/2, 0, 0)
     along x and (rho*v, 0, v^2/2, 0) along y."""
@@ -115,6 +104,12 @@ def antidiffusion(v_minus, v_plus, f_minus, f_plus, s_minus, s_plus):
     return minmod(scratch, v_int, out=v_int)
 
 
+# cu_flux, antidiffusion, minmod(out=) and compute_slopes work in place.  With
+# them, the two operators' differences and limited_traces' slope scaling all
+# written as plain expressions, every step digest stayed bit-identical, but on
+# a 2-core Xeon (numpy 2.4), in 4 of 4 paired runs, gresho eps 1e-3 128^2 took
+# 42-49 ms per step against 32-35 and explosion 200^2 took 77-92 against
+# 72-80, and gresho's step peak rose from 5.47 to 6.33 state arrays.
 def cu_flux(v_minus, v_plus, f_minus, f_plus, s_minus, s_plus):
     """Central-upwind numerical flux with anti-diffusion,
     (s+ f- - s- f+)/(s+ - s-) + (s+ s-/(s+ - s-)) (v+ - v- - dv).
@@ -157,23 +152,6 @@ def _bmat_apply(
     return out
 
 
-def nonconservative_terms(
-    traces: Traces, Vbar: np.ndarray, scalars: SplitScalars, cfg: SolverConfig, axis: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Path-conservative products along ``axis``: per-cell terms and
-    interface fluctuations.
-
-    Cell terms apply the matrix at the cell average ``Vbar`` (interior,
-    axis first) to the in-cell jump of the reconstruction; fluctuations use
-    a linear path between the interface traces evaluated by the midpoint
-    rule.  Returns (cell, psi) with shapes (4, n, m) and (4, n+1, m).
-    """
-    minus, plus = traces
-    cell = _bmat_apply(Vbar, minus[:, 1:] - plus[:, :-1], scalars, cfg, axis)
-    psi = _bmat_apply(0.5 * (minus + plus), plus - minus, scalars, cfg, axis)
-    return cell, psi
-
-
 def nonstiff_rate(
     Vbar: np.ndarray,
     traces: Traces,
@@ -193,9 +171,19 @@ def nonstiff_rate(
     (p - p_min)-weighted dilatation.
     """
     minus, plus = traces
-    s_minus, s_plus = nonstiff_speeds(traces, scalars, cfg, axis)
+    # speeds from the split subsystem's eigenvalues u_n +- c_tilde
+    s_minus, s_plus = one_sided_speeds(
+        minus, plus,
+        modified_sound_speed(minus[RHO], minus[P], scalars, cfg.epsilon, cfg.gamma),
+        modified_sound_speed(plus[RHO], plus[P], scalars, cfg.epsilon, cfg.gamma),
+        axis,
+    )
     f = cu_flux(minus, plus, nonstiff_flux(minus, axis), nonstiff_flux(plus, axis), s_minus, s_plus)
-    cell, psi = nonconservative_terms(traces, Vbar, scalars, cfg, axis)
+    # path-conservative products: the matrix at the cell average applied to
+    # the in-cell jump, and at the midpoint of the linear path between the
+    # interface traces applied to the interface jump
+    cell = _bmat_apply(Vbar, minus[:, 1:] - plus[:, :-1], scalars, cfg, axis)
+    psi = _bmat_apply(0.5 * (minus + plus), plus - minus, scalars, cfg, axis)
     den = s_plus - s_minus
     rate = f[:, 1:] - f[:, :-1]
     rate -= cell

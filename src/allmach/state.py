@@ -141,18 +141,14 @@ class ConservativeField(_Field):
         return self
 
 
-def total_energy(rho, u, v, p, cfg: SolverConfig):
-    """Equation of state: total energy from primitive quantities."""
-    return p / (cfg.gamma - 1.0) + 0.5 * cfg.epsilon**2 * rho * (u * u + v * v)
-
-
 def prim_to_cons(Vs: np.ndarray, cfg: SolverConfig) -> np.ndarray:
     """Transform stacked (rho, u, v, p) values, shape (4, ...), to
     (rho, rho*u, rho*v, E)."""
+    rho, u, v, p = Vs
     Us = np.empty_like(Vs)
-    Us[0] = Vs[0]
-    Us[1:3] = Vs[0] * Vs[1:3]
-    Us[3] = total_energy(*Vs, cfg)
+    Us[0] = rho
+    Us[1:3] = rho * Vs[1:3]
+    Us[3] = p / (cfg.gamma - 1.0) + 0.5 * cfg.epsilon**2 * rho * (u * u + v * v)
     return Us
 
 

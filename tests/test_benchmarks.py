@@ -189,13 +189,15 @@ class TestErrorMachinery:
         assert l1_error(V, W, grid)[0] == pytest.approx(0.25, rel=1e-13)
 
     def test_constant_offset_scales_with_area(self):
-        grid = GridSpec(8, 8, -10.0, 10.0, -10.0, 10.0)
-        V = PrimitiveField.zeros(grid)
-        V.rho[:] = 1.0
-        V.p[:] = 1.0
-        W = V.copy()
-        W.rho += 0.25
-        assert l1_error(V, W, grid)[0] == pytest.approx(400.0 * 0.25, rel=1e-13)
+        # the second grid has dx = 0.25 and dy = 0.6
+        for grid, area in ((GridSpec(8, 8, -10.0, 10.0, -10.0, 10.0), 400.0),
+                           (GridSpec(8, 5, 0.0, 2.0, 0.0, 3.0), 6.0)):
+            V = PrimitiveField.zeros(grid)
+            V.rho[:] = 1.0
+            V.p[:] = 1.0
+            W = V.copy()
+            W.rho += 0.25
+            assert l1_error(V, W, grid)[0] == pytest.approx(area * 0.25, rel=1e-13)
 
     def test_rate_formula(self):
         rates = observed_rate(np.array([4e-2]), np.array([1e-2]))

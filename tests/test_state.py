@@ -105,6 +105,13 @@ class TestGridSpec:
         with pytest.raises(ValueError, match=message):
             GridSpec(*args, **kwargs)
 
+    def test_cell_centers_with_unequal_spacing(self):
+        grid = GridSpec(8, 5, 0.0, 2.0, 0.0, 3.0)  # dx = 0.25, dy = 0.6
+        X, Y = grid.cell_centers()
+        assert X.shape == Y.shape == (8, 5)
+        assert np.all(X == np.array([0.125, 0.375, 0.625, 0.875, 1.125, 1.375, 1.625, 1.875])[:, None])
+        assert np.allclose(Y, [[0.3, 0.9, 1.5, 2.1, 2.7]], rtol=1e-15, atol=0.0)
+
 
 class TestGhostFilling:
     def test_periodic_wrap_indices(self):

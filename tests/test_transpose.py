@@ -6,6 +6,10 @@ components) must swap the axes of every result.  A dx/dy or boundary-kind
 mix-up between the two directions breaks this, which is why the operator
 check runs on non-square grids with dx != dy and different boundary kinds
 per axis.
+
+Reflecting the cells along one axis, with the normal velocity negated, must
+likewise reflect each explicit operator's rate: the operators must treat the
+left and right traces of an interface alike.
 """
 
 import numpy as np
@@ -14,8 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from allmach.benchmarks import CASES
+from allmach.conservative import flux_divergence
 from allmach.grid import OUTFLOW, PERIODIC, GridSpec, fill_ghosts
 from allmach.integrator import DualState, build_stage, si_dec_step
+from allmach.nonstiff import SplitScalars, nonstiff_rate
+from allmach.reconstruction import limited_traces
 from allmach.state import PrimitiveField, SolverConfig
 
 PRIMITIVE = ("rho", "u", "v", "p")
@@ -99,3 +106,41 @@ def test_explicit_operators_commute_with_transposition(nx, extra, lengths, bc_x,
     assert np.abs(swap_stack(R) - RT).max() <= 1e-14 * np.abs(R).max()
 
     assert np.abs(swap_stack(D) - DT).max() <= 1e-14 * np.abs(D).max()
+
+
+def mirrored(a, axis):
+    """Reverse an axis-first stack (4, n, m) along its first axis and negate
+    its component normal to ``axis`` (velocity or momentum)."""
+    out = a[:, ::-1].copy()
+    out[1 + axis] *= -1.0
+    return out
+
+
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@given(
+    n=st.integers(3, 11),
+    axis=st.sampled_from((0, 1)),
+    eps=st.sampled_from((1.0, 0.5, 0.1, 1e-3)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_explicit_operators_commute_with_reflection(n, axis, eps, seed):
+    rng = np.random.default_rng(seed)
+    g, m, h = 2, 3, 0.1
+    shape = (n + 2 * g, m)
+    block = np.stack((
+        0.5 + rng.random(shape),
+        rng.standard_normal(shape),
+        rng.standard_normal(shape),
+        0.5 + rng.random(shape),
+    ))
+    cfg = SolverConfig(epsilon=eps, gamma=1.4)
+    scalars = SplitScalars(rho_max=block[0].max() + eps**4, p_min=block[3].min() - eps**4)
+    rates = []
+    for b in (block, mirrored(block, axis)):
+        traces = limited_traces(b, h, cfg.theta, axis, 0)
+        rates.append((
+            nonstiff_rate(b[:, g:-g], traces, scalars, cfg, axis, h),
+            flux_divergence(traces, cfg, axis, h),
+        ))
+    for rate, rate_of_mirror in zip(*rates):
+        assert np.abs(mirrored(rate, axis) - rate_of_mirror).max() <= 1e-14 * np.abs(rate).max()

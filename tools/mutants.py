@@ -60,6 +60,8 @@ MUTANTS = [
     ("nonstiff.py", "rate += (s_minus[1:] / den[1:]) * psi[:, 1:]",
      "rate += (s_plus[1:] / den[1:]) * psi[:, 1:]",
      "right fluctuation weighted by the wrong speed"),
+    ("nonstiff.py", "psi = _bmat_apply(0.5 * (minus + plus),", "psi = _bmat_apply(minus,",
+     "fluctuation matrix at the left trace instead of the path midpoint"),
     ("integrator.py", "math.exp(1.0 - 1.0 / (1.0 - s))", "math.exp(0.9 - 0.9 / (1.0 - s))",
      "band exponent of the blend weight"),
     ("integrator.py", "grid.spacing(axis) / max(", "grid.spacing(1 - axis) / max(",
@@ -74,6 +76,10 @@ MUTANTS = [
      "momentum flux pressure scaled by 1/eps"),
     ("conservative.py", "F[P] = un * (energy + p)", "F[P] = un * energy",
      "energy flux without the pressure work"),
+    ("conservative.py",
+     "minus, plus, sound_speed(minus[RHO], minus[P], cfg), sound_speed(plus[RHO], plus[P], cfg), axis",
+     "minus, minus, sound_speed(minus[RHO], minus[P], cfg), sound_speed(minus[RHO], minus[P], cfg), axis",
+     "conservative speeds from the left trace on both sides"),
     ("reconstruction.py", "minus = Vs[:, 1:-2] + s[:, :-1]", "minus = Vs[:, 1:-2] - s[:, :-1]",
      "left trace extrapolated the wrong way"),
     ("reconstruction.py", "one_sided *= theta", "one_sided *= 1.0", "limiter ignores theta"),
@@ -81,6 +87,8 @@ MUTANTS = [
      "periodic high ghosts shifted by one cell"),
     ("grid.py", "b[..., -g:, :] = b[..., -g - 1:-g, :]", "b[..., -g:, :] = b[..., -g - 2:-g - 1, :]",
      "outflow high ghosts copy the wrong cell"),
+    ("grid.py", "y = self.y_lo + (np.arange(self.ny) + 0.5) * self.dy",
+     "y = self.y_lo + (np.arange(self.ny) + 0.5) * self.dx", "cell centres spaced in y by dx"),
     ("benchmarks.py",
      "cfg = self.config(eps, **overrides)\n        grid = self.make_grid(nx, ny, eps)\n",
      "grid = self.make_grid(nx, ny, eps)\n        cfg = self.config(eps, **overrides)\n",
@@ -90,6 +98,8 @@ MUTANTS = [
     ("benchmarks.py", "rho = 1.0 - eps**2 / (16.0 * math.pi**2) * e_full",
      "rho = 1.0 - eps**2 / (8.0 * math.pi**2) * e_full",
      "vortex density dip doubled"),
+    ("benchmarks.py", "w = grid.dx * grid.dy", "w = grid.dx * grid.dx",
+     "L1 error weighted by dx^2 instead of dx*dy"),
 ]
 
 EQUIVALENT = [
