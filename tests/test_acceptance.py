@@ -21,8 +21,8 @@ from allmach.benchmarks import (
 )
 from allmach.elliptic import HelmholtzSystem, compact_laplacian, solve_helmholtz
 from allmach.grid import GridSpec, fill_ghost_array
-from allmach.integrator import DualState, compute_dt, si_dec_step
-from allmach.nonstiff import SplitScalars, modified_sound_speed, split_scalars
+from allmach.integrator import si_dec_step
+from allmach.nonstiff import SplitScalars, modified_sound_speed
 from allmach.reconstruction import minmod
 from allmach.state import cons_to_prim
 from allmach.stiff import discrete_divergence
@@ -114,21 +114,13 @@ def test_criterion_02_error_decreases_with_mach_number():
 
 def test_criterion_03_time_step_mach_uniform():
     case = CASES["gresho"]
-    dts = {}
-    for eps in (1e-2, 1e-6):
-        grid = case.make_grid(64, 64, eps)
-        cfg = case.config(eps)
-        V0 = case.initial_state(grid, eps)
-        dts[eps] = compute_dt(V0, split_scalars(V0, grid, eps), grid, cfg)
+    dts = {eps: case.initial_dt(64, eps) for eps in (1e-2, 1e-6)}
     rel = abs(dts[1e-2] / dts[1e-6] - 1.0)
     report(3, rel <= 0.1, f"first-step dt {dts[1e-2]:.6e} vs {dts[1e-6]:.6e} (rel diff {rel:.2e})")
 
 
 def test_criterion_04_divergence_controlled_at_vanishing_mach():
-    case = CASES["gresho"]
-    grid = case.make_grid(64, 64, 1e-6)
-    cfg = case.config(1e-6)
-    state = DualState.from_primitive(case.initial_state(grid, 1e-6), grid, cfg)
+    grid, cfg, state = CASES["gresho"].start(1e-6, 64, 64)
     div0 = float(np.abs(discrete_divergence(state.V.u, state.V.v, grid)).max())
     worst = div0
     for _ in range(20):
@@ -192,10 +184,7 @@ def test_criterion_07_explosion_self_convergence(explosion_triple):
 
 
 def test_criterion_08_dual_branch_coherence_at_unit_mach():
-    case = CASES["explosion"]
-    grid = case.make_grid(24, 24, 1.0)
-    cfg = case.config(1.0)
-    state = DualState.from_primitive(case.initial_state(grid, 1.0), grid, cfg)
+    grid, cfg, state = CASES["explosion"].start(1.0, 24, 24)
     worst = 0.0
     for _ in range(10):
         state, _ = si_dec_step(state, grid, cfg)
@@ -211,10 +200,7 @@ def test_criterion_08_dual_branch_coherence_at_unit_mach():
 
 
 def test_criterion_09_conservation_over_100_steps():
-    case = CASES["gresho"]
-    grid = case.make_grid(64, 64, 1e-2)
-    cfg = case.config(1e-2)
-    state = DualState.from_primitive(case.initial_state(grid, 1e-2), grid, cfg)
+    grid, cfg, state = CASES["gresho"].start(1e-2, 64, 64)
     core = grid.interior
     sums0 = np.array([a[core].sum() for a in state.U.components()])
     scale = np.array([np.abs(a[core]).sum() for a in state.U.components()])

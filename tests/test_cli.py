@@ -8,7 +8,6 @@ import pytest
 from allmach import cli
 from allmach.benchmarks import CASES
 from allmach.errors import NoConvergence, NonPhysicalState
-from allmach.integrator import DualState
 from allmach.snapshots import snapshot_read, snapshot_rows
 
 
@@ -112,10 +111,7 @@ def test_snap_time_at_start_holds_initial_state(tmp_path, monkeypatch):
     assert code == 0
     assert paths == ["gresho_t0.000000.dat", "gresho_t0.010000.dat", "gresho_t0.020000.dat"]
     header, rows = snapshot_read(tmp_path / "gresho_t0.000000.dat")
-    case = CASES["gresho"]
-    grid = case.make_grid(10, 10, 0.1)
-    cfg = case.config(0.1)
-    initial = DualState.from_primitive(case.initial_state(grid, 0.1), grid, cfg)
+    grid, cfg, initial = CASES["gresho"].start(0.1, 10, 10)
     assert header["time"] == 0.0
     assert np.array_equal(rows, snapshot_rows(initial, grid, cfg))
 

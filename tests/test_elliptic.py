@@ -66,25 +66,29 @@ def random_state(grid, rng):
     return fill_ghosts(V, grid)
 
 
-class TestPredictorSystem:
-    def test_constant_static_state_fixed_point(self):
+class TestPressureSystem:
+    @pytest.mark.parametrize("p, scalars, dt", [
+        (2.5, SplitScalars(1.0016, 2.4984), 0.01),
+        (1.7, SplitScalars(1.0, 1.69), 0.02),
+    ], ids=["p2.5", "p1.7"])
+    def test_constant_static_state_fixed_point(self, p, scalars, dt):
         grid = GridSpec(8, 8, 0.0, 1.0, 0.0, 1.0)
         cfg = SolverConfig(epsilon=0.2, gamma=1.4)
-        V = uniform_state(grid, p=2.5)
-        sys = pressure_system(V, SplitScalars(1.0016, 2.4984), 0.01, cfg, grid)
-        assert np.allclose(sys.rhs, 2.5, rtol=1e-14)
+        sys = pressure_system(uniform_state(grid, p=p), scalars, dt, cfg, grid)
+        assert np.allclose(sys.rhs, p, rtol=1e-14)
         q, _, _ = solve_helmholtz(sys)
-        assert np.allclose(q, 2.5, rtol=1e-13)
+        assert np.allclose(q, p, rtol=1e-13)
 
-    def test_shift_coefficient_hand_value(self):
-        # dt^2 gamma p_min / (eps^2 rho_max) at dt=0.01, gamma=1.4, eps=0.1
+    @pytest.mark.parametrize("eps, scalars, dt, sigma", [
+        (0.1, SplitScalars(2.0, 1.0), 0.01, 7e-3),
+        (0.5, SplitScalars(3.0, 0.7), 0.02, 0.02**2 * 1.4 * 0.7 / (0.25 * 3.0)),
+    ], ids=["eps0.1", "eps0.5"])
+    def test_shift_hand_value(self, eps, scalars, dt, sigma):
+        # dt^2 gamma p_min / (eps^2 rho_max), gamma = 1.4
         grid = GridSpec(8, 8, 0.0, 1.0, 0.0, 1.0)
-        cfg = SolverConfig(epsilon=0.1, gamma=1.4)
-        V = uniform_state(grid)
-        sys = pressure_system(V, SplitScalars(2.0, 1.0), 0.01, cfg, grid)
-        expected = 0.01**2 * 1.4 * 1.0 / (0.1**2 * 2.0)
-        assert expected == pytest.approx(7e-3, rel=1e-12)
-        assert sys.sigma == pytest.approx(expected, rel=1e-14)
+        cfg = SolverConfig(epsilon=eps, gamma=1.4)
+        sys = pressure_system(uniform_state(grid), scalars, dt, cfg, grid)
+        assert sys.sigma == pytest.approx(sigma, rel=1e-14)
 
     def test_rhs_polynomial_in_dt(self):
         # affine in dt for a fixed prediction: rhs(dt) = p* + a dt; pin via two samples
@@ -100,24 +104,6 @@ class TestPredictorSystem:
         a = (r2 - r1) / 0.01
         assert np.allclose(2.0 * r1 - r2, p0, rtol=1e-12, atol=1e-12)
         assert np.allclose(p0 + 0.03 * a, r3, rtol=1e-9, atol=1e-12)
-
-
-class TestCorrectorSystem:
-    def test_constant_states_fixed_point(self):
-        grid = GridSpec(8, 8, 0.0, 1.0, 0.0, 1.0)
-        cfg = SolverConfig(epsilon=0.2, gamma=1.4)
-        V = uniform_state(grid, p=1.7)
-        s = SplitScalars(1.0, 1.69)
-        q, _, _ = solve_helmholtz(pressure_system(V, s, 0.02, cfg, grid))
-        assert np.allclose(q, 1.7, rtol=1e-13)
-
-    def test_shift_uses_predictor_stage_scalars(self):
-        grid = GridSpec(8, 8, 0.0, 1.0, 0.0, 1.0)
-        cfg = SolverConfig(epsilon=0.5, gamma=1.4)
-        V = uniform_state(grid)
-        s_star = SplitScalars(3.0, 0.7)
-        sys = pressure_system(V, s_star, 0.02, cfg, grid)
-        assert sys.sigma == pytest.approx(0.02**2 * 1.4 * 0.7 / (0.25 * 3.0), rel=1e-14)
 
 
 def bracket_system(Vn, brackets, scalars, dt, cfg, grid):

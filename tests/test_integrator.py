@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import allmach.integrator as integrator
+from allmach.benchmarks import CASES, run_case
 from allmach.conservative import flux_divergence
 from allmach.elliptic import HelmholtzSystem, solve_helmholtz
 from allmach.errors import NoConvergence, NonPhysicalState
@@ -15,6 +16,7 @@ from allmach.integrator import (
     EPS0,
     EPS1,
     DualState,
+    RunReport,
     build_stage,
     compute_dt,
     post_process,
@@ -222,24 +224,9 @@ class TestStep:
         assert np.abs(new.V.u).max() < 1e-13
         assert new.t == pytest.approx(0.01)
 
-    def test_unit_mach_branches_agree_after_step(self):
-        from allmach.benchmarks import CASES
-
-        case = CASES["explosion"]
-        grid = case.make_grid(24, 24, 1.0)
-        cfg = case.config(1.0)
-        state = DualState.from_primitive(case.initial_state(grid, 1.0), grid, cfg)
-        for _ in range(5):
-            state, _ = si_dec_step(state, grid, cfg)
-            VU = cons_to_prim(state.U, cfg)
-            for a, b in zip(VU.components(), state.V.components()):
-                assert np.abs(a[grid.interior] - b[grid.interior]).max() <= 1e-13
-
     @pytest.mark.parametrize("eps, order, built", [(1e-3, 2, 2), (0.3, 2, 2), (1e-3, 1, 1)])
     def test_conservative_copies_built_per_step(self, monkeypatch, eps, order, built):
         # every stage advances U, whatever the blend weight
-        from allmach.benchmarks import CASES
-
         made = []
 
         class Counted(ConservativeField):
@@ -247,24 +234,15 @@ class TestStep:
                 made.append(1)
                 super().__init__(array)
 
-        case = CASES["gresho"]
-        grid = case.make_grid(16, 16, eps)
-        cfg = case.config(eps, order=order)
-        state = DualState.from_primitive(case.initial_state(grid, eps), grid, cfg)
+        grid, cfg, state = CASES["gresho"].start(eps, 16, 16, order=order)
         monkeypatch.setattr(integrator, "ConservativeField", Counted)
         new, _ = si_dec_step(state, grid, cfg)
         assert len(made) == built
         assert isinstance(new.U, Counted)
 
     def test_first_order_mode_runs_single_stage(self):
-        from allmach.benchmarks import CASES
-
-        case = CASES["gresho"]
-        grid = case.make_grid(16, 16, 0.1)
-        cfg1 = case.config(0.1, order=1)
-        cfg2 = case.config(0.1, order=2)
-        s1 = DualState.from_primitive(case.initial_state(grid, 0.1), grid, cfg1)
-        s2 = DualState.from_primitive(case.initial_state(grid, 0.1), grid, cfg2)
+        grid, cfg1, s1 = CASES["gresho"].start(0.1, 16, 16, order=1)
+        _, cfg2, s2 = CASES["gresho"].start(0.1, 16, 16, order=2)
         n1, rep1 = si_dec_step(s1, grid, cfg1, dt=1e-3)
         n2, rep2 = si_dec_step(s2, grid, cfg2, dt=1e-3)
         assert len(rep1.solve_residuals) == 1
@@ -274,13 +252,7 @@ class TestStep:
     def test_oversized_step_trips_definiteness_guard(self):
         # explosion at unit Mach: the shifted pressure operator loses
         # definiteness when dt far exceeds the CFL step
-        from allmach.benchmarks import CASES
-        from allmach.errors import NoConvergence
-
-        case = CASES["explosion"]
-        grid = case.make_grid(16, 16, 1.0)
-        cfg = case.config(1.0)
-        state = DualState.from_primitive(case.initial_state(grid, 1.0), grid, cfg)
+        grid, cfg, state = CASES["explosion"].start(1.0, 16, 16)
         with pytest.raises(NoConvergence):
             for _ in range(10):
                 state, _ = si_dec_step(state, grid, cfg, dt=0.5)
@@ -289,13 +261,8 @@ class TestStep:
         # tracemalloc peak of one order-2 step after a warm-up step, in state
         # arrays: the two new solution copies, the step's one operator pair,
         # and the transients of each stage
-        from allmach.benchmarks import CASES
-
-        case = CASES["explosion"]
         n = 128
-        grid = case.make_grid(n, n, 0.9)
-        cfg = case.config(0.9, order=2)
-        state = DualState.from_primitive(case.initial_state(grid, 0.9), grid, cfg)
+        grid, cfg, state = CASES["explosion"].start(0.9, n, n, order=2)
         state, _ = si_dec_step(state, grid, cfg)
         unit = 4 * (n + 4) ** 2 * 8
         assert state.V.array.nbytes == unit
@@ -314,12 +281,7 @@ class TestStep:
 
     def test_blowup_raises(self):
         # advective blow-up with a positive shift: density goes negative
-        from allmach.benchmarks import CASES
-
-        case = CASES["gresho"]
-        grid = case.make_grid(16, 16, 0.3)
-        cfg = case.config(0.3)
-        state = DualState.from_primitive(case.initial_state(grid, 0.3), grid, cfg)
+        grid, cfg, state = CASES["gresho"].start(0.3, 16, 16)
         with pytest.raises(NonPhysicalState):
             for _ in range(10):
                 state, _ = si_dec_step(state, grid, cfg, dt=0.5)
@@ -334,12 +296,7 @@ class TestRun:
         assert report.steps == 0 and out is state
 
     def test_final_time_hit_exactly(self):
-        from allmach.benchmarks import CASES
-
-        case = CASES["gresho"]
-        grid = case.make_grid(16, 16, 0.1)
-        cfg = case.config(0.1)
-        state = DualState.from_primitive(case.initial_state(grid, 0.1), grid, cfg)
+        grid, cfg, state = CASES["gresho"].start(0.1, 16, 16)
         out, report = run(state, grid, cfg, t_final=0.05)
         assert out.t == pytest.approx(0.05, abs=1e-13)
 
@@ -355,12 +312,7 @@ class TestRun:
         assert out.t == 0.5
 
     def test_dt_override_then_cfl(self):
-        from allmach.benchmarks import CASES
-
-        case = CASES["gresho"]
-        grid = case.make_grid(16, 16, 0.1)
-        cfg = case.config(0.1, dt_override=(3, 1e-4))
-        state = DualState.from_primitive(case.initial_state(grid, 0.1), grid, cfg)
+        grid, cfg, state = CASES["gresho"].start(0.1, 16, 16, dt_override=(3, 1e-4))
         out, report = run(state, grid, cfg, t_final=0.02)
         dts = [r.dt for r in report.reports]
         assert dts[:3] == pytest.approx([1e-4, 1e-4, 1e-4])
@@ -369,8 +321,6 @@ class TestRun:
     def test_failed_cfl_step_is_retried_at_half_the_step(self):
         # the explosion at eps=0.3 has no hand-tuned start: its first CFL step
         # fails and is taken again at half the step
-        from allmach.benchmarks import CASES, run_case
-
         grid, state, report, _ = run_case(CASES["explosion"], 0.3, 24, 24)
         assert state.t == pytest.approx(0.08, abs=1e-13)
         assert report.steps == 10 and report.rejections == 1
@@ -379,14 +329,9 @@ class TestRun:
 
     @pytest.mark.parametrize("error", [NonPhysicalState, NoConvergence])
     def test_retries_are_bounded(self, monkeypatch, error):
-        import allmach.integrator as integrator
-        from allmach.benchmarks import CASES
-
         case = CASES["gresho"]
-        grid = case.make_grid(16, 16, 0.1)
-        cfg = case.config(0.1)
-        state = DualState.from_primitive(case.initial_state(grid, 0.1), grid, cfg)
-        dt = min(compute_dt(state.V, split_scalars(state.V, grid, 0.1), grid, cfg), 0.05)
+        grid, cfg, state = case.start(0.1, 16, 16)
+        dt = min(case.initial_dt(16, 0.1), 0.05)
         attempts = []
 
         def failing(state, grid, cfg, dt):
@@ -399,13 +344,7 @@ class TestRun:
         assert attempts == [dt, dt / 2, dt / 4, dt / 8]
 
     def test_forced_step_is_not_retried(self, monkeypatch):
-        import allmach.integrator as integrator
-        from allmach.benchmarks import CASES
-
-        case = CASES["gresho"]
-        grid = case.make_grid(16, 16, 0.1)
-        cfg = case.config(0.1, dt_override=(3, 1e-3))
-        state = DualState.from_primitive(case.initial_state(grid, 0.1), grid, cfg)
+        grid, cfg, state = CASES["gresho"].start(0.1, 16, 16, dt_override=(3, 1e-3))
         attempts = []
 
         def failing(state, grid, cfg, dt):
@@ -420,14 +359,7 @@ class TestRun:
     def test_chained_runs_count_as_one_run(self, monkeypatch):
         # two runs on one report: the forced steps carry over from the first
         # into the second, whose errors name the step of the whole run
-        import allmach.integrator as integrator
-        from allmach.benchmarks import CASES
-        from allmach.integrator import RunReport
-
-        case = CASES["gresho"]
-        grid = case.make_grid(16, 16, 0.1)
-        cfg = case.config(0.1, dt_override=(4, 1e-3))
-        state = DualState.from_primitive(case.initial_state(grid, 0.1), grid, cfg)
+        grid, cfg, state = CASES["gresho"].start(0.1, 16, 16, dt_override=(4, 1e-3))
         report = RunReport()
         mid, _ = run(state, grid, cfg, t_final=0.0025, report=report)
         assert mid.t == pytest.approx(0.0025, abs=1e-15) and report.steps == 3
@@ -448,22 +380,12 @@ class TestRun:
         assert dts[4] > 1e-3
 
     def test_callback_can_stop(self):
-        from allmach.benchmarks import CASES
-
-        case = CASES["gresho"]
-        grid = case.make_grid(16, 16, 0.1)
-        cfg = case.config(0.1)
-        state = DualState.from_primitive(case.initial_state(grid, 0.1), grid, cfg)
+        grid, cfg, state = CASES["gresho"].start(0.1, 16, 16)
         out, report = run(state, grid, cfg, t_final=1.0, callback=lambda t, s, r: False)
         assert report.steps == 1
 
     def test_conservation_over_many_steps(self):
-        from allmach.benchmarks import CASES
-
-        case = CASES["gresho"]
-        grid = case.make_grid(24, 24, 1e-2)
-        cfg = case.config(1e-2)
-        state = DualState.from_primitive(case.initial_state(grid, 1e-2), grid, cfg)
+        grid, cfg, state = CASES["gresho"].start(1e-2, 24, 24)
         core = grid.interior
         sums0 = np.array([a[core].sum() for a in state.U.components()])
         scale = np.array([np.abs(a[core]).sum() for a in state.U.components()])
@@ -471,18 +393,6 @@ class TestRun:
             state, _ = si_dec_step(state, grid, cfg)
         sums1 = np.array([a[core].sum() for a in state.U.components()])
         assert np.all(np.abs(sums1 - sums0) <= 1e-12 * np.maximum(scale, 1.0))
-
-    def test_time_step_mach_uniformity(self):
-        from allmach.benchmarks import CASES
-
-        case = CASES["gresho"]
-        dts = {}
-        for eps in (1e-2, 1e-6):
-            grid = case.make_grid(32, 32, eps)
-            cfg = case.config(eps)
-            V0 = case.initial_state(grid, eps)
-            dts[eps] = compute_dt(V0, split_scalars(V0, grid, eps), grid, cfg)
-        assert abs(dts[1e-2] / dts[1e-6] - 1.0) <= 0.1
 
 
 def pad(interior, grid):
@@ -566,12 +476,7 @@ class TestReferenceStep:
         ("gresho", 1e-6, 24),
     ])
     def test_step_matches_stage_by_stage_reference(self, name, eps, n, order):
-        from allmach.benchmarks import CASES
-
-        case = CASES[name]
-        grid = case.make_grid(n, n, eps)
-        cfg = case.config(eps, order=order)
-        self.check_steps(case.initial_state(grid, eps), grid, cfg)
+        self.check_steps(*CASES[name].start(eps, n, n, order=order))
 
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("eps", [1e-3, 0.3])  # weight 1, blended
@@ -585,11 +490,12 @@ class TestReferenceStep:
         V.u[core] = 0.3 + 0.2 * np.cos(2.0 * np.pi * X) * np.sin(0.5 * np.pi * Y)
         V.v[core] = -0.1 + 0.3 * np.sin(2.0 * np.pi * X) * Y * (2.0 - Y)
         V.p[core] = 1.0 + eps**2 * np.cos(2.0 * np.pi * X) * np.cos(0.5 * np.pi * Y)
-        self.check_steps(V, grid, SolverConfig(epsilon=eps, order=order))
+        cfg = SolverConfig(epsilon=eps, order=order)
+        self.check_steps(grid, cfg, DualState.from_primitive(V, grid, cfg))
 
     @staticmethod
-    def check_steps(V0, grid, cfg):
-        state = ref = DualState.from_primitive(V0, grid, cfg)
+    def check_steps(grid, cfg, state):
+        ref = state
         for _ in range(5):
             state, rep = si_dec_step(state, grid, cfg)
             ref, dt, residuals = reference_step(ref, grid, cfg)
@@ -626,12 +532,8 @@ class TestStageGolden:
     no pressure solve), so they do not depend on the BLAS build."""
 
     def test_explosion_outflow(self):
-        from allmach.benchmarks import CASES
-
-        case = CASES["explosion"]
-        grid = case.make_grid(72, 72, 0.9)
-        V = fill_ghosts(case.initial_state(grid, 0.9), grid)
-        assert stage_digest(V, grid, case.config(0.9)) == EXPLOSION_STAGE_DIGEST
+        grid, cfg, state = CASES["explosion"].start(0.9, 72, 72)
+        assert stage_digest(state.V, grid, cfg) == EXPLOSION_STAGE_DIGEST
 
     def test_random_periodic_non_square(self):
         grid = GridSpec(70, 40, 0.0, 1.0, 0.0, 1.0)

@@ -20,11 +20,6 @@ from allmach.snapshots import (
 from allmach.state import PrimitiveField, SolverConfig
 
 
-def make_state(grid, cfg, case_name="gresho", eps=0.1):
-    case = CASES[case_name]
-    return DualState.from_primitive(case.initial_state(grid, eps), grid, cfg)
-
-
 def test_uniform_state_rows_identical_up_to_coordinates(tmp_path):
     grid = CASES["gresho"].make_grid(4, 3, 0.1)
     cfg = SolverConfig(epsilon=0.1, gamma=1.4)
@@ -41,9 +36,7 @@ def test_uniform_state_rows_identical_up_to_coordinates(tmp_path):
 
 
 def test_cell_ordering_k_major(tmp_path):
-    grid = CASES["gresho"].make_grid(4, 3, 0.1)
-    cfg = SolverConfig(epsilon=0.1, gamma=1.4)
-    state = make_state(grid, cfg)
+    grid, cfg, state = CASES["gresho"].start(0.1, 4, 3)
     rows = snapshot_rows(state, grid, cfg)
     assert list(rows[:4, 0]) == [0, 1, 2, 3]  # j fastest
     assert list(rows[:4, 1]) == [0, 0, 0, 0]
@@ -51,9 +44,7 @@ def test_cell_ordering_k_major(tmp_path):
 
 
 def test_round_trip_is_byte_identical(tmp_path):
-    grid = CASES["gresho"].make_grid(6, 6, 0.1)
-    cfg = SolverConfig(epsilon=0.1, gamma=1.4)
-    state = make_state(grid, cfg)
+    grid, cfg, state = CASES["gresho"].start(0.1, 6, 6)
     first = tmp_path / "snap1.dat"
     second = tmp_path / "snap2.dat"
     snapshot_write(state, grid, cfg, first)
@@ -63,25 +54,21 @@ def test_round_trip_is_byte_identical(tmp_path):
 
 
 def test_header_carries_dt_override_when_active(tmp_path):
-    grid = CASES["gresho"].make_grid(4, 4, 0.1)
-    cfg = SolverConfig(epsilon=0.1, gamma=1.4, dt_override=(10, 1e-4))
-    state = make_state(grid, cfg)
+    grid, cfg, state = CASES["gresho"].start(0.1, 4, 4, dt_override=(10, 1e-4))
     path = tmp_path / "snap.dat"
     snapshot_write(state, grid, cfg, path)
     header, _ = snapshot_read(path)
     assert header["dt_override"] == "10:0.0001"
     assert header["nx"] == 4 and header["eps"] == 0.1
 
-    cfg_plain = SolverConfig(epsilon=0.1, gamma=1.4)
-    snapshot_write(make_state(grid, cfg_plain), grid, cfg_plain, path)
+    _, cfg_plain, plain = CASES["gresho"].start(0.1, 4, 4)
+    snapshot_write(plain, grid, cfg_plain, path)
     header, _ = snapshot_read(path)
     assert "dt_override" not in header
 
 
 def test_full_precision_round_trip_of_irrational_values(tmp_path):
-    grid = CASES["gresho"].make_grid(4, 4, 0.1)
-    cfg = SolverConfig(epsilon=0.1, gamma=1.4)
-    state = make_state(grid, cfg)
+    grid, cfg, state = CASES["gresho"].start(0.1, 4, 4)
     state.V.p[grid.interior] += np.pi * 1e-14  # exercise all 17 digits
     path = tmp_path / "snap.dat"
     snapshot_write(state, grid, cfg, path)
@@ -112,10 +99,7 @@ def _reference_write(header: dict, rows: np.ndarray, path) -> None:
 
 def _golden_snapshot():
     """Double shear, eps=0.3, 16x12, after 3 steps, with edge-case values planted."""
-    case = CASES["double_shear"]
-    grid = case.make_grid(16, 12, 0.3)
-    cfg = case.config(0.3)
-    state = DualState.from_primitive(case.initial_state(grid, 0.3), grid, cfg)
+    grid, cfg, state = CASES["double_shear"].start(0.3, 16, 12)
     for _ in range(3):
         state, _ = si_dec_step(state, grid, cfg)
     rows = snapshot_rows(state, grid, cfg)

@@ -55,12 +55,8 @@ def interior_stack(fld, names, grid):
 
 @pytest.mark.parametrize("case_name, eps", [("double_shear", 0.5), ("explosion", 0.9)])
 def test_five_steps_commute_with_transposition(case_name, eps):
-    case = CASES[case_name]
-    grid = case.make_grid(40, 40, eps)
-    cfg = case.config(eps)
-    V0 = case.initial_state(grid, eps)
-    state = DualState.from_primitive(V0, grid, cfg)
-    twin = DualState.from_primitive(transposed_field(V0, grid), grid, cfg)
+    grid, cfg, state = CASES[case_name].start(eps, 40, 40)
+    twin = DualState.from_primitive(transposed_field(state.V, grid), grid, cfg)
     for _ in range(5):
         state, _ = si_dec_step(state, grid, cfg)
         twin, _ = si_dec_step(twin, grid, cfg)

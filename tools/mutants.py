@@ -119,6 +119,15 @@ def unmatched(root: Path = ROOT) -> list[str]:
     return problems
 
 
+def killing_test(stdout: str) -> str:
+    """The test id on pytest's first ``FAILED`` or ``ERROR`` summary line, or
+    "" when there is none."""
+    for line in stdout.splitlines():
+        if line.startswith(("FAILED ", "ERROR ")):
+            return line.split()[1]
+    return ""
+
+
 def pytest_command(tests: Path) -> list[str]:
     # test_mutants.py is left out: on a mutated copy its match check fails
     files = sorted(tests.glob("test_*.py"), key=lambda p: (p.name == "test_acceptance.py", p.name))
@@ -161,8 +170,8 @@ def main() -> int:
             verdict = {0: "survived", 1: "killed"}.get(done.returncode, f"error {done.returncode}")
             survived += done.returncode == 0
             errors += done.returncode not in (0, 1)
-            failed = [line.split()[1] for line in done.stdout.splitlines() if line.startswith("FAILED ")]
-            by = f" by {failed[0]}" if failed else ""
+            killer = killing_test(done.stdout)
+            by = f" by {killer}" if killer else ""
             print(f"{verdict:10s} {module}: {what} ({time.perf_counter() - start:.0f} s){by}", flush=True)
     print(f"{len(MUTANTS)} mutants: {survived} survived, {errors} errors, "
           f"{len(EQUIVALENT)} equivalent not counted")

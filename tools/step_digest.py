@@ -4,8 +4,8 @@ Each run steps one benchmark case 20 times at its CFL step, at orders 1 and
 2, and prints one sha256 over the final V, U and t and every StepReport.  A
 refactor that keeps the arithmetic keeps every digest.  Next to the digest it
 prints the tracemalloc peak of the run's second step (the first one after a
-warm-up) in state arrays, the bytes of one ghost-padded four-component field,
-and the minor page faults of its third step, which runs untraced.
+warm-up) in state arrays, a state array being the bytes of one ghost-padded
+four-component field.
 
     PYTHONPATH=src python tools/step_digest.py
     PYTHONPATH=src python tools/step_digest.py --save before.npz
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import resource
 import tracemalloc
 
 import numpy as np
@@ -53,9 +52,8 @@ COMPONENTS = ("rho", "u", "v", "p")
 
 def run(name: str, eps: float, n: int, order: int, ulp: bool = False) -> dict:
     """Final V, U and t, the step reports as rows (dt, residuals..., max|div
-    u|, p fluctuation), their digest, the second step's memory peak in state
-    arrays and the third step's minor page faults; the initial values are
-    raised by one ulp when ``ulp``."""
+    u|, p fluctuation), their digest and the second step's memory peak in
+    state arrays; the initial values are raised by one ulp when ``ulp``."""
     case = CASES[name]
     grid = case.make_grid(n, n, eps)
     cfg = case.config(eps, order=order)
@@ -72,10 +70,6 @@ def run(name: str, eps: float, n: int, order: int, ulp: bool = False) -> dict:
                 peak = tracemalloc.get_traced_memory()[1] / state.V.array.nbytes
             finally:
                 tracemalloc.stop()
-        elif i == 2:
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            state, rep = si_dec_step(state, grid, cfg)
-            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         else:
             state, rep = si_dec_step(state, grid, cfg)
         rows.append((rep.dt, *rep.solve_residuals, rep.max_divergence, rep.pressure_fluctuation))
@@ -86,7 +80,6 @@ def run(name: str, eps: float, n: int, order: int, ulp: bool = False) -> dict:
         h.update(out[key].tobytes())
     out["digest"] = np.array(h.hexdigest())
     out["step_peak"] = peak
-    out["step_faults"] = faults
     return out
 
 
@@ -134,8 +127,8 @@ def main(argv=None) -> int:
             except (NonPhysicalState, NoConvergence) as exc:
                 print(f"{label:28s} FAILED: {exc}")
                 continue
-            print(f"{label:28s} {out['digest']}  step peak {out['step_peak']:5.2f} state arrays"
-                  f"  {out['step_faults']:5d} minor faults", flush=True)
+            print(f"{label:28s} {out['digest']}  step peak {out['step_peak']:5.2f} state arrays",
+                  flush=True)
             if ns.save:
                 keys = ("V", "U", "t", "reports", "digest", "step_peak")
                 store.update({f"{label}.{k}": out[k] for k in keys})
