@@ -63,9 +63,11 @@ class SolverConfig:
 
 class _Field:
     """Cell averages of four components in one ghost-padded array of shape
-    (4, nx+2g, ny+2g); the named components are writable views into it."""
+    (4, nx+2g, ny+2g); the named components are writable views into it.
+    ``label`` names the solution copy in the messages of failed checks."""
 
     names: tuple[str, ...]
+    label: str
 
     def __init__(self, array: np.ndarray):
         self.array = array
@@ -77,7 +79,7 @@ class _Field:
         finite = np.isfinite(values)
         if not finite.all():
             c = int(np.argmin(finite.all(axis=(1, 2))))
-            raise _at_cell(f"non-finite {self.names[c]}", values[c], np.argmin(finite[c]))
+            raise _at_cell(f"{self.label}: non-finite {self.names[c]}", values[c], np.argmin(finite[c]))
 
     def components(self):
         return tuple(self.array)
@@ -103,16 +105,18 @@ def _at_cell(what: str, values: np.ndarray, flat: int) -> NonPhysicalState:
     return NonPhysicalState(f"{what} at cell ({i}, {j}): {values[i, j]:.6g}")
 
 
-def _check_positive(what: str, values: np.ndarray) -> None:
-    """Raise naming the lowest interior cell unless every value is positive."""
+def _check_positive(fld: _Field, what: str, values: np.ndarray) -> None:
+    """Raise naming the copy and its lowest interior cell unless every value
+    is positive."""
     if (values <= 0.0).any():
-        raise _at_cell(f"non-positive {what}", values, np.argmin(values))
+        raise _at_cell(f"{fld.label}: non-positive {what}", values, np.argmin(values))
 
 
 class PrimitiveField(_Field):
     """Cell averages of (rho, u, v, p) on a ghost-padded grid."""
 
     names = ("rho", "u", "v", "p")
+    label = "primitive state"
     rho, u, v, p = (_component(i) for i in range(4))
 
     def validate(self, grid: GridSpec) -> "PrimitiveField":
@@ -120,8 +124,8 @@ class PrimitiveField(_Field):
         interior cells are finite with positive density and pressure."""
         core = grid.interior
         self.check_finite(grid)
-        _check_positive("density", self.rho[core])
-        _check_positive("pressure", self.p[core])
+        _check_positive(self, "density", self.rho[core])
+        _check_positive(self, "pressure", self.p[core])
         return self
 
 
@@ -129,15 +133,16 @@ class ConservativeField(_Field):
     """Cell averages of (rho, rho*u, rho*v, E) on the same grid."""
 
     names = ("rho", "mx", "my", "E")
+    label = "conservative copy"
     rho, mx, my, E = (_component(i) for i in range(4))
 
     def validate(self, grid: GridSpec, cfg: SolverConfig) -> "ConservativeField":
         core = grid.interior
         self.check_finite(grid)
         rho = self.rho[core]
-        _check_positive("density", rho)
+        _check_positive(self, "density", rho)
         kinetic = 0.5 * cfg.epsilon**2 * (self.mx[core] ** 2 + self.my[core] ** 2) / rho
-        _check_positive("internal energy", self.E[core] - kinetic)
+        _check_positive(self, "internal energy", self.E[core] - kinetic)
         return self
 
 

@@ -32,6 +32,16 @@ def test_run_summary_counts_rejected_steps(capsys):
     assert capsys.readouterr().out.startswith("explosion: 10 steps (1 rejected) to t=0.08 ")
 
 
+def test_failed_run_names_the_copy_that_failed(tmp_path, capsys):
+    # at eps 0.1 the blend still reads the conservative copy, which loses
+    # positivity first while the primitive state stays valid
+    code = cli.main(["run", "--case", "gresho", "--eps", "0.1", "--nx", "32", "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("non-physical state: step 11, t=")
+    assert ": conservative copy: non-positive " in err
+
+
 def test_summary_prints_diagnostics_only_after_a_step(capsys):
     args = ["run", "--case", "gresho", "--eps", "0.1", "--nx", "8", "--t-final"]
     assert cli.main(args + ["0"]) == 0

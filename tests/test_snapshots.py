@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from allmach.benchmarks import CASES
 from allmach.integrator import DualState, si_dec_step
 from allmach.snapshots import (
+    _BLOCK_ROWS,
     snapshot_header,
     snapshot_read,
     snapshot_rows,
@@ -144,6 +145,42 @@ def test_writer_bytes_match_reference_loop(data):
         write_snapshot_data(header, rows, ours)
         _reference_write(header, rows, theirs)
         assert ours.read_bytes() == theirs.read_bytes()
+
+
+def _edge_values() -> np.ndarray:
+    """Values at the edges of the writer's positional window and rounding."""
+    powers = np.array([float(f"1e{k}") for k in range(-6, 19)])
+    special = [
+        0.0, 5e-324, 1e-310, 1e300, np.inf, np.nan,
+        0.0009999999999999998,  # log10 rounds up into the next decade
+        9.9999999999999991e-05,  # the same, and stays exponential
+        10000000000000.0625, 10000000000000.1875,  # exact ties at the 17th digit
+    ]
+    # every count of trailing zeros in the 17 digits
+    dyadic = 2.0 ** -np.arange(1, 15)
+    values = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+                             special, dyadic, 1.0 + dyadic, 1e6 + dyadic])
+    return np.concatenate([values, -values])
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, _BLOCK_ROWS + 1])
+def test_writer_bytes_match_reference_at_edge_values(tmp_path, n_rows):
+    index = np.resize([0.0, 1.0, 9.0, 10.0, 99.0, 12345.0, 999999.0, 1e6], (n_rows, 2))
+    rows = np.column_stack((index, np.resize(_edge_values(), (n_rows, 12))))
+    header = {"time": 0.5, "nx": 4, "ny": 4, "bc_x": "periodic"}
+    ours, theirs = tmp_path / "ours.dat", tmp_path / "theirs.dat"
+    write_snapshot_data(header, rows, ours)
+    _reference_write(header, rows, theirs)
+    assert ours.read_bytes() == theirs.read_bytes()
+    if n_rows > 1:
+        tokens = ours.read_text().split()
+        assert "10000000000000.062" in tokens and "10000000000000.188" in tokens
+
+
+@pytest.mark.parametrize("columns", [13, 15])
+def test_writer_rejects_a_table_without_14_columns(tmp_path, columns):
+    with pytest.raises(ValueError, match="14 columns"):
+        write_snapshot_data({"nx": 1}, np.ones((2, columns)), tmp_path / "snap.dat")
 
 
 # --- The reader --------------------------------------------------------------

@@ -202,6 +202,12 @@ class TestValidation:
         with pytest.raises(NonPhysicalState, match=r"non-finite u at cell \(2, 0\): nan$"):
             V.validate(grid)
 
+    def test_message_names_the_primitive_state(self, grid):
+        V = uniform_primitive(grid, 1.0, 0.0, 0.0, 1.0)
+        V.rho[grid.ghost, grid.ghost] = 0.0
+        with pytest.raises(NonPhysicalState, match=r"^primitive state: non-positive density at cell \(0, 0\)"):
+            V.validate(grid)
+
 
 class TestConservativeValidation:
     @pytest.fixture
@@ -229,4 +235,9 @@ class TestConservativeValidation:
     def test_non_finite_momentum_rejected(self, grid, cfg, U):
         U.mx[grid.ghost, grid.ghost + 3] = np.inf
         with pytest.raises(NonPhysicalState, match=r"non-finite mx at cell \(0, 3\): inf$"):
+            U.validate(grid, cfg)
+
+    def test_message_names_the_conservative_copy(self, grid, cfg, U):
+        U.rho[grid.ghost, grid.ghost] = -1.0
+        with pytest.raises(NonPhysicalState, match=r"^conservative copy: non-positive density at cell \(0, 0\)"):
             U.validate(grid, cfg)

@@ -100,6 +100,11 @@ MUTANTS = [
      "vortex density dip doubled"),
     ("benchmarks.py", "w = grid.dx * grid.dy", "w = grid.dx * grid.dx",
      "L1 error weighted by dx^2 instead of dx*dy"),
+    ("snapshots.py", "np.rint(e)", "np.floor(e + 0.5)", "writer rounds ties of the 17th digit up, not to even"),
+    ("snapshots.py", "    ok &= (p - 1e16) + e >= 0\n", "",
+     "writer trusts a log10 decade that is one too high"),
+    ("snapshots.py", "bytes(range(1 + 4 * j, 5 + 4 * j))", "bytes(range(2 + 4 * j, 6 + 4 * j))",
+     "writer's last non-zero digit one place late, so one trailing zero too few is dropped"),
 ]
 
 EQUIVALENT = [
