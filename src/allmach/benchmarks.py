@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NoConvergence, NonPhysicalState
-from .grid import AXIS_X, AXIS_Y, OUTFLOW, PERIODIC, GridSpec, fill_ghosts
+from .grid import AXIS_X, AXIS_Y, OUTFLOW, GridSpec, fill_ghosts
 from .integrator import DualState, RunReport, compute_dt, run
 from .nonstiff import split_scalars
 from .state import PrimitiveField, SolverConfig
@@ -37,15 +37,16 @@ def evaluate_field(grid: GridSpec, state_at: PointState, eps: float, t: float) -
 
 @dataclass(frozen=True)
 class BenchmarkCase:
-    """One benchmark: geometry, data, defaults, and optional exact solution."""
+    """One benchmark: geometry, data, and optional exact solution; its gas,
+    boundaries and CFL number default to ``SolverConfig``'s and ``GridSpec``'s."""
 
     name: str
-    gamma: float
-    bc: str
-    default_cfl: float
     domain: Callable[[float], tuple[float, float, float, float]]
     state_at: PointState  # (eps, t, x, y) -> (rho, u, v, p)
     final_time: Callable[[float], float]
+    gamma: float = SolverConfig.gamma
+    bc: str = GridSpec.bc_x
+    default_cfl: float = SolverConfig.k_cfl
     has_exact: bool = False
 
     def make_grid(self, nx: int, ny: int, eps: float) -> GridSpec:
@@ -119,18 +120,16 @@ def _gresho_state(eps: float, t: float, x: np.ndarray, y: np.ndarray) -> tuple:
 
 
 def _baroclinic_state(eps: float, t: float, x: np.ndarray, y: np.ndarray) -> tuple:
-    gamma = 1.4
     cosx = np.cos(eps * math.pi * x)
     rho = 1.0 + eps / 2000.0 * (1.0 + cosx) + 4.5 * eps * y
     rho = rho - np.where((y >= 0.0) & (y <= 1.0 / (5.0 * eps)), 0.0, 1.8)
-    u = 0.5 * math.sqrt(gamma) * (1.0 + cosx)
+    u = 0.5 * math.sqrt(SolverConfig.gamma) * (1.0 + cosx)
     v = np.zeros_like(u)
-    p = 1.0 + 0.5 * eps * gamma * (1.0 + cosx)
+    p = 1.0 + 0.5 * eps * SolverConfig.gamma * (1.0 + cosx)
     return rho, u, v, p
 
 
 def _double_shear_state(eps: float, t: float, x: np.ndarray, y: np.ndarray) -> tuple:
-    gamma = 1.4
     u = np.where(
         y <= math.pi,
         np.tanh(15.0 * (y / math.pi - 0.5)),
@@ -138,7 +137,7 @@ def _double_shear_state(eps: float, t: float, x: np.ndarray, y: np.ndarray) -> t
     )
     v = 0.05 * np.sin(x)
     rho = np.full_like(u, math.pi / 15.0)
-    p = np.full_like(u, 1.0 / gamma)
+    p = np.full_like(u, 1.0 / SolverConfig.gamma)
     return rho, u, v, p
 
 
@@ -155,55 +154,43 @@ def _explosion_final_time(eps: float) -> float:
     return table.get(round(eps, 10), 0.25)
 
 
-CASES: dict[str, BenchmarkCase] = {
-    "vortex": BenchmarkCase(
+CASES: dict[str, BenchmarkCase] = {case.name: case for case in (
+    BenchmarkCase(
         name="vortex",
         gamma=2.0,
-        bc=PERIODIC,
-        default_cfl=0.475,
         domain=lambda eps: (-10.0, 10.0, -10.0, 10.0),
         state_at=_vortex_state,
         final_time=lambda eps: 0.1,
         has_exact=True,
     ),
-    "gresho": BenchmarkCase(
+    BenchmarkCase(
         name="gresho",
-        gamma=1.4,
-        bc=PERIODIC,
-        default_cfl=0.475,
         domain=lambda eps: (0.0, 1.0, 0.0, 1.0),
         state_at=_gresho_state,
         final_time=lambda eps: 1.0,
         has_exact=True,  # steady vortex
     ),
-    "baroclinic": BenchmarkCase(
+    BenchmarkCase(
         name="baroclinic",
-        gamma=1.4,
-        bc=PERIODIC,
-        default_cfl=0.475,
         domain=lambda eps: (-1.0 / eps, 1.0 / eps, 0.0, 2.0 / (5.0 * eps)),
         state_at=_baroclinic_state,
         final_time=lambda eps: 20.0,
     ),
-    "double_shear": BenchmarkCase(
+    BenchmarkCase(
         name="double_shear",
-        gamma=1.4,
-        bc=PERIODIC,
         default_cfl=0.1,
         domain=lambda eps: (0.0, 2.0 * math.pi, 0.0, 2.0 * math.pi),
         state_at=_double_shear_state,
         final_time=lambda eps: 10.0,
     ),
-    "explosion": BenchmarkCase(
+    BenchmarkCase(
         name="explosion",
-        gamma=1.4,
         bc=OUTFLOW,
-        default_cfl=0.475,
         domain=lambda eps: (-1.0, 1.0, -1.0, 1.0),
         state_at=_explosion_state,
         final_time=_explosion_final_time,
     ),
-}
+)}
 
 VARIABLES = ("rho", "u", "v", "p")
 

@@ -9,6 +9,7 @@ slope in the first ghost cell, which in turn needs one further neighbor.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -37,6 +38,10 @@ class GridSpec:
     dy: float = field(init=False)
 
     def __post_init__(self):
+        try:
+            operator.index(self.nx), operator.index(self.ny)
+        except TypeError:
+            raise ValueError(f"grid sizes must be integers, got {self.nx!r} x {self.ny!r}") from None
         if self.nx < 3 or self.ny < 3:
             raise ValueError("grid needs at least 3 cells per axis")
         if self.x_hi <= self.x_lo or self.y_hi <= self.y_lo:

@@ -16,7 +16,7 @@ from allmach.benchmarks import (
     vorticity,
 )
 from allmach.errors import NonPhysicalState
-from allmach.grid import GridSpec, fill_ghosts
+from allmach.grid import OUTFLOW, PERIODIC, GridSpec, fill_ghosts
 from allmach.integrator import run
 from allmach.state import PrimitiveField
 
@@ -171,6 +171,32 @@ class TestExplosionCase:
         case = CASES["explosion"]
         with pytest.raises(ValueError, match="'explosion' has no exact solution"):
             case.exact_state(case.make_grid(8, 8, 1.0), 1.0, 0.0)
+
+
+@pytest.mark.parametrize("name, gamma, bc, k_cfl, has_exact, bounds, final_times", [
+    ("vortex", 2.0, PERIODIC, 0.475, True,
+     {1.0: (-10.0, 10.0, -10.0, 10.0), 0.05: (-10.0, 10.0, -10.0, 10.0)}, (0.1, 0.1, 0.1, 0.1)),
+    ("gresho", 1.4, PERIODIC, 0.475, True,
+     {1.0: (0.0, 1.0, 0.0, 1.0), 0.05: (0.0, 1.0, 0.0, 1.0)}, (1.0, 1.0, 1.0, 1.0)),
+    ("baroclinic", 1.4, PERIODIC, 0.475, False,
+     {1.0: (-1.0, 1.0, 0.0, 0.4), 0.05: (-20.0, 20.0, 0.0, 8.0)}, (20.0, 20.0, 20.0, 20.0)),
+    ("double_shear", 1.4, PERIODIC, 0.1, False,
+     {1.0: (0.0, 2.0 * math.pi, 0.0, 2.0 * math.pi),
+      0.05: (0.0, 2.0 * math.pi, 0.0, 2.0 * math.pi)},
+     (10.0, 10.0, 10.0, 10.0)),
+    ("explosion", 1.4, OUTFLOW, 0.475, False,
+     {1.0: (-1.0, 1.0, -1.0, 1.0), 0.05: (-1.0, 1.0, -1.0, 1.0)}, (0.25, 0.2, 0.15, 0.08)),
+])
+def test_case_settings(name, gamma, bc, k_cfl, has_exact, bounds, final_times):
+    # what each case states, or inherits from SolverConfig and GridSpec
+    case = CASES[name]
+    cfg = case.config(0.5)
+    assert (case.name, cfg.gamma, cfg.k_cfl, case.has_exact) == (name, gamma, k_cfl, has_exact)
+    for eps, (x_lo, x_hi, y_lo, y_hi) in bounds.items():
+        grid = case.make_grid(8, 8, eps)
+        assert (grid.x_lo, grid.x_hi, grid.y_lo, grid.y_hi) == (x_lo, x_hi, y_lo, y_hi)
+        assert (grid.bc_x, grid.bc_y) == (bc, bc)
+    assert tuple(map(case.final_time, (1.0, 0.9, 0.6, 0.3))) == final_times
 
 
 class TestErrorMachinery:

@@ -100,10 +100,16 @@ class TestGridSpec:
         ((4, 4, 1.0, 1.0, 0.0, 1.0), {}, "bounds must be increasing"),
         ((4, 4, 0.0, 1.0, 0.0, -1.0), {}, "bounds must be increasing"),
         ((4, 4, 0.0, 1.0, 0.0, 1.0), {"bc_y": "wall"}, "unknown boundary kind 'wall'"),
+        ((3.5, 4, 0.0, 1.0, 0.0, 1.0), {}, "grid sizes must be integers, got 3.5 x 4"),
+        ((4.0, 4, 0.0, 1.0, 0.0, 1.0), {}, "grid sizes must be integers, got 4.0 x 4"),
     ])
     def test_invalid_grid_rejected(self, args, kwargs, message):
         with pytest.raises(ValueError, match=message):
             GridSpec(*args, **kwargs)
+
+    def test_numpy_integer_sizes_accepted(self):
+        grid = GridSpec(np.int64(4), np.int32(5), 0.0, 1.0, 0.0, 1.0)
+        assert grid.zeros().shape == (8, 9)
 
     def test_cell_centers_with_unequal_spacing(self):
         grid = GridSpec(8, 5, 0.0, 2.0, 0.0, 3.0)  # dx = 0.25, dy = 0.6
@@ -151,8 +157,9 @@ class TestGhostFilling:
 
 class TestConfig:
     def test_defaults_match_reference_setup(self):
+        # every benchmark case inherits these unless it states its own
         cfg = SolverConfig(epsilon=0.5)
-        assert cfg.theta == 1.3
+        assert (cfg.gamma, cfg.k_cfl, cfg.theta, cfg.order) == (1.4, 0.475, 1.3, 2)
 
     @pytest.mark.parametrize(
         "kwargs",

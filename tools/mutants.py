@@ -100,6 +100,9 @@ MUTANTS = [
      "vortex density dip doubled"),
     ("benchmarks.py", "w = grid.dx * grid.dy", "w = grid.dx * grid.dx",
      "L1 error weighted by dx^2 instead of dx*dy"),
+    ("benchmarks.py", "        gamma=2.0,\n", "", "vortex at the default gamma instead of 2"),
+    ("benchmarks.py", "        default_cfl=0.1,\n", "", "double shear at the default CFL number instead of 0.1"),
+    ("benchmarks.py", "        bc=OUTFLOW,\n", "", "explosion with periodic instead of outflow boundaries"),
     ("snapshots.py", "np.rint(e)", "np.floor(e + 0.5)", "writer rounds ties of the 17th digit up, not to even"),
     ("snapshots.py", "    ok &= (p - 1e16) + e >= 0\n", "",
      "writer trusts a log10 decade that is one too high"),
