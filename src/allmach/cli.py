@@ -211,6 +211,12 @@ def main(argv=None) -> int:
             ns = parser.parse_args(argv[:1] + _config_args(ns.config, known) + argv[1:])
         if "case" in ns and ns.case is None:
             raise ConfigError("the following arguments are required: --case")
+        # --out-dir is made only after the run or study, so its nearest
+        # existing path is checked before any step
+        out_dir = getattr(ns, "out_dir", None)
+        existing = out_dir and next(p for p in (Path(out_dir), *Path(out_dir).parents) if p.exists())
+        if existing and not existing.is_dir():
+            raise ConfigError(f"--out-dir {out_dir}: {existing} is not a directory")
         commands = {"run": cmd_run, "convergence": cmd_convergence, "diagnose": cmd_diagnose}
         return commands[ns.command](ns)
     except ValueError as exc:  # ConfigError, or a SolverConfig check

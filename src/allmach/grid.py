@@ -44,6 +44,8 @@ class GridSpec:
             raise ValueError(f"grid sizes must be integers, got {self.nx!r} x {self.ny!r}") from None
         if self.nx < 3 or self.ny < 3:
             raise ValueError("grid needs at least 3 cells per axis")
+        if not np.isfinite([self.x_lo, self.x_hi, self.y_lo, self.y_hi]).all():
+            raise ValueError("domain bounds must be finite")
         if self.x_hi <= self.x_lo or self.y_hi <= self.y_lo:
             raise ValueError("domain bounds must be increasing")
         for bc in (self.bc_x, self.bc_y):

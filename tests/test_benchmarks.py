@@ -16,9 +16,10 @@ from allmach.benchmarks import (
     vorticity,
 )
 from allmach.errors import NonPhysicalState
-from allmach.grid import OUTFLOW, PERIODIC, GridSpec, fill_ghosts
+from allmach.grid import OUTFLOW, PERIODIC, GridSpec
 from allmach.integrator import run
-from allmach.state import PrimitiveField
+
+from builders import uniform
 
 
 class TestVortexCase:
@@ -138,12 +139,7 @@ class TestDoubleShearCase:
         case = CASES["double_shear"]
         grid = case.make_grid(64, 64, 0.1)
         X, _ = grid.cell_centers()
-        V = PrimitiveField.zeros(grid)
-        V.rho[:] = 1.0
-        V.p[:] = 1.0
-        V.v[grid.interior] = 0.05 * np.sin(X)
-        fill_ghosts(V, grid)
-        w = vorticity(V, grid)
+        w = vorticity(uniform(grid, v=0.05 * np.sin(X)), grid)
         assert np.abs(w - 0.05 * np.cos(X)).max() <= 0.05 * grid.dx**2
 
 
@@ -207,9 +203,7 @@ class TestErrorMachinery:
 
     def test_constant_offset_on_unit_domain(self):
         grid = GridSpec(8, 8, 0.0, 1.0, 0.0, 1.0)
-        V = PrimitiveField.zeros(grid)
-        V.rho[:] = 1.0
-        V.p[:] = 1.0
+        V = uniform(grid)
         W = V.copy()
         W.rho += 0.25
         assert l1_error(V, W, grid)[0] == pytest.approx(0.25, rel=1e-13)
@@ -218,9 +212,7 @@ class TestErrorMachinery:
         # the second grid has dx = 0.25 and dy = 0.6
         for grid, area in ((GridSpec(8, 8, -10.0, 10.0, -10.0, 10.0), 400.0),
                            (GridSpec(8, 5, 0.0, 2.0, 0.0, 3.0), 6.0)):
-            V = PrimitiveField.zeros(grid)
-            V.rho[:] = 1.0
-            V.p[:] = 1.0
+            V = uniform(grid)
             W = V.copy()
             W.rho += 0.25
             assert l1_error(V, W, grid)[0] == pytest.approx(area * 0.25, rel=1e-13)
@@ -298,12 +290,7 @@ class TestErrorMachinery:
 class TestDiagnostics:
     def test_local_mach_of_known_state(self):
         grid = GridSpec(8, 8, 0.0, 1.0, 0.0, 1.0)
-        V = PrimitiveField.zeros(grid)
-        V.rho[:] = 1.0
-        V.p[:] = 1.0
-        V.u[:] = 0.3
-        V.v[:] = 0.4
-        m = local_mach(V, 1.4, grid)
+        m = local_mach(uniform(grid, u=0.3, v=0.4), 1.4, grid)
         assert np.allclose(m, 0.5 / math.sqrt(1.4), rtol=1e-13)
 
     def test_gresho_mach_peak(self):

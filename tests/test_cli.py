@@ -295,6 +295,22 @@ def test_final_time_before_the_start_is_config_error(tmp_path, capsys):
         assert not out.exists(), t_final
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--case", "gresho", "--eps", "0.1", "--nx", "8", "--t-final", "0.001"],
+    ["convergence", "--case", "vortex", "--n-list", "8", "--t-final", "0.001"],
+], ids=["run", "convergence"])
+def test_out_dir_at_or_under_a_file_is_config_error(tmp_path, capsys, argv):
+    # rejected before the first step, where mkdir would fail after the work
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    for out_dir in (taken, taken / "sub"):
+        assert cli.main(argv + ["--out-dir", str(out_dir)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --out-dir {out_dir}: {taken} is not a directory\n"
+        assert captured.out == ""
+    assert taken.read_text() == "kept"
+
+
 def test_nonphysical_state_maps_to_exit_2(monkeypatch, capsys):
     monkeypatch.setattr(cli, "cmd_run", lambda ns: (_ for _ in ()).throw(NonPhysicalState("boom")))
     assert cli.main(["run", "--case", "gresho"]) == 2

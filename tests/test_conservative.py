@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from allmach.conservative import flux_divergence, flux_from_primitive, sound_speed
-from allmach.grid import AXIS_X, AXIS_Y, GridSpec, along, fill_ghosts
-from allmach.integrator import build_stage
+from allmach.grid import AXIS_X, AXIS_Y, GridSpec, along
 from allmach.nonstiff import DELTA, one_sided_speeds
-from allmach.reconstruction import limited_traces
-from allmach.state import PrimitiveField, SolverConfig, prim_to_cons
+from allmach.state import SolverConfig, prim_to_cons
+
+from builders import random_state, stage_operators, traces_along, uniform
 
 
 def exact_flux(V, cfg, axis):
@@ -72,29 +72,14 @@ class TestSpeeds:
 class TestAssembledOperator:
     def test_constant_state_vanishes(self):
         grid = GridSpec(8, 8, 0.0, 1.0, 0.0, 1.0)
-        V = PrimitiveField.zeros(grid)
-        V.rho[:] = 1.0
-        V.u[:] = 0.3
-        V.v[:] = -0.4
-        V.p[:] = 2.0
-        cfg = SolverConfig(epsilon=0.5, gamma=1.4)
-        R, D = np.zeros((2, 4, grid.nx, grid.ny))
-        build_stage(V, grid, cfg, R, D)
+        V = uniform(grid, u=0.3, v=-0.4, p=2.0)
+        _, D, _ = stage_operators(V, grid, SolverConfig(epsilon=0.5, gamma=1.4))
         assert np.allclose(D, 0.0, atol=1e-12)
 
     def test_periodic_telescoping_sum(self):
-        rng = np.random.default_rng(10)
         grid = GridSpec(12, 12, 0.0, 1.0, 0.0, 1.0)
-        V = PrimitiveField(np.stack((
-            0.5 + rng.random(grid.shape),
-            rng.standard_normal(grid.shape),
-            rng.standard_normal(grid.shape),
-            0.5 + rng.random(grid.shape),
-        )))
-        fill_ghosts(V, grid)
-        cfg = SolverConfig(epsilon=0.8, gamma=1.4)
-        R, D = np.zeros((2, 4, grid.nx, grid.ny))
-        build_stage(V, grid, cfg, R, D)
+        V = random_state(grid, np.random.default_rng(10))
+        _, D, _ = stage_operators(V, grid, SolverConfig(epsilon=0.8, gamma=1.4))
         sums = np.abs(D.sum(axis=(1, 2)))
         scale = np.abs(D).sum(axis=(1, 2)) + 1e-30
         assert np.all(sums / scale < 1e-12)
@@ -124,12 +109,7 @@ class TestAssembledOperator:
         for n in (64, 128):
             grid = GridSpec(n, n, 0.0, 1.0, 0.0, 1.0)
             X, Y = grid.cell_centers()
-            V = PrimitiveField.zeros(grid)
-            for dst, src in zip(V.components(), prim(X, Y)):
-                dst[grid.interior] = src
-            fill_ghosts(V, grid)
-            R, D = np.zeros((2, 4, grid.nx, grid.ny))
-            build_stage(V, grid, cfg, R, D)
+            _, D, _ = stage_operators(uniform(grid, *prim(X, Y)), grid, cfg)
             errors.append(np.abs(D - oracle(X, Y)).mean(axis=(1, 2)))
         ratios = errors[0] / errors[1]
         assert np.all(ratios >= 3.2) and np.all(ratios <= 4.8)
@@ -139,16 +119,10 @@ class TestAssembledOperator:
         # divergence vanishes; the same uniform moving state as
         # test_nonstiff's TestNonconservativeTerms
         grid = GridSpec(6, 5, 0.0, 1.0, 0.0, 2.0)
-        V = PrimitiveField.zeros(grid)
-        V.rho[:] = 1.2
-        V.u[:] = 0.5
-        V.v[:] = -0.3
-        V.p[:] = 1.5
+        V = uniform(grid, 1.2, 0.5, -0.3, 1.5)
         cfg = SolverConfig(epsilon=0.5, gamma=1.4)
-        g = grid.ghost
         for axis in (AXIS_X, AXIS_Y):
-            block = along(V.array, axis)[..., g:-g]
-            traces = limited_traces(block, grid.spacing(axis), cfg.theta, axis, 0)
+            traces = traces_along(V, grid, axis, cfg.theta)
             div = flux_divergence(traces, cfg, axis, grid.spacing(axis))
-            assert div.shape == (4,) + block[0, g:-g].shape
+            assert div.shape == (4,) + along(V.rho[grid.interior], axis).shape
             assert np.all(div == 0.0)

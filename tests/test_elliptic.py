@@ -10,27 +10,13 @@ from allmach.elliptic import (
     solve_helmholtz,
 )
 from allmach.errors import NoConvergence
-from allmach.grid import OUTFLOW, PERIODIC, GridSpec, fill_ghost_array, fill_ghosts
+from allmach.grid import OUTFLOW, PERIODIC, GridSpec, fill_ghosts
 from allmach.grid import padded as padded_copy
 from allmach.nonstiff import SplitScalars
-from allmach.state import PrimitiveField, SolverConfig
+from allmach.state import SolverConfig
 from allmach.stiff import discrete_divergence
 
-
-def padded(grid, fn):
-    X, Y = grid.cell_centers()
-    a = grid.zeros()
-    a[grid.interior] = fn(X, Y)
-    return fill_ghost_array(a, grid)
-
-
-def uniform_state(grid, rho=1.0, u=0.0, v=0.0, p=1.0):
-    V = PrimitiveField.zeros(grid)
-    V.rho[:] = rho
-    V.u[:] = u
-    V.v[:] = v
-    V.p[:] = p
-    return V
+from builders import padded, random_state, uniform
 
 
 class TestCompactLaplacian:
@@ -55,17 +41,6 @@ class TestCompactLaplacian:
         assert 3.5 <= errors[0] / errors[1] <= 4.5
 
 
-def random_state(grid, rng):
-    """Ghost-filled state with positive density and pressure."""
-    V = PrimitiveField(np.stack((
-        0.5 + rng.random(grid.shape),
-        rng.standard_normal(grid.shape),
-        rng.standard_normal(grid.shape),
-        0.5 + rng.random(grid.shape),
-    )))
-    return fill_ghosts(V, grid)
-
-
 class TestPressureSystem:
     @pytest.mark.parametrize("p, scalars, dt", [
         (2.5, SplitScalars(1.0016, 2.4984), 0.01),
@@ -74,7 +49,7 @@ class TestPressureSystem:
     def test_constant_static_state_fixed_point(self, p, scalars, dt):
         grid = GridSpec(8, 8, 0.0, 1.0, 0.0, 1.0)
         cfg = SolverConfig(epsilon=0.2, gamma=1.4)
-        sys = pressure_system(uniform_state(grid, p=p), scalars, dt, cfg, grid)
+        sys = pressure_system(uniform(grid, p=p), scalars, dt, cfg, grid)
         assert np.allclose(sys.rhs, p, rtol=1e-14)
         q, _, _ = solve_helmholtz(sys)
         assert np.allclose(q, p, rtol=1e-13)
@@ -87,7 +62,7 @@ class TestPressureSystem:
         # dt^2 gamma p_min / (eps^2 rho_max), gamma = 1.4
         grid = GridSpec(8, 8, 0.0, 1.0, 0.0, 1.0)
         cfg = SolverConfig(epsilon=eps, gamma=1.4)
-        sys = pressure_system(uniform_state(grid), scalars, dt, cfg, grid)
+        sys = pressure_system(uniform(grid), scalars, dt, cfg, grid)
         assert sys.sigma == pytest.approx(sigma, rel=1e-14)
 
     def test_rhs_polynomial_in_dt(self):
@@ -186,12 +161,9 @@ class TestHelmholtzSolver:
         rng = np.random.default_rng(8)
         grid = GridSpec(12, 10, 0.0, 1.0, 0.0, 1.0)
         sigma = 0.3
-        work = grid.zeros()
         for _ in range(20):
             w = rng.standard_normal((12, 10))
-            work[grid.interior] = w
-            fill_ghost_array(work, grid)
-            aw = w - sigma * compact_laplacian(work, grid)
+            aw = w - sigma * compact_laplacian(padded_copy(w, grid), grid)
             assert (w * aw).sum() > 0.0
 
     def test_mean_preservation_periodic(self):
@@ -208,10 +180,7 @@ class TestHelmholtzSolver:
         tol = 1e-10
         sys = HelmholtzSystem(0.9, rhs, grid)
         q, iters, res = solve_helmholtz(sys)
-        work = grid.zeros()
-        work[grid.interior] = q
-        fill_ghost_array(work, grid)
-        recomputed = rhs - (q - sys.sigma * compact_laplacian(work, grid))
+        recomputed = rhs - (q - sys.sigma * compact_laplacian(padded_copy(q, grid), grid))
         assert np.linalg.norm(recomputed) <= tol * np.linalg.norm(rhs)
         assert res <= tol * np.linalg.norm(rhs)
 
@@ -224,14 +193,12 @@ class TestHelmholtzSolver:
         # 5-point stencil, on a non-square grid with dx != dy
         grid = GridSpec(12, 9, 0.0, 1.0, 0.0, 2.0, bc_x=bc_x, bc_y=bc_y)
         n = grid.nx * grid.ny
-        work = grid.zeros()
         A = np.empty((n, n))
         for k in range(n):
             e = np.zeros(n)
             e[k] = 1.0
-            work[grid.interior] = e.reshape(grid.nx, grid.ny)
-            fill_ghost_array(work, grid)
-            A[:, k] = e - sigma * compact_laplacian(work, grid).ravel()
+            column = padded_copy(e.reshape(grid.nx, grid.ny), grid)
+            A[:, k] = e - sigma * compact_laplacian(column, grid).ravel()
         rhs = 1.0 + np.random.default_rng(21).standard_normal((grid.nx, grid.ny))
         q, _, _ = solve_helmholtz(HelmholtzSystem(sigma, rhs, grid))
         dense = np.linalg.solve(A, rhs.ravel()).reshape(grid.nx, grid.ny)

@@ -25,7 +25,6 @@ from allmach.integrator import (
     switching_weight,
 )
 from allmach.nonstiff import DELTA, SplitScalars, nonstiff_rate, split_scalars
-from allmach.reconstruction import limited_traces
 from allmach.state import (
     ConservativeField,
     PrimitiveField,
@@ -34,14 +33,7 @@ from allmach.state import (
     prim_to_cons,
 )
 
-
-def uniform_state(grid, cfg, rho=1.0, u=0.0, v=0.0, p=1.0):
-    V = PrimitiveField.zeros(grid)
-    V.rho[:] = rho
-    V.u[:] = u
-    V.v[:] = v
-    V.p[:] = p
-    return DualState.from_primitive(V, grid, cfg)
+from builders import random_state, stage_operators, traces_along, uniform
 
 
 class TestTimeStep:
@@ -49,11 +41,7 @@ class TestTimeStep:
         # dx=dy=0.1, max(|u|+c)=2, max(|v|+c)=4, K=0.475: c is zeroed by
         # choosing scalars with rho at its recorded maximum
         grid = GridSpec(10, 10, 0.0, 1.0, 0.0, 1.0)
-        V = PrimitiveField.zeros(grid)
-        V.rho[:] = 1.0
-        V.p[:] = 1.0
-        V.u[grid.interior] = np.linspace(0.0, 2.0, 10)[:, None]
-        V.v[grid.interior] = np.linspace(0.0, 4.0, 10)[:, None]
+        V = uniform(grid, u=np.linspace(0.0, 2.0, 10)[:, None], v=np.linspace(0.0, 4.0, 10)[:, None])
         cfg = SolverConfig(epsilon=1.0, gamma=1.4, k_cfl=0.475)
         dt = compute_dt(V, SplitScalars(rho_max=1.0, p_min=0.5), grid, cfg)
         expected = 0.475 * min(0.1 / 2.0, 0.1 / 4.0)
@@ -64,23 +52,16 @@ class TestTimeStep:
         # dx=0.1, dy=0.4, max(|u|+c)=2, max(|v|+c)=4: the x limit 0.1/2 binds,
         # where a swapped spacing or axis would give 0.1/4
         grid = GridSpec(10, 5, 0.0, 1.0, 0.0, 2.0)
-        V = PrimitiveField.zeros(grid)
-        V.rho[:] = 1.0
-        V.p[:] = 1.0
-        V.u[grid.interior] = np.linspace(0.0, 2.0, 10)[:, None]
-        V.v[grid.interior] = np.linspace(0.0, 4.0, 5)[None, :]
+        V = uniform(grid, u=np.linspace(0.0, 2.0, 10)[:, None], v=np.linspace(0.0, 4.0, 5)[None, :])
         cfg = SolverConfig(epsilon=1.0, gamma=1.4, k_cfl=0.475)
         dt = compute_dt(V, SplitScalars(rho_max=1.0, p_min=0.5), grid, cfg)
         assert dt == pytest.approx(0.475 * 0.1 / 2.0, rel=1e-14)
 
     def test_static_state_speed_is_floored_by_delta(self):
         grid = GridSpec(10, 10, 0.0, 1.0, 0.0, 1.0)
-        V = PrimitiveField.zeros(grid)
-        V.rho[:] = 1.0
-        V.p[:] = 1.0
         cfg = SolverConfig(epsilon=1.0, gamma=1.4)
         s = SplitScalars(rho_max=1.0, p_min=1.0)  # c = 0, so the floor rules
-        dt_free = compute_dt(V, s, grid, cfg)
+        dt_free = compute_dt(uniform(grid), s, grid, cfg)
         assert dt_free == pytest.approx(0.475 * 0.1 / DELTA, rel=1e-12)
 
 
@@ -130,20 +111,7 @@ class TestSwitchingWeight:
 class TestPostProcess:
     def make_pair(self, grid, cfg):
         rng = np.random.default_rng(13)
-        V = PrimitiveField(np.stack((
-            0.5 + rng.random(grid.shape),
-            rng.standard_normal(grid.shape),
-            rng.standard_normal(grid.shape),
-            0.5 + rng.random(grid.shape),
-        )))
-        fill_ghosts(V, grid)
-        W = PrimitiveField(np.stack((
-            0.5 + rng.random(grid.shape),
-            rng.standard_normal(grid.shape),
-            rng.standard_normal(grid.shape),
-            0.5 + rng.random(grid.shape),
-        )))
-        fill_ghosts(W, grid)
+        V, W = random_state(grid, rng), random_state(grid, rng)
         return V, fill_ghosts(ConservativeField(prim_to_cons(W.array, cfg)), grid)
 
     def test_unit_mach_takes_conservative_branch_exactly(self):
@@ -167,14 +135,7 @@ class TestPostProcess:
     def test_agreeing_branches_are_a_fixed_point(self):
         grid = GridSpec(6, 6, 0.0, 1.0, 0.0, 1.0)
         cfg = SolverConfig(epsilon=0.3, gamma=1.4)  # genuinely blended regime
-        rng = np.random.default_rng(4)
-        V = PrimitiveField(np.stack((
-            0.5 + rng.random(grid.shape),
-            rng.standard_normal(grid.shape),
-            rng.standard_normal(grid.shape),
-            0.5 + rng.random(grid.shape),
-        )))
-        fill_ghosts(V, grid)
+        V = random_state(grid, np.random.default_rng(4))
         U = fill_ghosts(ConservativeField(prim_to_cons(V.array, cfg)), grid)
         out = post_process(V, U, grid, cfg)
         for a, b in zip(out.components(), V.components()):
@@ -217,7 +178,7 @@ class TestStep:
     def test_uniform_state_is_fixed_point(self, eps):
         grid = GridSpec(8, 8, 0.0, 1.0, 0.0, 1.0)
         cfg = SolverConfig(epsilon=eps, gamma=1.4)
-        state = uniform_state(grid, cfg, rho=1.1, p=2.3)
+        state = DualState.from_primitive(uniform(grid, rho=1.1, p=2.3), grid, cfg)
         new, rep = si_dec_step(state, grid, cfg, dt=0.01)
         assert np.abs(new.V.rho - 1.1).max() < 1e-13
         assert np.abs(new.V.p - 2.3).max() < 1e-13
@@ -291,7 +252,7 @@ class TestRun:
     def test_zero_interval_is_identity(self):
         grid = GridSpec(8, 8, 0.0, 1.0, 0.0, 1.0)
         cfg = SolverConfig(epsilon=0.5, gamma=1.4)
-        state = uniform_state(grid, cfg)
+        state = DualState.from_primitive(uniform(grid), grid, cfg)
         out, report = run(state, grid, cfg, t_final=0.0)
         assert report.steps == 0 and out is state
 
@@ -305,7 +266,7 @@ class TestRun:
         # 4e7, so the whole interval is one clipped step
         grid = GridSpec(10, 10, 0.0, 1.0, 0.0, 1.0)
         cfg = SolverConfig(epsilon=1e-3, gamma=1.4)
-        state = uniform_state(grid, cfg)
+        state = DualState.from_primitive(uniform(grid), grid, cfg)
         assert compute_dt(state.V, split_scalars(state.V, grid, 1e-3), grid, cfg) > 1e7
         out, report = run(state, grid, cfg, t_final=0.5)
         assert [r.dt for r in report.reports] == [0.5]
@@ -452,8 +413,7 @@ def reference_step(state, grid, cfg):
         V = PrimitiveField(pad(V.array[core], grid))
         return DualState(post_process(V, U, grid, cfg), U, state.t + dt), res
 
-    R, D = np.zeros((2, 4, grid.nx, grid.ny))
-    n = build_stage(Vn, grid, cfg, R, D)
+    R, D, n = stage_operators(Vn, grid, cfg)
     dt = compute_dt(Vn, n, grid, cfg)
     star, res1 = stage(R, D, n, dt)
     if cfg.order == 1:
@@ -484,12 +444,13 @@ class TestReferenceStep:
         # a smooth state, periodic along x and outflow along y, dx != dy
         grid = GridSpec(12, 9, 0.0, 1.0, 0.0, 2.0, bc_x=PERIODIC, bc_y=OUTFLOW)
         X, Y = grid.cell_centers()
-        V = PrimitiveField.zeros(grid)
-        core = grid.interior
-        V.rho[core] = 1.0 + 0.2 * np.sin(2.0 * np.pi * X) * np.cos(0.5 * np.pi * Y)
-        V.u[core] = 0.3 + 0.2 * np.cos(2.0 * np.pi * X) * np.sin(0.5 * np.pi * Y)
-        V.v[core] = -0.1 + 0.3 * np.sin(2.0 * np.pi * X) * Y * (2.0 - Y)
-        V.p[core] = 1.0 + eps**2 * np.cos(2.0 * np.pi * X) * np.cos(0.5 * np.pi * Y)
+        V = uniform(
+            grid,
+            rho=1.0 + 0.2 * np.sin(2.0 * np.pi * X) * np.cos(0.5 * np.pi * Y),
+            u=0.3 + 0.2 * np.cos(2.0 * np.pi * X) * np.sin(0.5 * np.pi * Y),
+            v=-0.1 + 0.3 * np.sin(2.0 * np.pi * X) * Y * (2.0 - Y),
+            p=1.0 + eps**2 * np.cos(2.0 * np.pi * X) * np.cos(0.5 * np.pi * Y),
+        )
         cfg = SolverConfig(epsilon=eps, order=order)
         self.check_steps(grid, cfg, DualState.from_primitive(V, grid, cfg))
 
@@ -516,8 +477,7 @@ RANDOM_STAGE_DIGEST = "181b8d2cb1d46533408ebebb053ec27c870ff4149ee9c1e67602a07da
 
 def stage_digest(Vf, grid, cfg):
     """sha256 over one stage's explicit operators and split scalars."""
-    R, D = np.zeros((2, 4, grid.nx, grid.ny))
-    s = build_stage(Vf, grid, cfg, R, D)
+    R, D, s = stage_operators(Vf, grid, cfg)
     scalars = np.array([s.rho_max, s.p_min])
     h = hashlib.sha256()
     for a in (R, D, scalars):
@@ -551,13 +511,12 @@ class TestStageGolden:
 def whole_grid_operators(Vf, grid, cfg):
     """Reference for build_stage: each axis's kernels run once on the whole
     grid, the cell averages sliced from the interior rather than the block."""
-    g = grid.ghost
     scalars = split_scalars(Vf, grid, cfg.epsilon)
     Vbar = Vf.array[grid.interior]
     R, D = np.zeros_like(Vbar), np.zeros_like(Vbar)
     for axis in (AXIS_X, AXIS_Y):
         h = grid.spacing(axis)
-        traces = limited_traces(along(Vf.array, axis)[..., g:-g], h, cfg.theta, axis, 0)
+        traces = traces_along(Vf, grid, axis, cfg.theta)
         along(R, axis)[...] += nonstiff_rate(along(Vbar, axis), traces, scalars, cfg, axis, h)
         along(D, axis)[...] -= flux_divergence(traces, cfg, axis, h)
     return R, D

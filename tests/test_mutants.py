@@ -1,25 +1,15 @@
-import importlib.util
-from pathlib import Path
-
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "mutants.py"
-
-
-def load_tool():
-    spec = importlib.util.spec_from_file_location("mutants", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from builders import load_tool
 
 
 def test_every_mutant_matches_its_module_exactly_once():
-    tool = load_tool()
+    tool = load_tool("mutants")
     assert tool.unmatched() == []
     for module, original, mutant, _ in tool.MUTANTS + tool.EQUIVALENT:
         assert mutant != original, module
 
 
 def test_a_string_that_no_longer_matches_is_reported(tmp_path):
-    tool = load_tool()
+    tool = load_tool("mutants")
     package = tmp_path / tool.PACKAGE
     package.mkdir(parents=True)
     for module in {m for m, *_ in tool.MUTANTS + tool.EQUIVALENT}:
@@ -30,7 +20,7 @@ def test_a_string_that_no_longer_matches_is_reported(tmp_path):
 
 
 def test_killing_test_is_named_for_failures_and_errors():
-    tool = load_tool()
+    tool = load_tool("mutants")
     failed = (
         "..F\n=========================== short test summary info ============================\n"
         "FAILED tests/test_grid.py::test_ghosts[periodic] - AssertionError: assert False\n"

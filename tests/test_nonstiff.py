@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from allmach.errors import NonPhysicalState
-from allmach.grid import AXIS_X, AXIS_Y, GridSpec, along, fill_ghosts
-from allmach.integrator import build_stage
+from allmach.grid import AXIS_X, AXIS_Y, GridSpec, along
 from allmach.nonstiff import (
     DELTA,
     SplitScalars,
@@ -20,60 +19,46 @@ from allmach.nonstiff import (
     one_sided_speeds,
     split_scalars,
 )
-from allmach.reconstruction import limited_traces
-from allmach.state import PrimitiveField, SolverConfig
+from allmach.state import SolverConfig
+
+from builders import stage_operators, traces_along, uniform
 
 
 def smooth_field(grid):
     X, Y = grid.cell_centers()
     tp = 2.0 * np.pi
-    V = PrimitiveField.zeros(grid)
-    V.rho[grid.interior] = 1.0 + 0.3 * np.sin(tp * X) * np.cos(tp * Y)
-    V.u[grid.interior] = 1.0 + 0.2 * np.cos(tp * X) * np.sin(tp * Y)
-    V.v[grid.interior] = 0.5 + 0.2 * np.sin(tp * X + 1.0) * np.sin(tp * Y)
-    V.p[grid.interior] = 2.0 + 0.4 * np.cos(tp * X + 0.5) * np.cos(tp * Y + 1.0)
-    return fill_ghosts(V, grid)
-
-
-def traces_along(V, grid, axis, theta):
-    """(minus, plus) traces along ``axis`` of the whole grid, axis first."""
-    g = grid.ghost
-    return limited_traces(along(V.array, axis)[..., g:-g], grid.spacing(axis), theta, axis, 0)
+    return uniform(
+        grid,
+        rho=1.0 + 0.3 * np.sin(tp * X) * np.cos(tp * Y),
+        u=1.0 + 0.2 * np.cos(tp * X) * np.sin(tp * Y),
+        v=0.5 + 0.2 * np.sin(tp * X + 1.0) * np.sin(tp * Y),
+        p=2.0 + 0.4 * np.cos(tp * X + 0.5) * np.cos(tp * Y + 1.0),
+    )
 
 
 class TestSplitScalars:
     def test_constant_field_shifted_extrema(self):
         grid = GridSpec(4, 4, 0.0, 1.0, 0.0, 1.0)
-        V = PrimitiveField.zeros(grid)
-        V.rho[:] = 1.0
-        V.p[:] = 1.0
-        s = split_scalars(V, grid, eps=0.1)
+        s = split_scalars(uniform(grid), grid, eps=0.1)
         assert s.rho_max == pytest.approx(1.0 + 1e-4, rel=0, abs=1e-18)
         assert s.p_min == pytest.approx(1.0 - 1e-4, rel=0, abs=1e-18)
 
     def test_zero_mach_shift_vanishes(self):
         grid = GridSpec(4, 4, 0.0, 1.0, 0.0, 1.0)
-        V = PrimitiveField.zeros(grid)
-        V.rho[:] = 2.0
-        V.p[:] = 3.0
-        s = split_scalars(V, grid, eps=0.0)
+        s = split_scalars(uniform(grid, rho=2.0, p=3.0), grid, eps=0.0)
         assert (s.rho_max, s.p_min) == (2.0, 3.0)
 
     def test_unit_mach_number_shift(self):
         grid = GridSpec(4, 4, 0.0, 2.0, 0.0, 2.0)
-        V = PrimitiveField.zeros(grid)
-        V.rho[grid.interior] = 1.0
+        V = uniform(grid, p=2.0)
         V.rho[grid.ghost, grid.ghost] = 2.0
-        V.p[grid.interior] = 2.0
         V.p[grid.ghost + 1, grid.ghost] = 1.0
         s = split_scalars(V, grid, eps=1.0)
         assert (s.rho_max, s.p_min) == (3.0, 0.0)
 
     def test_extrema_over_interior_only(self):
         grid = GridSpec(4, 4, 0.0, 1.0, 0.0, 1.0)
-        V = PrimitiveField.zeros(grid)
-        V.rho[:] = 1.0
-        V.p[:] = 1.0
+        V = uniform(grid)
         V.rho[0, 0] = 99.0  # ghost: must not count
         s = split_scalars(V, grid, eps=0.0)
         assert s.rho_max == 1.0
@@ -240,11 +225,7 @@ class TestNonconservativeTerms:
     def test_constant_state_vanishes(self):
         # the same uniform moving state as test_conservative's flux check
         grid = GridSpec(6, 5, 0.0, 1.0, 0.0, 2.0)
-        V = PrimitiveField.zeros(grid)
-        V.rho[:] = 1.2
-        V.u[:] = 0.5
-        V.v[:] = -0.3
-        V.p[:] = 1.5
+        V = uniform(grid, 1.2, 0.5, -0.3, 1.5)
         cfg = SolverConfig(epsilon=0.5, gamma=1.4)
         s = split_scalars(V, grid, cfg.epsilon)
         for axis in (AXIS_X, AXIS_Y):
@@ -310,13 +291,7 @@ def analytic_operator(grid, eps, gamma, rho_max, p_min):
 class TestAssembledOperator:
     def test_constant_static_state_is_annihilated(self):
         grid = GridSpec(8, 8, 0.0, 1.0, 0.0, 1.0)
-        V = PrimitiveField.zeros(grid)
-        V.rho[:] = 1.2
-        V.p[:] = 0.9
-        cfg = SolverConfig(epsilon=0.4, gamma=1.4)
-        s = split_scalars(V, grid, cfg.epsilon)
-        R, D = np.zeros((2, 4, grid.nx, grid.ny))
-        build_stage(V, grid, cfg, R, D)
+        R, _, _ = stage_operators(uniform(grid, rho=1.2, p=0.9), grid, SolverConfig(epsilon=0.4, gamma=1.4))
         assert np.allclose(R, 0.0, atol=1e-14)
 
     def test_second_order_consistency(self):
@@ -324,11 +299,8 @@ class TestAssembledOperator:
         errors = []
         for n in (64, 128):
             grid = GridSpec(n, n, 0.0, 1.0, 0.0, 1.0)
-            V = smooth_field(grid)
             cfg = SolverConfig(**cfg_kwargs)
-            s = split_scalars(V, grid, cfg.epsilon)
-            R, D = np.zeros((2, 4, grid.nx, grid.ny))
-            build_stage(V, grid, cfg, R, D)
+            R, _, s = stage_operators(smooth_field(grid), grid, cfg)
             Ra = analytic_operator(grid, cfg.epsilon, cfg.gamma, s.rho_max, s.p_min)
             errors.append(np.abs(R - Ra).mean(axis=(1, 2)))
         ratios = errors[0] / errors[1]
@@ -341,15 +313,8 @@ class TestAssembledOperator:
         for n in (32, 64):
             grid = GridSpec(n, n, 0.0, 1.0, 0.0, 1.0)
             X, _ = grid.cell_centers()
-            V = PrimitiveField.zeros(grid)
-            V.rho[grid.interior] = 2.0 + 0.5 * np.sin(2 * np.pi * X)
-            V.u[:] = c
-            V.p[:] = 1.0
-            fill_ghosts(V, grid)
-            cfg = SolverConfig(epsilon=1.0, gamma=1.4)
-            s = split_scalars(V, grid, cfg.epsilon)
-            R, D = np.zeros((2, 4, grid.nx, grid.ny))
-            build_stage(V, grid, cfg, R, D)
+            V = uniform(grid, rho=2.0 + 0.5 * np.sin(2 * np.pi * X), u=c)
+            R, _, _ = stage_operators(V, grid, SolverConfig(epsilon=1.0, gamma=1.4))
             exact = c * np.pi * np.cos(2 * np.pi * X)
             errors.append(np.abs(R[0] - exact).mean())
         assert 3.2 <= errors[0] / errors[1] <= 4.8
@@ -360,16 +325,9 @@ class TestAssembledOperator:
         # is within the O(dx^2) the contract asks for
         grid = GridSpec(32, 32, 0.0, 1.0, 0.0, 1.0)
         X, Y = grid.cell_centers()
-        V = PrimitiveField.zeros(grid)
-        V.rho[grid.interior] = 1.0 + 0.2 * np.sin(2 * np.pi * X) * np.sin(2 * np.pi * Y)
-        V.u[:] = 1.0
-        V.v[:] = 1.0
-        V.p[:] = 2.0
-        fill_ghosts(V, grid)
-        cfg = SolverConfig(epsilon=1.0, gamma=1.4)
-        s = split_scalars(V, grid, cfg.epsilon)
-        R, D = np.zeros((2, 4, grid.nx, grid.ny))
-        build_stage(V, grid, cfg, R, D)
+        rho = 1.0 + 0.2 * np.sin(2 * np.pi * X) * np.sin(2 * np.pi * Y)
+        V = uniform(grid, rho, 1.0, 1.0, 2.0)
+        R, _, _ = stage_operators(V, grid, SolverConfig(epsilon=1.0, gamma=1.4))
         assert np.abs(R[3]).max() <= 1e-13
         # the velocity rows see only the density-weighted pressure gradient,
         # which also vanishes here

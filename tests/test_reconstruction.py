@@ -5,40 +5,26 @@ from hypothesis import strategies as st
 
 from allmach.errors import NonPhysicalState
 from allmach.grid import AXIS_X, AXIS_Y, OUTFLOW, PERIODIC, GridSpec, along, fill_ghosts
-from allmach.integrator import build_stage
-from allmach.reconstruction import compute_slopes, limited_traces, minmod
+from allmach.reconstruction import compute_slopes, minmod
 from allmach.state import PrimitiveField, SolverConfig
 
+from builders import random_state, stage_operators, traces_along, uniform, whole_block
 
-def field_from_function(grid, fn_rho, fn_u=None, fn_v=None, fn_p=None):
+
+def field_from_function(grid, fn_rho, fn_p=None):
     X, Y = grid.cell_centers()
-    V = PrimitiveField.zeros(grid)
-    V.rho[grid.interior] = fn_rho(X, Y)
-    V.u[grid.interior] = fn_u(X, Y) if fn_u else 0.0
-    V.v[grid.interior] = fn_v(X, Y) if fn_v else 0.0
-    V.p[grid.interior] = fn_p(X, Y) if fn_p else 1.0
-    return fill_ghosts(V, grid)
-
-
-def block(V, grid, axis):
-    """The whole grid as one axis-first block: every interior cell across
-    ``axis``, with its ghost padding along it."""
-    g = grid.ghost
-    return along(V.array, axis)[..., g:-g]
+    return uniform(grid, rho=fn_rho(X, Y), p=fn_p(X, Y) if fn_p else 1.0)
 
 
 def slopes_along(V, grid, axis, theta):
     """Slopes along ``axis`` of the whole grid; row k belongs to the cell
     with interior index k - 1 along the axis."""
-    return compute_slopes(block(V, grid, axis), grid.spacing(axis), theta)
+    return compute_slopes(whole_block(V, grid, axis), grid.spacing(axis), theta)
 
 
 def traces_per_axis(V, grid, theta):
     """(minus, plus) traces of the whole grid per axis, each axis first."""
-    return [
-        limited_traces(block(V, grid, axis), grid.spacing(axis), theta, axis, 0)
-        for axis in (AXIS_X, AXIS_Y)
-    ]
+    return [traces_along(V, grid, axis, theta) for axis in (AXIS_X, AXIS_Y)]
 
 
 class TestMinmod:
@@ -93,23 +79,15 @@ class TestSlopes:
 
     def test_extremum_clips_to_zero(self):
         grid = GridSpec(5, 4, 0.0, 5.0, 0.0, 4.0, bc_x="outflow", bc_y="outflow")
-        V = PrimitiveField.zeros(grid)
-        V.rho[grid.interior] = np.array([1.0, 2.0, 5.0, 2.0, 1.0])[:, None]
-        V.u[grid.interior] = 0.0
-        V.p[grid.interior] = 1.0
-        fill_ghosts(V, grid)
+        V = uniform(grid, rho=np.array([1.0, 2.0, 5.0, 2.0, 1.0])[:, None])
         slopes = slopes_along(V, grid, AXIS_X, theta=1.3)
         assert slopes[0, 3, 0] == 0.0  # local max in the middle cell (2, 0)
 
     def test_three_cell_hand_value(self):
         # cells (0, 1, 3), dx=1, theta=2: minmod(2, 1.5, 4) = 1.5 at the middle
         grid = GridSpec(3, 3, 0.0, 3.0, 0.0, 3.0, bc_x="outflow", bc_y="outflow")
-        V = PrimitiveField.zeros(grid)
-        V.rho[grid.interior] = np.array([0.0, 1.0, 3.0])[:, None]
-        V.rho[grid.interior] += 1.0  # keep positive; slopes are shift invariant
-        V.u[grid.interior] = 0.0
-        V.p[grid.interior] = 1.0
-        fill_ghosts(V, grid)
+        # keep positive; slopes are shift invariant
+        V = uniform(grid, rho=np.array([0.0, 1.0, 3.0])[:, None] + 1.0)
         slopes = slopes_along(V, grid, AXIS_X, theta=2.0)
         expected = minmod(2.0 * (1.0 - 0.0), (3.0 - 0.0) / 2.0, 2.0 * (3.0 - 1.0))
         assert expected == 1.5
@@ -139,11 +117,7 @@ class TestInterfaces:
         # trace left of the interface between cells with averages 1 and 3:
         # 1 + 0.5 * minmod(2, 1.5, 4) = 1.75
         grid = GridSpec(3, 3, 0.0, 3.0, 0.0, 3.0, bc_x="outflow", bc_y="outflow")
-        V = PrimitiveField.zeros(grid)
-        V.rho[grid.interior] = np.array([1.0, 2.0, 4.0])[:, None]  # (0,1,3) + 1
-        V.u[grid.interior] = 0.0
-        V.p[grid.interior] = 1.0
-        fill_ghosts(V, grid)
+        V = uniform(grid, rho=np.array([1.0, 2.0, 4.0])[:, None])  # (0,1,3) + 1
         (xm, _), _ = traces_per_axis(V, grid, 2.0)
         assert xm[0][2, 0] == pytest.approx(2.0 + 0.5 * 1.5, rel=1e-14)
 
@@ -172,15 +146,8 @@ class TestInterfaces:
         assert 3.4 <= ratio <= 4.6
 
     def test_local_boundedness(self):
-        rng = np.random.default_rng(11)
         grid = GridSpec(12, 10, 0.0, 1.0, 0.0, 1.0)
-        V = PrimitiveField(np.stack((
-            0.5 + rng.random(grid.shape),
-            rng.standard_normal(grid.shape),
-            rng.standard_normal(grid.shape),
-            0.5 + rng.random(grid.shape),
-        )))
-        fill_ghosts(V, grid)
+        V = random_state(grid, np.random.default_rng(11))
         (xm, _), _ = traces_per_axis(V, grid, 2.0)
         Vs = V.array
         g = grid.ghost
@@ -259,20 +226,16 @@ class TestPositivity:
             slopes[comp, 2, 1] = 100.0  # cell (1, 1): its left trace goes negative
             monkeypatch.setattr(rec, "compute_slopes", lambda Vs, h, theta, s=slopes: s)
             with pytest.raises(NonPhysicalState, match=rf"{name} .* along x at cell \(1, 1\)"):
-                build_stage(V, grid, SolverConfig(epsilon=1.0), *np.zeros((2, 4, grid.nx, grid.ny)))
+                stage_operators(V, grid, SolverConfig(epsilon=1.0))
 
     def test_round_off_zero_trace_rejected(self):
         # theta = 2 next to a 17-decade drop: the cell of average 1 gets the
         # slope minmod(-8, -2.5, 2 * (1e-17 - 1)) = -2 in floating point, so
         # the trace on its right face is 1 - 1 = 0 exactly.
         grid = GridSpec(5, 3, 0.0, 5.0, 0.0, 3.0, bc_x="outflow", bc_y="outflow")
-        V = PrimitiveField.zeros(grid)
-        V.rho[grid.interior] = np.array([9.0, 5.0, 1.0, 1e-17, 1e-17])[:, None]
-        V.p[grid.interior] = 1.0
-        fill_ghosts(V, grid)
+        V = uniform(grid, rho=np.array([9.0, 5.0, 1.0, 1e-17, 1e-17])[:, None])
         with pytest.raises(NonPhysicalState, match=r"density .* along x at cell \(2, 0\)"):
-            build_stage(V, grid, SolverConfig(epsilon=1.0, theta=2.0),
-                        *np.zeros((2, 4, grid.nx, grid.ny)))
+            stage_operators(V, grid, SolverConfig(epsilon=1.0, theta=2.0))
 
     @pytest.mark.parametrize("strip", [1, 32])
     def test_failure_names_the_grid_cell_in_any_strip(self, monkeypatch, strip):
@@ -282,11 +245,7 @@ class TestPositivity:
 
         monkeypatch.setattr(integrator, "STRIP", strip)
         grid = GridSpec(3, 5, 0.0, 3.0, 0.0, 5.0, bc_x="outflow", bc_y="outflow")
-        V = PrimitiveField.zeros(grid)
-        V.rho[grid.interior] = 1.0
-        V.rho[grid.interior][1] = [9.0, 5.0, 1.0, 1e-17, 1e-17]
-        V.p[grid.interior] = 1.0
-        fill_ghosts(V, grid)
+        rho = np.ones((3, 5))
+        rho[1] = [9.0, 5.0, 1.0, 1e-17, 1e-17]
         with pytest.raises(NonPhysicalState, match=r"density .* along y at cell \(1, 2\)"):
-            build_stage(V, grid, SolverConfig(epsilon=1.0, theta=2.0),
-                        *np.zeros((2, 4, grid.nx, grid.ny)))
+            stage_operators(uniform(grid, rho=rho), grid, SolverConfig(epsilon=1.0, theta=2.0))

@@ -15,7 +15,9 @@ import pytest
 
 from allmach import DualState, run
 from allmach.grid import AXIS_X, AXIS_Y, OUTFLOW, PERIODIC, GridSpec
-from allmach.state import PrimitiveField, SolverConfig
+from allmach.state import SolverConfig
+
+from builders import uniform
 
 GAMMA = 1.4
 LEFT, RIGHT = (1.0, 0.0, 1.0), (0.125, 0.0, 0.1)  # Sod's (rho, u, p)
@@ -95,9 +97,7 @@ def sod_run(n, eps, axis):
     bcs = (OUTFLOW, PERIODIC) if axis == AXIS_X else (PERIODIC, OUTFLOW)
     grid = GridSpec(*shape, 0.0, 1.0, 0.0, 1.0, bc_x=bcs[0], bc_y=bcs[1])
     s = grid.cell_centers()[axis]
-    V = PrimitiveField.zeros(grid)
-    V.rho[grid.interior] = np.where(s < 0.5, LEFT[0], RIGHT[0])
-    V.p[grid.interior] = np.where(s < 0.5, LEFT[2], RIGHT[2])
+    V = uniform(grid, rho=np.where(s < 0.5, LEFT[0], RIGHT[0]), p=np.where(s < 0.5, LEFT[2], RIGHT[2]))
     cfg = SolverConfig(epsilon=eps, gamma=GAMMA)
     state, report = run(DualState.from_primitive(V, grid, cfg), grid, cfg, 0.2 * eps)
     return grid, state, report

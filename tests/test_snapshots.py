@@ -18,18 +18,15 @@ from allmach.snapshots import (
     snapshot_write,
     write_snapshot_data,
 )
-from allmach.state import PrimitiveField, SolverConfig
+from allmach.state import SolverConfig
+
+from builders import uniform
 
 
 def test_uniform_state_rows_identical_up_to_coordinates(tmp_path):
     grid = CASES["gresho"].make_grid(4, 3, 0.1)
     cfg = SolverConfig(epsilon=0.1, gamma=1.4)
-    V = PrimitiveField.zeros(grid)
-    V.rho[:] = 1.0
-    V.u[:] = 0.2
-    V.v[:] = 0.3
-    V.p[:] = 2.0
-    state = DualState.from_primitive(V, grid, cfg)
+    state = DualState.from_primitive(uniform(grid, u=0.2, v=0.3, p=2.0), grid, cfg)
     rows = snapshot_rows(state, grid, cfg)
     assert rows.shape == (12, 14)
     data_cols = rows[:, 4:]

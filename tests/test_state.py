@@ -11,18 +11,11 @@ from allmach.state import (
     prim_to_cons,
 )
 
+from builders import uniform
+
 
 def conservative(V, cfg):
     return ConservativeField(prim_to_cons(V.array, cfg))
-
-
-def uniform_primitive(grid, rho, u, v, p):
-    V = PrimitiveField.zeros(grid)
-    V.rho[:] = rho
-    V.u[:] = u
-    V.v[:] = v
-    V.p[:] = p
-    return V
 
 
 @pytest.fixture
@@ -36,18 +29,18 @@ class TestTransforms:
         cfg = SolverConfig(epsilon=0.1, gamma=2.0)
         expected_E = 1.0 / (2.0 - 1.0) + 0.5 * 0.1**2 * 1.0 * (1.0 + 1.0)
         assert expected_E == 1.01
-        U = conservative(uniform_primitive(grid, 1.0, 1.0, 1.0, 1.0), cfg)
+        U = conservative(uniform(grid, u=1.0, v=1.0), cfg)
         assert np.allclose(U.E, expected_E, rtol=0, atol=1e-15)
         assert np.allclose(U.mx, 1.0) and np.allclose(U.my, 1.0)
 
     def test_static_state(self, grid):
         cfg = SolverConfig(epsilon=0.7, gamma=1.4)
-        U = conservative(uniform_primitive(grid, 1.0, 0.0, 0.0, 1.0), cfg)
+        U = conservative(uniform(grid), cfg)
         assert np.allclose(U.E, 2.5)
 
     def test_explosion_ambient_state(self, grid):
         cfg = SolverConfig(epsilon=1.0, gamma=1.4)
-        U = conservative(uniform_primitive(grid, 0.125, 0.0, 0.0, 0.1), cfg)
+        U = conservative(uniform(grid, rho=0.125, p=0.1), cfg)
         assert np.allclose(U.E, 0.25)
 
     def test_inverse_of_known_state(self, grid):
@@ -87,7 +80,7 @@ class TestTransforms:
 
     def test_energy_continuous_in_mach_number(self, grid):
         # E -> p/(gamma-1) as eps -> 0
-        V = uniform_primitive(grid, 1.3, 0.7, -0.4, 2.1)
+        V = uniform(grid, 1.3, 0.7, -0.4, 2.1)
         cfg = SolverConfig(epsilon=1e-8, gamma=1.4)
         U = conservative(V, cfg)
         assert np.allclose(U.E, 2.1 / 0.4, rtol=1e-12)
@@ -102,6 +95,10 @@ class TestGridSpec:
         ((4, 4, 0.0, 1.0, 0.0, 1.0), {"bc_y": "wall"}, "unknown boundary kind 'wall'"),
         ((3.5, 4, 0.0, 1.0, 0.0, 1.0), {}, "grid sizes must be integers, got 3.5 x 4"),
         ((4.0, 4, 0.0, 1.0, 0.0, 1.0), {}, "grid sizes must be integers, got 4.0 x 4"),
+        ((4, 4, np.nan, 1.0, 0.0, 1.0), {}, "bounds must be finite"),
+        ((4, 4, 0.0, 1.0, 0.0, np.nan), {}, "bounds must be finite"),
+        ((4, 4, 0.0, np.inf, 0.0, 1.0), {}, "bounds must be finite"),
+        ((4, 4, 0.0, 1.0, -np.inf, 1.0), {}, "bounds must be finite"),
     ])
     def test_invalid_grid_rejected(self, args, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -193,24 +190,24 @@ class TestConfig:
 
 class TestValidation:
     def test_negative_pressure_detected(self, grid):
-        V = uniform_primitive(grid, 1.0, 0.0, 0.0, 1.0)
+        V = uniform(grid)
         V.p[grid.ghost + 1, grid.ghost + 1] = -0.1
         with pytest.raises(NonPhysicalState, match=r"non-positive pressure at cell \(1, 1\): -0\.1$"):
             V.validate(grid)
 
     def test_ghost_values_not_validated(self, grid):
-        V = uniform_primitive(grid, 1.0, 0.0, 0.0, 1.0)
+        V = uniform(grid)
         V.rho[0, 0] = -1.0  # ghost corner: ignored
         V.validate(grid)
 
     def test_nan_detected(self, grid):
-        V = uniform_primitive(grid, 1.0, 0.0, 0.0, 1.0)
+        V = uniform(grid)
         V.u[grid.ghost + 2, grid.ghost] = np.nan
         with pytest.raises(NonPhysicalState, match=r"non-finite u at cell \(2, 0\): nan$"):
             V.validate(grid)
 
     def test_message_names_the_primitive_state(self, grid):
-        V = uniform_primitive(grid, 1.0, 0.0, 0.0, 1.0)
+        V = uniform(grid)
         V.rho[grid.ghost, grid.ghost] = 0.0
         with pytest.raises(NonPhysicalState, match=r"^primitive state: non-positive density at cell \(0, 0\)"):
             V.validate(grid)
@@ -224,7 +221,7 @@ class TestConservativeValidation:
     @pytest.fixture
     def U(self, grid, cfg):
         # kinetic energy 0.25 per cell, internal energy 2.5
-        return conservative(uniform_primitive(grid, 1.0, 0.5, -0.5, 1.0), cfg)
+        return conservative(uniform(grid, u=0.5, v=-0.5), cfg)
 
     def test_valid_state_returns_itself(self, grid, cfg, U):
         assert U.validate(grid, cfg) is U

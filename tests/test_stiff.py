@@ -1,21 +1,17 @@
 import numpy as np
 import pytest
 
-from allmach.grid import AXIS_X, AXIS_Y, GridSpec, fill_ghost_array, fill_ghosts
+from allmach.grid import AXIS_X, AXIS_Y, GridSpec
+from allmach.grid import padded as padded_copy
 from allmach.nonstiff import SplitScalars
-from allmach.state import PrimitiveField, SolverConfig
+from allmach.state import SolverConfig
 from allmach.stiff import (
     assemble_stiff,
     central_difference,
     discrete_divergence,
 )
 
-
-def padded(grid, fn):
-    X, Y = grid.cell_centers()
-    a = grid.zeros()
-    a[grid.interior] = fn(X, Y)
-    return fill_ghost_array(a, grid)
+from builders import padded, uniform
 
 
 def gradient(p, grid):
@@ -87,11 +83,7 @@ class TestDiscreteDivergence:
 class TestStiffOperator:
     def test_constant_fields_annihilated(self):
         grid = GridSpec(6, 6, 0.0, 1.0, 0.0, 1.0)
-        V = PrimitiveField.zeros(grid)
-        V.rho[:] = 1.0
-        V.u[:] = 0.7
-        V.v[:] = -0.7
-        V.p[:] = 2.0
+        V = uniform(grid, u=0.7, v=-0.7, p=2.0)
         cfg = SolverConfig(epsilon=0.3, gamma=1.4)
         L = assemble_stiff(SplitScalars(1.5, 1.0), cfg, V, grid)
         assert np.allclose(L, 0.0, atol=1e-14)
@@ -99,11 +91,8 @@ class TestStiffOperator:
     def test_pressure_gradient_scaling_hand_value(self):
         # p = x, eps = 0.1, rho_max = 2: u-row = 1/(0.01 * 2) = 50
         grid = GridSpec(8, 8, 0.0, 1.0, 0.0, 1.0, bc_x="outflow", bc_y="outflow")
-        V = PrimitiveField.zeros(grid)
-        V.rho[:] = 1.0
         X, _ = grid.cell_centers()
-        V.p[grid.interior] = X
-        fill_ghosts(V, grid)
+        V = uniform(grid, p=X)
         cfg = SolverConfig(epsilon=0.1, gamma=1.4)
         L = assemble_stiff(SplitScalars(2.0, 0.5), cfg, V, grid)
         expected = 1.0 / (0.1**2 * 2.0)
@@ -115,13 +104,8 @@ class TestStiffOperator:
     def test_dilatation_hand_value(self):
         # u = x, v = y, gamma = 1.4, p_min = 1: p-row = 2.8
         grid = GridSpec(8, 8, 0.0, 1.0, 0.0, 1.0, bc_x="outflow", bc_y="outflow")
-        V = PrimitiveField.zeros(grid)
-        V.rho[:] = 1.0
-        V.p[:] = 1.0
         X, Y = grid.cell_centers()
-        V.u[grid.interior] = X
-        V.v[grid.interior] = Y
-        fill_ghosts(V, grid)
+        V = uniform(grid, u=X, v=Y)
         cfg = SolverConfig(epsilon=1.0, gamma=1.4)
         L = assemble_stiff(SplitScalars(2.0, 1.0), cfg, V, grid)
         assert np.allclose(L[3][1:-1, 1:-1], 1.4 * 1.0 * 2.0, rtol=1e-12)
@@ -129,14 +113,8 @@ class TestStiffOperator:
     def test_coefficient_and_field_stages_do_not_commute(self):
         grid = GridSpec(8, 8, 0.0, 1.0, 0.0, 1.0)
         X, Y = grid.cell_centers()
-        Va = PrimitiveField.zeros(grid)
-        Va.rho[:] = 1.0
-        Va.p[grid.interior] = 2.0 + np.sin(2 * np.pi * X)
-        fill_ghosts(Va, grid)
-        Vb = PrimitiveField.zeros(grid)
-        Vb.rho[:] = 1.0
-        Vb.p[grid.interior] = 2.0 + np.cos(2 * np.pi * Y)
-        fill_ghosts(Vb, grid)
+        Va = uniform(grid, p=2.0 + np.sin(2 * np.pi * X))
+        Vb = uniform(grid, p=2.0 + np.cos(2 * np.pi * Y))
         cfg = SolverConfig(epsilon=0.2, gamma=1.4)
         sa = SplitScalars(rho_max=1.0, p_min=1.0)
         sb = SplitScalars(rho_max=3.0, p_min=0.5)
@@ -161,17 +139,9 @@ class TestLaplacianComposition:
     def test_divergence_of_gradient_is_wide_stencil(self):
         rng = np.random.default_rng(4)
         grid = GridSpec(10, 8, 0.0, 1.0, 0.0, 1.0)
-        p = grid.zeros()
-        p[grid.interior] = rng.random((10, 8))
-        fill_ghost_array(p, grid)
+        p = padded_copy(rng.random((10, 8)), grid)
         px, py = gradient(p, grid)
-        gx = grid.zeros()
-        gy = grid.zeros()
-        gx[grid.interior] = px
-        gy[grid.interior] = py
-        fill_ghost_array(gx, grid)
-        fill_ghost_array(gy, grid)
-        composed = discrete_divergence(gx, gy, grid)
+        composed = discrete_divergence(padded_copy(px, grid), padded_copy(py, grid), grid)
         assert np.allclose(composed, self.wide_laplacian(p, grid), rtol=1e-12, atol=1e-12)
 
     def test_wide_and_compact_agree_on_quadratics(self):
@@ -188,9 +158,7 @@ class TestLaplacianComposition:
 
         grid = GridSpec(8, 8, 0.0, 1.0, 0.0, 1.0)
         j = np.arange(8)
-        p = grid.zeros()
-        p[grid.interior] = ((-1.0) ** j)[:, None] * np.ones(8)[None, :]
-        fill_ghost_array(p, grid)
+        p = padded_copy(((-1.0) ** j)[:, None] * np.ones(8)[None, :], grid)
         wide = self.wide_laplacian(p, grid)
         compact = compact_laplacian(p, grid)
         assert np.allclose(wide, 0.0, atol=1e-12)  # +-2 stencil misses the mode

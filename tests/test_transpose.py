@@ -53,9 +53,15 @@ def interior_stack(fld, names, grid):
     return np.stack([getattr(fld, name)[grid.interior] for name in names])
 
 
-@pytest.mark.parametrize("case_name, eps", [("double_shear", 0.5), ("explosion", 0.9)])
-def test_five_steps_commute_with_transposition(case_name, eps):
-    grid, cfg, state = CASES[case_name].start(eps, 40, 40)
+@pytest.mark.parametrize("case_name, eps, overrides", [
+    pytest.param("double_shear", 0.5, {}, id="double_shear-0.5"),
+    pytest.param("explosion", 0.9, {}, id="explosion-0.9"),
+    # at the default CFL number the twins' steps part after four steps
+    pytest.param("double_shear", 0.5, {"k_cfl": 0.475}, id="double_shear-0.5-k_cfl0.475",
+                 marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 10")),
+])
+def test_five_steps_commute_with_transposition(case_name, eps, overrides):
+    grid, cfg, state = CASES[case_name].start(eps, 40, 40, **overrides)
     twin = DualState.from_primitive(transposed_field(state.V, grid), grid, cfg)
     for _ in range(5):
         state, _ = si_dec_step(state, grid, cfg)

@@ -16,13 +16,13 @@ peak, and the final primitive state of the same run started from every
 initial value raised by one ulp (``np.nextafter``).  ``--compare`` says
 whether the final state and the reports are bit-identical to the saved ones,
 and prints, per component of V, the max |delta| between this tree's final
-state and the saved one next to the saved run's own 1-ulp sensitivity, and
-the largest ratio of the two.  It prints the saved step peak next to this
-tree's when the saved file has one.  A digest can differ while the state is
-identical: the solve residuals are round-off that does not feed back into
-the state.  It ends with ``bit-identical: k of m runs`` and exits 1 unless
-every run has a saved counterpart, does not fail, and has its final state
-and reports bit-identical to it.
+state and the saved one next to the saved run's own 1-ulp sensitivity, the
+largest ratio of the two, and the saved step peak next to this tree's.  A
+digest can differ while the state is identical: the solve residuals are
+round-off that does not feed back into the state.  It ends with
+``bit-identical: k of m runs`` and exits 1 unless every run has a saved
+counterpart, does not fail, and has its final state and reports
+bit-identical to it.
 """
 
 from __future__ import annotations
@@ -102,9 +102,8 @@ def compare(new: dict, saved, label: str) -> tuple[float, bool]:
     sens = np.abs(old["V_ulp"] - old["V"]).max(axis=(1, 2))
     ratio = max(d / s if s > 0.0 else (np.inf if d > 0.0 else 0.0) for d, s in zip(delta, sens))
     print(f"    state {'bit-identical' if state_same else 'differs'}; {reports}")
-    if f"{label}.step_peak" in saved:
-        print(f"    step peak {float(saved[f'{label}.step_peak']):5.2f} saved, "
-              f"{new['step_peak']:5.2f} now (state arrays)")
+    print(f"    step peak {float(saved[f'{label}.step_peak']):5.2f} saved, "
+          f"{new['step_peak']:5.2f} now (state arrays)")
     print(f"    max|delta| vs 1-ulp sensitivity, ratio {ratio:.3g}")
     for c, d, s in zip(COMPONENTS, delta, sens):
         print(f"    {c:4s} {d:9.2e} {s:9.2e}")
