@@ -51,9 +51,13 @@ def compact_laplacian(p: np.ndarray, grid: GridSpec) -> np.ndarray:
     g, lap = grid.ghost, []
     for axis in (AXIS_X, AXIS_Y):
         b = along(p, axis)
-        second = b[g - 1:-g - 1, g:-g] - 2.0 * b[g:-g, g:-g] + b[g + 1:1 - g, g:-g]
-        lap.append(along(second, axis) / grid.spacing(axis) ** 2)
-    return lap[0] + lap[1]
+        second = 2.0 * b[g:-g, g:-g]
+        np.subtract(b[g - 1:-g - 1, g:-g], second, out=second)
+        second += b[g + 1:1 - g, g:-g]
+        second /= grid.spacing(axis) ** 2
+        lap.append(along(second, axis))
+    lap[0] += lap[1]
+    return lap[0]
 
 
 def pressure_system(
@@ -120,7 +124,10 @@ def solve_helmholtz(sys: HelmholtzSystem) -> tuple[np.ndarray, int, float]:
 
     mean = float(sys.rhs.mean())
     q = Qx @ ((Qx.T @ (sys.rhs - mean) @ Qy) / diag) @ Qy.T + mean
+    del diag
 
-    lap = compact_laplacian(padded(q, grid), grid)
-    residual = float(np.linalg.norm(sys.rhs - (q - sigma * lap)))
-    return q, 0, residual
+    r = compact_laplacian(padded(q, grid), grid)  # r = rhs - (q - sigma * lap), in place
+    r *= sigma
+    np.subtract(q, r, out=r)
+    np.subtract(sys.rhs, r, out=r)
+    return q, 0, float(np.linalg.norm(r))

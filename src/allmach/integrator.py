@@ -1,15 +1,17 @@
 """Two-stage semi-implicit time integrator for the dual-state solver.
 
 Every stage advances the primitive and conservative solution copies together
-by the same procedure, ``_stage``: from the old state, form the explicit
+by the same procedure, ``_advance``: from the old state, form the explicit
 prediction V* = V - dt * E, solve the pressure system of V*, push each
-velocity component by the new pressure's difference along its axis, advance
-the conservative copy by dt times its rate, and blend the two copies.
+velocity component by the new pressure's difference along its axis, and
+advance the conservative copy by dt times its rate.  The blend of the two
+copies, ``post_process``, follows.
 A step owns one operator pair, E and the conservative rate.  The predictor
 applies it with the old stage's operators; with order=2 the predicted
 stage's operators and the difference of the matched stiff operators are
 added on top, and the corrector applies the halved sum, the trapezoidal
-mean, with the predicted stage's extrema.
+mean, with the predicted stage's extrema.  The pair is freed before the
+last blend.
 
 The blend weight depends only on the Mach number: at high Mach the
 conservative (shock correct) branch wins, at low Mach the pressure-robust
@@ -42,8 +44,9 @@ from .state import (
     SolverConfig,
     cons_to_prim,
     prim_to_cons,
+    primitive_components,
 )
-from .stiff import assemble_stiff, central_difference, discrete_divergence, stiff_coefficients
+from .stiff import central_difference, discrete_divergence, stiff_coefficients, stiff_row
 
 # Halvings of a failed CFL step before the run gives up on it.
 MAX_REJECTIONS = 3
@@ -166,22 +169,26 @@ def post_process(
     cannot be maintained against the 1/eps^2 flux amplification, and by
     eps = 1e-130 its fluxes overflow.
 
-    Neither input is modified.  Below weight 1 the result is a new field:
-    the blend scales the transform of U in place, then adds s * V_raw.
-    At weight 1 the result is V_raw itself.
+    U is never modified.  At weight 0 the result is a new field, the
+    transform of U.  Otherwise the result is V_raw itself: below weight 1 it
+    is consumed, scaled by s in place, and each component of U's transform,
+    times 1 - s, is added into it in turn.  That rounds exactly as the
+    two-product form (1 - s) * cons_to_prim(U) + s * V_raw.
     """
     s = switching_weight(cfg.epsilon)
     if s == 1.0:
         U.check_finite(grid)
         return V_raw
-    out = cons_to_prim(U.validate(grid, cfg), cfg)
-    if s != 0.0:
-        out.array *= 1.0 - s
-        out.array += s * V_raw.array
-    return out
+    U.validate(grid, cfg)
+    if s == 0.0:
+        return cons_to_prim(U, cfg)
+    V_raw.array *= s
+    for c, values in primitive_components(U.array, cfg):
+        V_raw.array[c] += values * (1.0 - s)
+    return V_raw
 
 
-def _stage(
+def _advance(
     state: DualState,
     E: np.ndarray,
     cons_rate: np.ndarray,
@@ -189,15 +196,18 @@ def _stage(
     dt: float,
     grid: GridSpec,
     cfg: SolverConfig,
-) -> tuple[DualState, float]:
+) -> tuple[PrimitiveField, ConservativeField, float]:
     """One semi-implicit stage from ``state`` with the primitive copy's
-    explicit operator ``E`` and the conservative copy's rate ``cons_rate``;
-    returns the blended new state and the pressure solve's residual.
-    ``scalars`` are the extrema that freeze the stiff coefficients.
+    explicit operator ``E`` and the conservative copy's rate ``cons_rate``,
+    up to the blend: returns the new ghost-filled primitive and conservative
+    copies and the pressure solve's residual.  ``scalars`` are the extrema
+    that freeze the stiff coefficients.  The blend does not need the
+    operator pair, so the caller can free it first.
     """
     core = grid.interior
     V = PrimitiveField(state.V.array.copy())
-    V.array[core] -= dt * E
+    for Vc, Ec in zip(V.array, E):  # one component at a time
+        Vc[core] -= dt * Ec
     fill_ghosts(V, grid)
     V.p[core], _, residual = solve_helmholtz(pressure_system(V, scalars, dt, cfg, grid))
     fill_ghost_array(V.p, grid)
@@ -205,13 +215,13 @@ def _stage(
     push = dt * (1.0 / eps2_rhomax)
     for axis in (AXIS_X, AXIS_Y):  # u along x, v along y
         V.array[1 + axis][core] -= push * central_difference(V.p, grid, axis)
+    fill_ghosts(V, grid)
 
     U = ConservativeField(state.U.array.copy())
-    U.array[core] += dt * cons_rate
+    for Uc, rate in zip(U.array, cons_rate):
+        Uc[core] += dt * rate
     fill_ghosts(U, grid)
-    fill_ghosts(V, grid)
-    V = post_process(V, U, grid, cfg).validate(grid)
-    return DualState(V, U, state.t + dt), residual
+    return V, U, residual
 
 
 def si_dec_step(
@@ -222,12 +232,13 @@ def si_dec_step(
 ) -> tuple[DualState, StepReport]:
     """Advance both solution copies by one step.
 
-    The step owns one zeroed operator pair, E and the conservative rate.
-    With order=2 the corrector starts from ``state`` again, so of the
-    predictor it needs only that pair: the predicted stage's operators are
-    added into it, then the stiff difference, and the sum is halved.  The
-    predicted V and U and the stiff difference are freed before the
-    corrector's ``_stage``.
+    Each stage is ``_advance`` and then the blend.  The step owns one zeroed
+    operator pair, E and the conservative rate.  With order=2 the corrector
+    starts from ``state`` again, so of the predictor it needs only that
+    pair: the predicted stage's operators are added into it, then the stiff
+    difference row by row, and the sum is halved.  The predicted V and U
+    are freed before the corrector's ``_advance``, and the operator pair
+    before the last blend.
 
     Propagates NonPhysicalState and NoConvergence; the state is untouched on
     failure.
@@ -237,28 +248,30 @@ def si_dec_step(
     scalars = build_stage(state.V, grid, cfg, E, cons_rate)
     if dt is None:
         dt = compute_dt(state.V, scalars, grid, cfg)
-    new, res = _stage(state, E, cons_rate, scalars, dt, grid, cfg)
+    V, U, res = _advance(state, E, cons_rate, scalars, dt, grid, cfg)
     residuals = (res,)
 
     if cfg.order == 2:
-        V_s = new.V
-        del new  # the predictor's U is dead: the corrector starts from state
+        V_s = post_process(V, U, grid, cfg).validate(grid)
+        del V, U  # the predictor's U is dead: the corrector starts from state
         # E = 0.5*(N_n + N_s + L_nn - L_ss), cons_rate = 0.5*(D_n + D_s)
         scalars_s = build_stage(V_s, grid, cfg, E, cons_rate)
-        L = assemble_stiff(scalars, cfg, state.V, grid)
-        L -= assemble_stiff(scalars_s, cfg, V_s, grid)
-        del V_s
-        E += L
-        del L
+        for row in (1, 2, 3):  # the stiff operator's density row is zero
+            diff = stiff_row(scalars, cfg, state.V, grid, row)
+            diff -= stiff_row(scalars_s, cfg, V_s, grid, row)
+            E[row] += diff
+        del V_s, diff
         E *= 0.5
         cons_rate *= 0.5
-        new, res = _stage(state, E, cons_rate, scalars_s, dt, grid, cfg)
+        V, U, res = _advance(state, E, cons_rate, scalars_s, dt, grid, cfg)
         residuals += (res,)
 
-    V, core = new.V, grid.interior
+    del E, cons_rate
+    V = post_process(V, U, grid, cfg).validate(grid)
+    core = grid.interior
     max_div = float(np.abs(discrete_divergence(V.u, V.v, grid)).max())
     p_fluct = float(V.p[core].max() - V.p[core].min())
-    return new, StepReport(dt, residuals, max_div, p_fluct)
+    return DualState(V, U, state.t + dt), StepReport(dt, residuals, max_div, p_fluct)
 
 
 Callback = Callable[[float, DualState, StepReport], Optional[bool]]

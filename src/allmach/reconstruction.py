@@ -35,7 +35,8 @@ def minmod(*zs, out=None):
     if len(zs) < 2:
         raise ValueError("minmod needs at least two arguments")
     lo = np.asarray(np.minimum(zs[0], zs[1]))
-    hi = np.asarray(np.maximum(zs[0], zs[1]))
+    # two arguments are read by now, so out can take their maximum
+    hi = np.asarray(np.maximum(zs[0], zs[1], out=out if len(zs) == 2 else None))
     for z in zs[2:]:
         np.minimum(lo, z, out=lo)
         np.maximum(hi, z, out=hi)

@@ -141,8 +141,12 @@ class ConservativeField(_Field):
         self.check_finite(grid)
         rho = self.rho[core]
         _check_positive(self, "density", rho)
-        kinetic = 0.5 * cfg.epsilon**2 * (self.mx[core] ** 2 + self.my[core] ** 2) / rho
-        _check_positive(self, "internal energy", self.E[core] - kinetic)
+        internal = self.mx[core] ** 2  # E - eps^2 |m|^2 / (2 rho), formed in place
+        internal += self.my[core] ** 2
+        internal *= 0.5 * cfg.epsilon**2
+        internal /= rho
+        np.subtract(self.E[core], internal, out=internal)
+        _check_positive(self, "internal energy", internal)
         return self
 
 
@@ -157,14 +161,38 @@ def prim_to_cons(Vs: np.ndarray, cfg: SolverConfig) -> np.ndarray:
     return Us
 
 
+def primitive_components(Us: np.ndarray, cfg: SolverConfig):
+    """Yield ``(c, values)`` for each primitive component c = 0 .. 3 (rho, u,
+    v, p) of stacked conservative values ``Us``, the inverse of
+    ``prim_to_cons`` on every cell.
+
+    ``values`` is read-only and valid until the next component is drawn: rho
+    is a view of ``Us`` and the others share one scratch array.  At most two
+    scalar arrays are live here, so u and v are divided out once more for the
+    kinetic energy rather than kept.
+    """
+    rho = Us[0]
+    yield 0, rho
+    scratch = np.empty_like(rho)
+    for c in (1, 2):
+        yield c, np.divide(Us[c], rho, out=scratch)
+    speed2 = Us[1] / rho
+    speed2 *= speed2
+    np.divide(Us[2], rho, out=scratch)
+    scratch *= scratch
+    speed2 += scratch
+    np.multiply(0.5 * cfg.epsilon**2, rho, out=scratch)
+    scratch *= speed2
+    del speed2
+    np.subtract(Us[3], scratch, out=scratch)
+    scratch *= cfg.gamma - 1.0
+    yield 3, scratch
+
+
 def cons_to_prim(U: ConservativeField, cfg: SolverConfig) -> PrimitiveField:
-    """Conservative to primitive transform, the inverse of ``prim_to_cons``
-    on every cell.  No positivity check here: ``ConservativeField.validate``
-    is that check."""
-    Us = U.array
-    Vs = np.empty_like(Us)
-    Vs[0] = Us[0]
-    Vs[1:3] = Us[1:3] / Us[0]
-    u, v = Vs[1], Vs[2]
-    Vs[3] = (cfg.gamma - 1.0) * (Us[3] - 0.5 * cfg.epsilon**2 * Us[0] * (u * u + v * v))
+    """Conservative to primitive transform, a new field.  No positivity
+    check here: ``ConservativeField.validate`` is that check."""
+    Vs = np.empty_like(U.array)
+    for c, values in primitive_components(U.array, cfg):
+        Vs[c] = values
     return PrimitiveField(Vs)

@@ -35,19 +35,22 @@ def discrete_divergence(u: np.ndarray, v: np.ndarray, grid: GridSpec) -> np.ndar
     return central_difference(u, grid, AXIS_X) + central_difference(v, grid, AXIS_Y)
 
 
-def assemble_stiff(
-    scalars: SplitScalars, cfg: SolverConfig, Vf: PrimitiveField, grid: GridSpec
+def stiff_row(
+    scalars: SplitScalars, cfg: SolverConfig, Vf: PrimitiveField, grid: GridSpec, row: int
 ) -> np.ndarray:
-    """Stiff operator with coefficients from one stage applied to the fields
-    of another, shape (4, nx, ny).
+    """Row ``row`` (1, 2 or 3: u, v or p; the density row is zero) of the
+    stiff operator with coefficients from one stage applied to the fields of
+    another, a new (nx, ny) array.
 
     The argument order matters: ``scalars`` are the extrema of the (older)
     stage that freezes the linearization, ``Vf`` the stage being
     differentiated.
     """
     eps2_rhomax, gamma_pmin = stiff_coefficients(scalars, cfg)
-    L = np.zeros((4, grid.nx, grid.ny))
-    for axis in (AXIS_X, AXIS_Y):
-        L[1 + axis] = 1.0 / eps2_rhomax * central_difference(Vf.p, grid, axis)
-    L[3] = gamma_pmin * discrete_divergence(Vf.u, Vf.v, grid)
-    return L
+    if row == 3:
+        out = discrete_divergence(Vf.u, Vf.v, grid)
+        out *= gamma_pmin
+    else:
+        out = central_difference(Vf.p, grid, row - 1)  # u along x, v along y
+        out *= 1.0 / eps2_rhomax
+    return out

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import hypothesis
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -97,6 +98,7 @@ def bracket_system(Vn, brackets, scalars, dt, cfg, grid):
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@hypothesis.seed(20261019)
 @given(
     nx=st.integers(3, 20),
     ny=st.integers(3, 20),

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import hypothesis
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -137,23 +138,22 @@ class TestPostProcess:
         cfg = SolverConfig(epsilon=0.3, gamma=1.4)  # genuinely blended regime
         V = random_state(grid, np.random.default_rng(4))
         U = fill_ghosts(ConservativeField(prim_to_cons(V.array, cfg)), grid)
+        before = V.copy()  # the blend consumes V
         out = post_process(V, U, grid, cfg)
-        for a, b in zip(out.components(), V.components()):
+        for a, b in zip(out.components(), before.components()):
             assert np.allclose(a, b, rtol=1e-13)
 
     def test_conservative_copy_untouched(self):
         grid = GridSpec(6, 6, 0.0, 1.0, 0.0, 1.0)
         cfg = SolverConfig(epsilon=0.3, gamma=1.4)
         V_raw, U = self.make_pair(grid, cfg)
-        before = [a.copy() for a in U.components()]
-        V_before = V_raw.array.copy()
+        U_before, V_before = U.copy(), V_raw.copy()
         out = post_process(V_raw, U, grid, cfg)
-        for a, b in zip(U.components(), before):
-            assert np.array_equal(a, b)
-        assert V_raw.array.tobytes() == V_before.tobytes()
+        assert U.array.tobytes() == U_before.array.tobytes()
+        assert out is V_raw  # blended in V_raw's own buffer
         # the in-place blend keeps the two-product form's rounding
         s = switching_weight(cfg.epsilon)
-        want = (1.0 - s) * cons_to_prim(U, cfg).array + s * V_raw.array
+        want = (1.0 - s) * cons_to_prim(U_before, cfg).array + s * V_before.array
         assert out.array.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("eps", [0.3, 1.0])
@@ -219,26 +219,28 @@ class TestStep:
                 state, _ = si_dec_step(state, grid, cfg, dt=0.5)
 
     def test_step_holds_few_full_grid_arrays(self):
-        # tracemalloc peak of one order-2 step after a warm-up step, in state
-        # arrays: the two new solution copies, the step's one operator pair,
-        # and the transients of each stage
+        # tracemalloc peak of one step after a warm-up step, in state arrays:
+        # the two new solution copies, the step's one operator pair, and the
+        # transients of each stage; measured 4.36 at order 1 and 5.32 at
+        # order 2, where the corrector's strip workspace sets the peak
         n = 128
-        grid, cfg, state = CASES["explosion"].start(0.9, n, n, order=2)
-        state, _ = si_dec_step(state, grid, cfg)
         unit = 4 * (n + 4) ** 2 * 8
-        assert state.V.array.nbytes == unit
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            si_dec_step(state, grid, cfg)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
+        for order, bound in ((1, 4.61), (2, 5.57)):
+            grid, cfg, state = CASES["explosion"].start(0.9, n, n, order=order)
+            state, _ = si_dec_step(state, grid, cfg)
+            assert state.V.array.nbytes == unit
+            tracing = tracemalloc.is_tracing()
             if not tracing:
-                tracemalloc.stop()
-        assert peak <= 6.5 * unit, peak / unit
+                tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                si_dec_step(state, grid, cfg)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                if not tracing:
+                    tracemalloc.stop()
+            assert peak <= bound * unit, (order, peak / unit)
 
     def test_blowup_raises(self):
         # advective blow-up with a positive shift: density goes negative
@@ -523,6 +525,7 @@ def whole_grid_operators(Vf, grid, cfg):
 
 
 @settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@hypothesis.seed(20261019)
 @given(
     nx=st.integers(3, 40),
     extra=st.integers(1, 30),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import hypothesis
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,6 +53,7 @@ class TestMinmod:
 
 
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@hypothesis.seed(20261019)
 @given(data=st.data(), count=st.sampled_from((2, 3)), size=st.integers(1, 8))
 def test_minmod_out_may_be_any_argument(data, count, size):
     values = st.lists(
@@ -176,6 +178,7 @@ class TestInterfaces:
 
 
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@hypothesis.seed(20261019)
 @given(
     nx=st.integers(3, 9),
     extra=st.integers(1, 5),

@@ -54,3 +54,27 @@ def test_compare_exits_1_unless_every_run_is_bit_identical(tmp_path, monkeypatch
     out = capsys.readouterr().out
     assert "FAILED: blown up" in out
     assert out.endswith("bit-identical: 1 of 2 runs\n")
+
+
+def test_compare_exits_1_when_a_step_peak_rises(tmp_path, monkeypatch, capsys):
+    tool = load_tool("step_digest")
+    monkeypatch.setattr(tool, "RUNS", [("gresho", 1e-3, 16)])
+    monkeypatch.setattr(tool, "STEPS", 3)
+    saved, lowered = str(tmp_path / "saved.npz"), str(tmp_path / "lowered.npz")
+    assert tool.main(["--save", saved]) == 0
+    with np.load(saved) as data:
+        runs = {k: data[k] for k in data.files}
+    capsys.readouterr()
+
+    runs["gresho_0.001_16_o2.step_peak"] = runs["gresho_0.001_16_o2.step_peak"] - tool.PEAK_SLACK / 2
+    np.savez(lowered, **runs)
+    assert tool.main(["--compare", lowered]) == 0  # within the slack
+    assert ", risen" not in capsys.readouterr().out
+
+    runs["gresho_0.001_16_o2.step_peak"] = runs["gresho_0.001_16_o2.step_peak"] - tool.PEAK_SLACK
+    np.savez(lowered, **runs)
+    assert tool.main(["--compare", lowered]) == 1
+    out = capsys.readouterr().out
+    assert out.count(", risen") == 1
+    assert "step peak risen by more than 0.05 state arrays: gresho_0.001_16_o2\n" in out
+    assert out.endswith("bit-identical: 2 of 2 runs\n")

@@ -14,6 +14,7 @@ left and right traces of an interface alike.
 
 import numpy as np
 import pytest
+import hypothesis
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -73,6 +74,7 @@ def test_five_steps_commute_with_transposition(case_name, eps, overrides):
 
 
 @settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@hypothesis.seed(20261019)
 @given(
     nx=st.integers(3, 11),
     extra=st.integers(1, 6),
@@ -119,6 +121,7 @@ def mirrored(a, axis):
 
 
 @settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@hypothesis.seed(20261019)
 @given(
     n=st.integers(3, 11),
     axis=st.sampled_from((0, 1)),

@@ -44,8 +44,7 @@ MUTANTS = [
      "central difference divides by the other axis's spacing"),
     ("stiff.py", "return cfg.epsilon**2 * scalars.rho_max,", "return cfg.epsilon * scalars.rho_max,",
      "stiff coefficient eps instead of eps^2"),
-    ("elliptic.py", "lap.append(along(second, axis) / grid.spacing(axis) ** 2)",
-     "lap.append(along(second, axis) / grid.spacing(1 - axis) ** 2)",
+    ("elliptic.py", "second /= grid.spacing(axis) ** 2", "second /= grid.spacing(1 - axis) ** 2",
      "compact Laplacian divides by the other axis's spacing"),
     ("elliptic.py", "sigma = dt**2 * gp / eps2_rhomax", "sigma = dt * gp / eps2_rhomax",
      "Helmholtz shift with dt instead of dt^2"),
@@ -68,9 +67,11 @@ MUTANTS = [
      "CFL step from the other axis's spacing"),
     ("integrator.py", "push = dt * (1.0 / eps2_rhomax)", "push = dt * (0.5 / eps2_rhomax)",
      "half the pressure push on the velocity"),
-    ("integrator.py", "L -= assemble_stiff(scalars_s, cfg, V_s, grid)",
-     "L += assemble_stiff(scalars_s, cfg, V_s, grid)",
+    ("integrator.py", "diff -= stiff_row(scalars_s, cfg, V_s, grid, row)",
+     "diff += stiff_row(scalars_s, cfg, V_s, grid, row)",
      "corrector adds the predicted stiff operator instead of subtracting it"),
+    ("integrator.py", "V_raw.array *= s", "V_raw.array *= 1.0 - s",
+     "in-place blend scales the primitive copy by the conservative weight"),
     ("conservative.py", "F[U + axis] = mn * un + p / cfg.epsilon**2",
      "F[U + axis] = mn * un + p / cfg.epsilon",
      "momentum flux pressure scaled by 1/eps"),

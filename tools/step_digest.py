@@ -22,7 +22,8 @@ digest can differ while the state is identical: the solve residuals are
 round-off that does not feed back into the state.  It ends with
 ``bit-identical: k of m runs`` and exits 1 unless every run has a saved
 counterpart, does not fail, and has its final state and reports
-bit-identical to it.
+bit-identical to it, or when any run's step peak exceeds its saved one by
+more than PEAK_SLACK state arrays; each such run is named.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ RUNS = [  # (case, eps, n)
     ("gresho", 1e-6, 32),
 ]
 COMPONENTS = ("rho", "u", "v", "p")
+PEAK_SLACK = 0.05  # state arrays a step peak may rise above its saved value
 
 
 def run(name: str, eps: float, n: int, order: int, ulp: bool = False) -> dict:
@@ -83,10 +85,11 @@ def run(name: str, eps: float, n: int, order: int, ulp: bool = False) -> dict:
     return out
 
 
-def compare(new: dict, saved, label: str) -> tuple[float, bool]:
+def compare(new: dict, saved, label: str) -> tuple[float, bool, bool]:
     """Print how the run differs from the saved one; return the largest
-    ratio of max|delta V| to the saved 1-ulp sensitivity and whether the
-    final state and the reports are bit-identical."""
+    ratio of max|delta V| to the saved 1-ulp sensitivity, whether the final
+    state and the reports are bit-identical, and whether the step peak rose
+    by more than PEAK_SLACK."""
     old = {key: saved[f"{label}.{key}"] for key in ("V", "U", "t", "reports", "V_ulp")}
     state_same = all(new[k].tobytes() == old[k].tobytes() for k in ("V", "U", "t"))
     layout_same = new["reports"].shape == old["reports"].shape
@@ -102,12 +105,14 @@ def compare(new: dict, saved, label: str) -> tuple[float, bool]:
     sens = np.abs(old["V_ulp"] - old["V"]).max(axis=(1, 2))
     ratio = max(d / s if s > 0.0 else (np.inf if d > 0.0 else 0.0) for d, s in zip(delta, sens))
     print(f"    state {'bit-identical' if state_same else 'differs'}; {reports}")
-    print(f"    step peak {float(saved[f'{label}.step_peak']):5.2f} saved, "
-          f"{new['step_peak']:5.2f} now (state arrays)")
+    old_peak = float(saved[f"{label}.step_peak"])
+    risen = new["step_peak"] > old_peak + PEAK_SLACK
+    print(f"    step peak {old_peak:5.2f} saved, {new['step_peak']:5.2f} now (state arrays)"
+          + (", risen" if risen else ""))
     print(f"    max|delta| vs 1-ulp sensitivity, ratio {ratio:.3g}")
     for c, d, s in zip(COMPONENTS, delta, sens):
         print(f"    {c:4s} {d:9.2e} {s:9.2e}")
-    return ratio, state_same and reports_same
+    return ratio, state_same and reports_same, risen
 
 
 def main(argv=None) -> int:
@@ -117,7 +122,7 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     saved = np.load(ns.compare) if ns.compare else None
     store = {}
-    worst, identical = 0.0, 0
+    worst, identical, risen = 0.0, 0, []
     for name, eps, n in RUNS:
         for order in (1, 2):
             label = f"{name}_{eps:g}_{n}_o{order}"
@@ -137,15 +142,18 @@ def main(argv=None) -> int:
             if f"{label}.V" not in saved:
                 print("    no saved run")
                 continue
-            ratio, same = compare(out, saved, label)
+            ratio, same, rose = compare(out, saved, label)
             worst, identical = max(worst, ratio), identical + same
+            risen += [label] * rose
     if ns.save:
         np.savez(ns.save, **store)
     if saved is None:
         return 0
     print(f"largest ratio of max|delta| to the 1-ulp sensitivity: {worst:.3g}")
+    if risen:
+        print(f"step peak risen by more than {PEAK_SLACK} state arrays: {' '.join(risen)}")
     print(f"bit-identical: {identical} of {2 * len(RUNS)} runs")
-    return 0 if identical == 2 * len(RUNS) else 1
+    return 0 if identical == 2 * len(RUNS) and not risen else 1
 
 
 if __name__ == "__main__":
