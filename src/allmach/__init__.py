@@ -7,7 +7,7 @@ conservative copy sharp across shocks, and a Mach-dependent blend picks the
 right one after every stage.
 """
 
-from .benchmarks import CASES, convergence_study, l1_error, run_case
+from .benchmarks import CASES, ap_probes, convergence_study, l1_error, run_case
 from .errors import NoConvergence, NonPhysicalState
 from .integrator import DualState, run
 from .snapshots import snapshot_write
@@ -19,6 +19,7 @@ __all__ = [
     "DualState",
     "NoConvergence",
     "NonPhysicalState",
+    "ap_probes",
     "convergence_study",
     "l1_error",
     "run",

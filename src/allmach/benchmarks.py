@@ -12,16 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from .errors import NoConvergence, NonPhysicalState
 from .grid import AXIS_X, AXIS_Y, OUTFLOW, GridSpec, fill_ghosts
-from .integrator import DualState, RunReport, compute_dt, run
+from .integrator import DualState, RunReport, compute_dt, run, si_dec_step
 from .nonstiff import split_scalars
 from .state import PrimitiveField, SolverConfig
-from .stiff import central_difference
+from .stiff import central_difference, discrete_divergence
 
 PointState = Callable[[float, float, np.ndarray, np.ndarray], tuple]
 
@@ -149,11 +149,6 @@ def _explosion_state(eps: float, t: float, x: np.ndarray, y: np.ndarray) -> tupl
     return rho, zero, zero, p
 
 
-def _explosion_final_time(eps: float) -> float:
-    table = {1.0: 0.25, 0.9: 0.2, 0.6: 0.15, 0.3: 0.08}
-    return table.get(round(eps, 10), 0.25)
-
-
 CASES: dict[str, BenchmarkCase] = {case.name: case for case in (
     BenchmarkCase(
         name="vortex",
@@ -188,7 +183,7 @@ CASES: dict[str, BenchmarkCase] = {case.name: case for case in (
         bc=OUTFLOW,
         domain=lambda eps: (-1.0, 1.0, -1.0, 1.0),
         state_at=_explosion_state,
-        final_time=_explosion_final_time,
+        final_time=lambda eps: {1.0: 0.25, 0.9: 0.2, 0.6: 0.15, 0.3: 0.08}.get(round(eps, 10), 0.25),
     ),
 )}
 
@@ -277,6 +272,26 @@ def run_case(
     t_end = case.final_time(eps) if t_final is None else t_final
     state, report = run(state, grid, cfg, t_end, callback=callback)
     return grid, state, report, cfg
+
+
+def ap_probes(eps: float, n: int) -> Iterator[float]:
+    """The probes of ``allmach diagnose`` and criteria 03-05 on gresho n x n,
+    each yielded as soon as it is taken: the initial CFL step at eps and at
+    1e-6; max|div u| at eps 1e-6, initially and at its largest over 20 steps;
+    max p - min p at t = 0.2 at eps and at eps/10.  The bands are the caller's."""
+    case = CASES["gresho"]
+    vanishing = 1e-6
+    yield case.initial_dt(n, eps)
+    yield case.initial_dt(n, vanishing)
+    grid, cfg, state = case.start(vanishing, n, n)
+    worst = float(np.abs(discrete_divergence(state.V.u, state.V.v, grid)).max())
+    yield worst
+    for _ in range(20):
+        state, rep = si_dec_step(state, grid, cfg)
+        worst = max(worst, rep.max_divergence)
+    yield worst
+    for e in (eps, eps / 10.0):
+        yield run_case(case, e, n, n, t_final=0.2)[2].reports[-1].pressure_fluctuation
 
 
 def convergence_study(

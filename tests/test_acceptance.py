@@ -2,7 +2,8 @@
 line each (run with ``pytest tests/test_acceptance.py -s`` to see them all).
 
 The expensive shared runs (the 128^2 steady-vortex pair, the explosion
-refinement triple) are module-scoped fixtures.
+refinement triple, the probes of ``allmach diagnose``) are module-scoped
+fixtures.
 """
 
 import math
@@ -12,20 +13,13 @@ import numpy as np
 import pytest
 
 import allmach.integrator
-from allmach.benchmarks import (
-    CASES,
-    convergence_study,
-    l1_error,
-    local_mach,
-    run_case,
-)
+from allmach.benchmarks import CASES, ap_probes, convergence_study, local_mach, run_case
 from allmach.elliptic import HelmholtzSystem, compact_laplacian, solve_helmholtz
 from allmach.grid import GridSpec, padded
 from allmach.integrator import si_dec_step
 from allmach.nonstiff import SplitScalars, modified_sound_speed
 from allmach.reconstruction import minmod
 from allmach.state import cons_to_prim
-from allmach.stiff import discrete_divergence
 
 RATE_LO, RATE_HI = 1.7, 2.3
 
@@ -56,6 +50,13 @@ def gresho_mach_pair():
         m = local_mach(state.V, cfg.gamma, grid)
         fields[eps] = m
     return fields
+
+
+@pytest.fixture(scope="module")
+def gresho_probes():
+    # the measurements of `allmach diagnose --eps 1e-2 --nx 64`, by name
+    names = ("dt", "dt 1e-6", "div0", "div max", "fluct", "fluct eps/10")
+    return dict(zip(names, ap_probes(1e-2, 64)))
 
 
 @pytest.fixture(scope="module")
@@ -102,39 +103,25 @@ def test_criterion_01_second_order_convergence(vortex_table):
 
 
 def test_criterion_02_error_decreases_with_mach_number():
-    case = CASES["vortex"]
-    errors = []
-    for eps in (1.0, 0.1, 0.01):
-        grid, state, _, _ = run_case(case, eps, 64, 64, t_final=0.1)
-        exact = case.exact_state(grid, eps, 0.1)
-        errors.append(l1_error(state.V, exact, grid)[0])
+    table = convergence_study(CASES["vortex"], [1.0, 0.1, 0.01], [64], t_final=0.1)
+    errors = [row.errors[0] for row in table.rows]
     ok = errors[0] > errors[1] > errors[2]
     report(2, ok, "L1(rho) at N=64: " + " > ".join(f"{e:.3e}" for e in errors))
 
 
-def test_criterion_03_time_step_mach_uniform():
-    case = CASES["gresho"]
-    dts = {eps: case.initial_dt(64, eps) for eps in (1e-2, 1e-6)}
-    rel = abs(dts[1e-2] / dts[1e-6] - 1.0)
-    report(3, rel <= 0.1, f"first-step dt {dts[1e-2]:.6e} vs {dts[1e-6]:.6e} (rel diff {rel:.2e})")
+def test_criterion_03_time_step_mach_uniform(gresho_probes):
+    dt, dt_zero = gresho_probes["dt"], gresho_probes["dt 1e-6"]
+    rel = abs(dt / dt_zero - 1.0)
+    report(3, rel <= 0.1, f"first-step dt {dt:.6e} vs {dt_zero:.6e} (rel diff {rel:.2e})")
 
 
-def test_criterion_04_divergence_controlled_at_vanishing_mach():
-    grid, cfg, state = CASES["gresho"].start(1e-6, 64, 64)
-    div0 = float(np.abs(discrete_divergence(state.V.u, state.V.v, grid)).max())
-    worst = div0
-    for _ in range(20):
-        state, rep = si_dec_step(state, grid, cfg)
-        worst = max(worst, rep.max_divergence)
+def test_criterion_04_divergence_controlled_at_vanishing_mach(gresho_probes):
+    div0, worst = gresho_probes["div0"], gresho_probes["div max"]
     report(4, worst <= 5.0 * div0, f"max|div u| {worst:.3e} vs initial {div0:.3e} ({worst / div0:.2f}x)")
 
 
-def test_criterion_05_pressure_fluctuation_scales_quadratically():
-    def fluct(eps):
-        _, _, rep, _ = run_case(CASES["gresho"], eps, 64, 64, t_final=0.2)
-        return rep.reports[-1].pressure_fluctuation
-
-    ratio = fluct(1e-2) / fluct(1e-3)
+def test_criterion_05_pressure_fluctuation_scales_quadratically(gresho_probes):
+    ratio = gresho_probes["fluct"] / gresho_probes["fluct eps/10"]
     report(5, 50.0 <= ratio <= 200.0, f"(max p - min p) ratio {ratio:.1f} (target 100)")
 
 

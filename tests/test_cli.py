@@ -404,6 +404,18 @@ def test_diagnose_probes_pass(capsys):
     assert out.count("PASS") == 3
 
 
+def test_diagnose_fails_at_the_round_off_floor(capsys):
+    # gresho's fluctuation at eps 1e-9 on 16^2 is exactly 0: the ratio is
+    # inf, a failed probe rather than a division error
+    code = cli.main(["diagnose", "--eps", "1e-8", "--nx", "16"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out.count("PASS ") == 2
+    assert out.endswith("FAIL pressure-scaling: fluctuation ratio inf (target 100)\n")
+    assert out.count("FAIL ") == 1
+    assert err == ""
+
+
 def readme_commands() -> list[str]:
     """Every ``allmach ...`` line in README's code blocks, continuations joined."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -104,6 +104,10 @@ MUTANTS = [
     ("benchmarks.py", "        gamma=2.0,\n", "", "vortex at the default gamma instead of 2"),
     ("benchmarks.py", "        default_cfl=0.1,\n", "", "double shear at the default CFL number instead of 0.1"),
     ("benchmarks.py", "        bc=OUTFLOW,\n", "", "explosion with periodic instead of outflow boundaries"),
+    ("benchmarks.py", "vanishing = 1e-6", "vanishing = 1.0",
+     "AP probes take their vanishing-Mach reference at unit Mach"),
+    ("benchmarks.py", "for e in (eps, eps / 10.0):", "for e in (eps, eps / 5.0):",
+     "pressure fluctuation compared with eps/5 instead of eps/10"),
     ("snapshots.py", "np.rint(e)", "np.floor(e + 0.5)", "writer rounds ties of the 17th digit up, not to even"),
     ("snapshots.py", "    ok &= (p - 1e16) + e >= 0\n", "",
      "writer trusts a log10 decade that is one too high"),
