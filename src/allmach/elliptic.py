@@ -87,16 +87,20 @@ def _axis_basis(n: int, h: float, periodic: bool) -> tuple[np.ndarray, np.ndarra
 
     Periodic wrap is diagonalized by the Hartley basis cas(2 pi j k / n);
     the mirrored outflow ghost is homogeneous Neumann, diagonalized by the
-    DCT-II basis cos(pi k (j + 1/2) / n).  The arrays are shared read-only.
+    DCT-II basis cos(pi k (j + 1/2) / n).  Either entry depends on j and k
+    only through an integer index modulo a period, n or 4n, so Q gathers its
+    n x n entries from a table of one period's values.  The arrays are
+    shared read-only.
     """
     j = np.arange(n)
     if periodic:
-        angle = 2.0 * np.pi * (np.outer(j, j) % n) / n
-        Q = (np.cos(angle) + np.sin(angle)) / np.sqrt(n)
-        lam = (2.0 - 2.0 * np.cos(2.0 * np.pi * j / n)) / h**2
+        angle = 2.0 * np.pi * j / n
+        table = (np.cos(angle) + np.sin(angle)) / np.sqrt(n)
+        Q = table.take(np.outer(j, j) % n)
+        lam = (2.0 - 2.0 * np.cos(angle)) / h**2
     else:
-        angle = np.pi * (np.outer(2 * j + 1, j) % (4 * n)) / (2 * n)
-        Q = np.cos(angle) * np.sqrt(2.0 / n)
+        table = np.cos(np.pi * np.arange(4 * n) / (2 * n)) * np.sqrt(2.0 / n)
+        Q = table.take(np.outer(2 * j + 1, j) % (4 * n))
         Q[:, 0] /= np.sqrt(2.0)
         lam = (2.0 - 2.0 * np.cos(np.pi * j / n)) / h**2
     Q.setflags(write=False)

@@ -42,7 +42,6 @@ from .state import (
     ConservativeField,
     PrimitiveField,
     SolverConfig,
-    cons_to_prim,
     prim_to_cons,
     primitive_components,
 )
@@ -169,11 +168,12 @@ def post_process(
     cannot be maintained against the 1/eps^2 flux amplification, and by
     eps = 1e-130 its fluxes overflow.
 
-    U is never modified.  At weight 0 the result is a new field, the
-    transform of U.  Otherwise the result is V_raw itself: below weight 1 it
-    is consumed, scaled by s in place, and each component of U's transform,
-    times 1 - s, is added into it in turn.  That rounds exactly as the
-    two-product form (1 - s) * cons_to_prim(U) + s * V_raw.
+    The result is always V_raw's buffer, and U is never modified.  Below
+    weight 1, V_raw is consumed: at weight 0 each component of U's transform
+    is written into it in turn, whatever it held; otherwise it is scaled by
+    s in place and each component of the transform, times 1 - s, is added
+    into it in turn.  That rounds exactly as the two-product form
+    (1 - s) * transform(U) + s * V_raw.
     """
     s = switching_weight(cfg.epsilon)
     if s == 1.0:
@@ -181,7 +181,9 @@ def post_process(
         return V_raw
     U.validate(grid, cfg)
     if s == 0.0:
-        return cons_to_prim(U, cfg)
+        for c, values in primitive_components(U.array, cfg):
+            V_raw.array[c] = values
+        return V_raw
     V_raw.array *= s
     for c, values in primitive_components(U.array, cfg):
         V_raw.array[c] += values * (1.0 - s)

@@ -188,11 +188,3 @@ def primitive_components(Us: np.ndarray, cfg: SolverConfig):
     scratch *= cfg.gamma - 1.0
     yield 3, scratch
 
-
-def cons_to_prim(U: ConservativeField, cfg: SolverConfig) -> PrimitiveField:
-    """Conservative to primitive transform, a new field.  No positivity
-    check here: ``ConservativeField.validate`` is that check."""
-    Vs = np.empty_like(U.array)
-    for c, values in primitive_components(U.array, cfg):
-        Vs[c] = values
-    return PrimitiveField(Vs)

@@ -1,5 +1,6 @@
-"""Inputs that the test files build alike: fields, whole-grid traces, one
-stage's explicit operators, padded scalars and the scripts under ``tools/``.
+"""Inputs that the test files build alike: fields, the primitive transform of
+a conservative copy, whole-grid traces, one stage's explicit operators,
+padded scalars and the scripts under ``tools/``.
 
 pytest does not collect this file (its name does not start with ``test_``)
 and puts this directory on ``sys.path``, so a test file imports it as
@@ -16,7 +17,7 @@ from allmach.grid import along, fill_ghosts
 from allmach.grid import padded as padded_interior
 from allmach.integrator import build_stage
 from allmach.reconstruction import limited_traces
-from allmach.state import PrimitiveField
+from allmach.state import PrimitiveField, primitive_components
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -37,6 +38,15 @@ def random_state(grid, rng):
         0.5 + rng.random(grid.shape),
     )))
     return fill_ghosts(V, grid)
+
+
+def primitive_of(U, cfg):
+    """The primitive transform of conservative field ``U``, a new field
+    written one component at a time from ``primitive_components``."""
+    V = np.empty_like(U.array)
+    for c, values in primitive_components(U.array, cfg):
+        V[c] = values
+    return PrimitiveField(V)
 
 
 def whole_block(V, grid, axis):

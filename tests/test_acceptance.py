@@ -19,7 +19,8 @@ from allmach.grid import GridSpec, padded
 from allmach.integrator import si_dec_step
 from allmach.nonstiff import SplitScalars, modified_sound_speed
 from allmach.reconstruction import minmod
-from allmach.state import cons_to_prim
+
+from builders import primitive_of
 
 RATE_LO, RATE_HI = 1.7, 2.3
 
@@ -175,7 +176,7 @@ def test_criterion_08_dual_branch_coherence_at_unit_mach():
     worst = 0.0
     for _ in range(10):
         state, _ = si_dec_step(state, grid, cfg)
-        VU = cons_to_prim(state.U, cfg)
+        VU = primitive_of(state.U, cfg)
         worst = max(
             worst,
             max(

@@ -1,9 +1,11 @@
 import math
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import allmach.benchmarks as benchmarks
 from allmach.benchmarks import (
     CASES,
     ErrorRow,
@@ -299,3 +301,31 @@ class TestDiagnostics:
         V = case.initial_state(grid, 0.1)
         m = local_mach(V, 1.4, grid)
         assert m.max() == pytest.approx(1.0 / math.sqrt(1.4), rel=0.02)
+
+    def test_ap_probe_set_ups(self, monkeypatch):
+        # the Mach numbers, step count and probe time of each set-up, through
+        # stand-ins for the runs that record their arguments
+        calls = {"initial_dt": [], "si_dec_step": [], "run_case": []}
+
+        def initial_dt(case, n, eps):
+            calls["initial_dt"].append(eps)
+            return 1.0
+
+        def si_dec_step(state, grid, cfg):
+            calls["si_dec_step"].append(cfg.epsilon)
+            return state, SimpleNamespace(max_divergence=0.0)
+
+        def run_case(case, eps, nx, ny, t_final):
+            calls["run_case"].append((eps, t_final))
+            return None, None, SimpleNamespace(reports=[SimpleNamespace(pressure_fluctuation=1.0)])
+
+        monkeypatch.setattr(benchmarks.BenchmarkCase, "initial_dt", initial_dt)
+        monkeypatch.setattr(benchmarks, "si_dec_step", si_dec_step)
+        monkeypatch.setattr(benchmarks, "run_case", run_case)
+        eps = 0.3
+        assert len(list(benchmarks.ap_probes(eps, 8))) == 6
+        assert calls == {
+            "initial_dt": [eps, 1e-6],
+            "si_dec_step": [1e-6] * 20,
+            "run_case": [(eps, 0.2), (eps / 10.0, 0.2)],
+        }

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from allmach.elliptic import (
     HelmholtzSystem,
+    _axis_basis,
     compact_laplacian,
     pressure_system,
     solve_helmholtz,
@@ -222,3 +223,28 @@ class TestHelmholtzSolver:
         sigma = -0.1 / lam_max
         q, _, res = solve_helmholtz(HelmholtzSystem(sigma, rhs, grid))
         assert res <= 1e-11 * np.linalg.norm(rhs)
+
+
+def n_by_n_basis(n, h, periodic):
+    """The reference for ``_axis_basis``: the eigenbasis evaluated entry by
+    entry on n x n angle arrays, and the eigenvalues."""
+    j = np.arange(n)
+    if periodic:
+        angle = 2.0 * np.pi * (np.outer(j, j) % n) / n
+        Q = (np.cos(angle) + np.sin(angle)) / np.sqrt(n)
+        lam = (2.0 - 2.0 * np.cos(2.0 * np.pi * j / n)) / h**2
+    else:
+        angle = np.pi * (np.outer(2 * j + 1, j) % (4 * n)) / (2 * n)
+        Q = np.cos(angle) * np.sqrt(2.0 / n)
+        Q[:, 0] /= np.sqrt(2.0)
+        lam = (2.0 - 2.0 * np.cos(np.pi * j / n)) / h**2
+    return Q, lam
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+@pytest.mark.parametrize("n", [3, 37, 128, 200])
+def test_axis_basis_gathered_from_a_table_is_bit_identical(n, periodic):
+    # the same operations per element, so the same bits
+    h = 1.0 / n
+    for got, want in zip(_axis_basis.__wrapped__(n, h, periodic), n_by_n_basis(n, h, periodic)):
+        assert np.array_equal(got, want)

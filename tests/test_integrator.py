@@ -26,15 +26,9 @@ from allmach.integrator import (
     switching_weight,
 )
 from allmach.nonstiff import DELTA, SplitScalars, nonstiff_rate, split_scalars
-from allmach.state import (
-    ConservativeField,
-    PrimitiveField,
-    SolverConfig,
-    cons_to_prim,
-    prim_to_cons,
-)
+from allmach.state import ConservativeField, PrimitiveField, SolverConfig, prim_to_cons
 
-from builders import random_state, stage_operators, traces_along, uniform
+from builders import primitive_of, random_state, stage_operators, traces_along, uniform
 
 
 class TestTimeStep:
@@ -119,10 +113,12 @@ class TestPostProcess:
         grid = GridSpec(6, 6, 0.0, 1.0, 0.0, 1.0)
         cfg = SolverConfig(epsilon=1.0, gamma=1.4)
         V_raw, U = self.make_pair(grid, cfg)
+        U_before = U.copy()
+        V_raw.array[:] = np.nan  # at weight 0 the primitive copy's values are not read
         out = post_process(V_raw, U, grid, cfg)
-        want = cons_to_prim(U, cfg)
-        for a, b in zip(out.components(), want.components()):
-            assert np.array_equal(a, b)
+        assert out is V_raw  # the transform is written into V_raw's own buffer
+        assert U.array.tobytes() == U_before.array.tobytes()
+        assert out.array.tobytes() == primitive_of(U, cfg).array.tobytes()
 
     def test_vanishing_mach_keeps_primitive_branch_exactly(self):
         grid = GridSpec(6, 6, 0.0, 1.0, 0.0, 1.0)
@@ -153,7 +149,7 @@ class TestPostProcess:
         assert out is V_raw  # blended in V_raw's own buffer
         # the in-place blend keeps the two-product form's rounding
         s = switching_weight(cfg.epsilon)
-        want = (1.0 - s) * cons_to_prim(U_before, cfg).array + s * V_before.array
+        want = (1.0 - s) * primitive_of(U_before, cfg).array + s * V_before.array
         assert out.array.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("eps", [0.3, 1.0])
@@ -221,12 +217,14 @@ class TestStep:
     def test_step_holds_few_full_grid_arrays(self):
         # tracemalloc peak of one step after a warm-up step, in state arrays:
         # the two new solution copies, the step's one operator pair, and the
-        # transients of each stage; measured 4.36 at order 1 and 5.32 at
-        # order 2, where the corrector's strip workspace sets the peak
-        n = 128
-        unit = 4 * (n + 4) ** 2 * 8
-        for order, bound in ((1, 4.61), (2, 5.57)):
-            grid, cfg, state = CASES["explosion"].start(0.9, n, n, order=order)
+        # transients of each stage; at 128^2 measured 4.36 at order 1 and 5.32
+        # at order 2, where the corrector's strip workspace sets the peak.  At
+        # unit Mach the blend writes the transform of U into the stage's
+        # primitive buffer, so 200^2 at eps 1 holds the order-2 peak of
+        # eps 0.9, measured 4.51
+        for eps, n, order, bound in ((0.9, 128, 1, 4.61), (0.9, 128, 2, 5.57), (1.0, 200, 2, 4.76)):
+            unit = 4 * (n + 4) ** 2 * 8
+            grid, cfg, state = CASES["explosion"].start(eps, n, n, order=order)
             state, _ = si_dec_step(state, grid, cfg)
             assert state.V.array.nbytes == unit
             tracing = tracemalloc.is_tracing()
@@ -240,7 +238,7 @@ class TestStep:
             finally:
                 if not tracing:
                     tracemalloc.stop()
-            assert peak <= bound * unit, (order, peak / unit)
+            assert peak <= bound * unit, (eps, n, order, peak / unit)
 
     def test_blowup_raises(self):
         # advective blow-up with a positive shift: density goes negative

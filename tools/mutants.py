@@ -48,8 +48,8 @@ MUTANTS = [
      "compact Laplacian divides by the other axis's spacing"),
     ("elliptic.py", "sigma = dt**2 * gp / eps2_rhomax", "sigma = dt * gp / eps2_rhomax",
      "Helmholtz shift with dt instead of dt^2"),
-    ("elliptic.py", "lam = (2.0 - 2.0 * np.cos(2.0 * np.pi * j / n)) / h**2",
-     "lam = (2.0 - 2.0 * np.cos(2.0 * np.pi * j / n)) / h",
+    ("elliptic.py", "lam = (2.0 - 2.0 * np.cos(angle)) / h**2",
+     "lam = (2.0 - 2.0 * np.cos(angle)) / h",
      "periodic eigenvalues scaled by 1/h"),
     ("nonstiff.py", "shift = eps**4", "shift = eps**2", "split-scalar shift eps^2"),
     ("nonstiff.py", "F[U + axis] = 0.5 * un * un", "F[U + axis] = un * un",
@@ -72,6 +72,8 @@ MUTANTS = [
      "corrector adds the predicted stiff operator instead of subtracting it"),
     ("integrator.py", "V_raw.array *= s", "V_raw.array *= 1.0 - s",
      "in-place blend scales the primitive copy by the conservative weight"),
+    ("integrator.py", "V_raw.array[c] = values", "V_raw.array[c] += values",
+     "unit-Mach blend adds the transform to the primitive copy instead of overwriting it"),
     ("conservative.py", "F[U + axis] = mn * un + p / cfg.epsilon**2",
      "F[U + axis] = mn * un + p / cfg.epsilon",
      "momentum flux pressure scaled by 1/eps"),
@@ -106,6 +108,12 @@ MUTANTS = [
     ("benchmarks.py", "        bc=OUTFLOW,\n", "", "explosion with periodic instead of outflow boundaries"),
     ("benchmarks.py", "vanishing = 1e-6", "vanishing = 1.0",
      "AP probes take their vanishing-Mach reference at unit Mach"),
+    ("benchmarks.py", "vanishing = 1e-6", "vanishing = 1e-2",
+     "AP probes take their vanishing-Mach reference at eps 1e-2"),
+    ("benchmarks.py", "for _ in range(20):", "for _ in range(2):",
+     "divergence probe runs 2 steps instead of 20"),
+    ("benchmarks.py", "t_final=0.2)", "t_final=0.02)",
+     "pressure fluctuation probed at t = 0.02 instead of 0.2"),
     ("benchmarks.py", "for e in (eps, eps / 10.0):", "for e in (eps, eps / 5.0):",
      "pressure fluctuation compared with eps/5 instead of eps/10"),
     ("snapshots.py", "np.rint(e)", "np.floor(e + 0.5)", "writer rounds ties of the 17th digit up, not to even"),
