@@ -11,13 +11,13 @@ the initial and exact cell averages; ``BenchmarkCase.start`` sets up a run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from .errors import NoConvergence, NonPhysicalState
-from .grid import AXIS_X, AXIS_Y, OUTFLOW, GridSpec, fill_ghosts
+from .grid import AXIS_X, AXIS_Y, OUTFLOW, GridSpec, fill_ghost_array
 from .integrator import DualState, RunReport, compute_dt, run, si_dec_step
 from .nonstiff import split_scalars
 from .state import PrimitiveField, SolverConfig
@@ -32,7 +32,8 @@ def evaluate_field(grid: GridSpec, state_at: PointState, eps: float, t: float) -
     out = PrimitiveField.zeros(grid)
     values = state_at(eps, t, X, Y)
     out.array[grid.interior] = [np.asarray(c, dtype=float) + np.zeros_like(X) for c in values]
-    return fill_ghosts(out, grid)
+    fill_ghost_array(out.array, grid)
+    return out
 
 
 @dataclass(frozen=True)
@@ -187,9 +188,6 @@ CASES: dict[str, BenchmarkCase] = {case.name: case for case in (
     ),
 )}
 
-VARIABLES = ("rho", "u", "v", "p")
-
-
 def local_mach(Vf: PrimitiveField, gamma: float, grid: GridSpec) -> np.ndarray:
     """Velocity magnitude over sqrt(gamma), on interior cells."""
     core = grid.interior
@@ -207,7 +205,7 @@ def l1_error(numeric: PrimitiveField, exact: PrimitiveField, grid: GridSpec) -> 
     w = grid.dx * grid.dy
     return np.array([
         w * np.abs(a[core] - b[core]).sum()
-        for a, b in zip(numeric.components(), exact.components())
+        for a, b in zip(numeric.array, exact.array)
     ])
 
 
@@ -226,7 +224,7 @@ class ErrorTable:
 
     def format_text(self) -> str:
         header = f"{'N':>6} {'eps':>10}"
-        for v in VARIABLES:
+        for v in PrimitiveField.names:
             header += f" {'L1(' + v + ')':>12} {'rate':>6}"
         lines = [header]
         for row in self.rows:
@@ -241,7 +239,7 @@ class ErrorTable:
         return "\n".join(lines)
 
     def format_delimited(self) -> str:
-        lines = ["n eps " + " ".join(f"err_{v} rate_{v}" for v in VARIABLES)]
+        lines = ["n eps " + " ".join(f"err_{v} rate_{v}" for v in PrimitiveField.names)]
         for row in self.rows:
             if row.failed:
                 continue
@@ -320,15 +318,13 @@ def convergence_study(
         previous: Optional[ErrorRow] = None
         for n in n_list:
             t_end = case.final_time(eps) if t_final is None else t_final
+            overrides = dict(cfg_overrides)
             try:
-                grid, cfg, state = case.start(eps, n, n, **cfg_overrides)
                 if uniform_steps and "dt_override" not in cfg_overrides:
-                    dt0 = compute_dt(state.V, split_scalars(state.V, grid, eps), grid, cfg)
-                    k = max(1, math.ceil(t_end / dt0))
-                    cfg = replace(cfg, dt_override=(k, t_end / k))
-                state, _ = run(state, grid, cfg, t_end)
-                exact = case.exact_state(grid, eps, t_end)
-                errors = l1_error(state.V, exact, grid)
+                    k = max(1, math.ceil(t_end / case.initial_dt(n, eps, **overrides)))
+                    overrides["dt_override"] = (k, t_end / k)
+                grid, state, _, _ = run_case(case, eps, n, n, t_end, **overrides)
+                errors = l1_error(state.V, case.exact_state(grid, eps, t_end), grid)
             except (NonPhysicalState, NoConvergence) as exc:
                 rows.append(ErrorRow(n, eps, np.full(4, np.nan), failed=str(exc)))
                 previous = None

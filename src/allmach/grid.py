@@ -112,10 +112,3 @@ def padded(interior: np.ndarray, grid: GridSpec) -> np.ndarray:
     a = grid.zeros()
     a[grid.interior] = interior
     return fill_ghost_array(a, grid)
-
-
-def fill_ghosts(fld, grid: GridSpec):
-    """Fill the ghost layers of a PrimitiveField or ConservativeField in
-    place and return it for chaining."""
-    fill_ghost_array(fld.array, grid)
-    return fld

@@ -35,7 +35,7 @@ import numpy as np
 from .conservative import flux_divergence
 from .elliptic import pressure_system, solve_helmholtz
 from .errors import NoConvergence, NonPhysicalState
-from .grid import AXIS_X, AXIS_Y, GridSpec, along, fill_ghost_array, fill_ghosts
+from .grid import AXIS_X, AXIS_Y, GridSpec, along, fill_ghost_array
 from .nonstiff import DELTA, SplitScalars, modified_sound_speed, nonstiff_rate, split_scalars
 from .reconstruction import limited_traces
 from .state import (
@@ -72,7 +72,8 @@ class DualState:
 
     @classmethod
     def from_primitive(cls, Vf: PrimitiveField, grid: GridSpec, cfg: SolverConfig) -> "DualState":
-        fill_ghosts(Vf, grid).validate(grid)
+        fill_ghost_array(Vf.array, grid)
+        Vf.validate(grid)
         return cls(Vf, ConservativeField(prim_to_cons(Vf.array, cfg)))
 
 
@@ -210,19 +211,19 @@ def _advance(
     V = PrimitiveField(state.V.array.copy())
     for Vc, Ec in zip(V.array, E):  # one component at a time
         Vc[core] -= dt * Ec
-    fill_ghosts(V, grid)
+    fill_ghost_array(V.array, grid)
     V.p[core], _, residual = solve_helmholtz(pressure_system(V, scalars, dt, cfg, grid))
     fill_ghost_array(V.p, grid)
     eps2_rhomax, _ = stiff_coefficients(scalars, cfg)
     push = dt * (1.0 / eps2_rhomax)
     for axis in (AXIS_X, AXIS_Y):  # u along x, v along y
         V.array[1 + axis][core] -= push * central_difference(V.p, grid, axis)
-    fill_ghosts(V, grid)
+    fill_ghost_array(V.array, grid)
 
     U = ConservativeField(state.U.array.copy())
     for Uc, rate in zip(U.array, cons_rate):
         Uc[core] += dt * rate
-    fill_ghosts(U, grid)
+    fill_ghost_array(U.array, grid)
     return V, U, residual
 
 

@@ -16,6 +16,7 @@ where eps is the reference Mach number.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,10 +30,11 @@ from .grid import GridSpec
 class SolverConfig:
     """Run parameters: Mach number, gas, CFL number, limiter, order.
 
-    dt_override, when set to ``(count, value)``, pins the first ``count``
-    time steps to ``value`` before the CFL rule takes over.  The scheme's
-    fixed constants are not settable: the speed floor is ``nonstiff.DELTA``
-    and the blend function's are ``integrator.EPS0``, ``EPS1`` and ``ALPHA``.
+    dt_override, when set to ``(count, value)`` with an integer count, pins
+    the first ``count`` time steps to ``value`` before the CFL rule takes
+    over.  The scheme's fixed constants are not settable: the speed floor is
+    ``nonstiff.DELTA`` and the blend function's are ``integrator.EPS0``,
+    ``EPS1`` and ``ALPHA``.
     """
 
     epsilon: float
@@ -51,10 +53,14 @@ class SolverConfig:
             raise ValueError("gamma must exceed 1 and be finite")
         if not 0.0 < self.k_cfl < math.inf:
             raise ValueError("k_cfl must be positive and finite")
-        if self.dt_override is not None and not (
-            self.dt_override[0] >= 0 and 0.0 < self.dt_override[1] < math.inf
-        ):
-            raise ValueError("dt_override needs a non-negative count and a positive finite step")
+        if self.dt_override is not None:
+            try:
+                count, step = self.dt_override
+                valid = operator.index(count) >= 0 and 0.0 < step < math.inf
+            except (TypeError, ValueError):
+                valid = False
+            if not valid:
+                raise ValueError("dt_override needs an integer count >= 0 and a positive finite step")
         if not 1.0 <= self.theta <= 2.0:
             raise ValueError("theta must lie in [1, 2]")
         if self.order not in (1, 2):
@@ -80,9 +86,6 @@ class _Field:
         if not finite.all():
             c = int(np.argmin(finite.all(axis=(1, 2))))
             raise _at_cell(f"{self.label}: non-finite {self.names[c]}", values[c], np.argmin(finite[c]))
-
-    def components(self):
-        return tuple(self.array)
 
     def copy(self):
         return type(self)(self.array.copy())

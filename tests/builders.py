@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from allmach.benchmarks import evaluate_field
-from allmach.grid import along, fill_ghosts
+from allmach.grid import along, fill_ghost_array
 from allmach.grid import padded as padded_interior
 from allmach.integrator import build_stage
 from allmach.reconstruction import limited_traces
@@ -31,13 +31,12 @@ def uniform(grid, rho=1.0, u=0.0, v=0.0, p=1.0):
 def random_state(grid, rng):
     """Ghost-filled state with positive density and pressure: rho, u, v and
     p drawn in turn over the whole padded grid, then the ghosts filled."""
-    V = PrimitiveField(np.stack((
+    return PrimitiveField(fill_ghost_array(np.stack((
         0.5 + rng.random(grid.shape),
         rng.standard_normal(grid.shape),
         rng.standard_normal(grid.shape),
         0.5 + rng.random(grid.shape),
-    )))
-    return fill_ghosts(V, grid)
+    )), grid))
 
 
 def primitive_of(U, cfg):

@@ -181,7 +181,7 @@ def test_criterion_08_dual_branch_coherence_at_unit_mach():
             worst,
             max(
                 np.abs(a[grid.interior] - b[grid.interior]).max()
-                for a, b in zip(VU.components(), state.V.components())
+                for a, b in zip(VU.array, state.V.array)
             ),
         )
     report(8, worst <= 1e-13, f"max |V - V(U)| over 10 steps = {worst:.2e}")
@@ -190,11 +190,11 @@ def test_criterion_08_dual_branch_coherence_at_unit_mach():
 def test_criterion_09_conservation_over_100_steps():
     grid, cfg, state = CASES["gresho"].start(1e-2, 64, 64)
     core = grid.interior
-    sums0 = np.array([a[core].sum() for a in state.U.components()])
-    scale = np.array([np.abs(a[core]).sum() for a in state.U.components()])
+    sums0 = np.array([a[core].sum() for a in state.U.array])
+    scale = np.array([np.abs(a[core]).sum() for a in state.U.array])
     for _ in range(100):
         state, _ = si_dec_step(state, grid, cfg)
-    sums1 = np.array([a[core].sum() for a in state.U.components()])
+    sums1 = np.array([a[core].sum() for a in state.U.array])
     drift = np.abs(sums1 - sums0) / np.maximum(scale, 1e-30)
     report(9, bool(np.all(drift <= 1e-11)), "component drifts " + " ".join(f"{d:.2e}" for d in drift))
 

@@ -50,7 +50,7 @@ class TestVortexCase:
         grid = case.make_grid(32, 32, 0.5)
         one_period = case.exact_state(grid, 0.5, 20.0)  # translates by the domain length
         initial = case.initial_state(grid, 0.5)
-        for a, b in zip(one_period.components(), initial.components()):
+        for a, b in zip(one_period.array, initial.array):
             assert np.allclose(a, b, atol=1e-12)
 
 
@@ -255,7 +255,9 @@ class TestErrorMachinery:
         machine = table.format_delimited().splitlines()
         assert len(machine) == 2 and machine[1].startswith("16 1 ")
 
-    def test_uniform_steps_split_the_interval_at_or_below_the_cfl_step(self, monkeypatch):
+    @pytest.fixture
+    def forced(self, monkeypatch):
+        """The dt_override of each run the study makes, in order."""
         import allmach.benchmarks as benchmarks
 
         forced = []
@@ -265,6 +267,9 @@ class TestErrorMachinery:
             return run(state, grid, cfg, t_final, **kwargs)
 
         monkeypatch.setattr(benchmarks, "run", recording_run)
+        return forced
+
+    def test_uniform_steps_split_the_interval_at_or_below_the_cfl_step(self, forced):
         case = CASES["gresho"]
         table = convergence_study(case, [0.1], [8, 16], t_final=0.1, uniform_steps=True)
         assert not any(row.failed for row in table.rows)
@@ -272,6 +277,12 @@ class TestErrorMachinery:
             dt0 = case.initial_dt(n, 0.1)
             assert k >= 2 and k * dt == pytest.approx(0.1, rel=1e-14)
             assert dt <= dt0 < 0.1 / (k - 1)  # the fewest equal steps within the CFL step
+
+    def test_uniform_steps_only_when_asked_and_a_callers_dt_override_wins(self, forced):
+        case = CASES["gresho"]
+        convergence_study(case, [0.1], [8], t_final=0.01)
+        convergence_study(case, [0.1], [8], t_final=0.01, uniform_steps=True, dt_override=(2, 1e-3))
+        assert forced == [None, (2, 1e-3)]
 
     def test_config_error_is_not_a_failed_row(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ from allmach.benchmarks import CASES, run_case
 from allmach.conservative import flux_divergence
 from allmach.elliptic import HelmholtzSystem, solve_helmholtz
 from allmach.errors import NoConvergence, NonPhysicalState
-from allmach.grid import AXIS_X, AXIS_Y, OUTFLOW, PERIODIC, GridSpec, along, fill_ghosts
+from allmach.grid import AXIS_X, AXIS_Y, OUTFLOW, PERIODIC, GridSpec, along, fill_ghost_array
 from allmach.integrator import (
     EPS0,
     EPS1,
@@ -107,7 +107,7 @@ class TestPostProcess:
     def make_pair(self, grid, cfg):
         rng = np.random.default_rng(13)
         V, W = random_state(grid, rng), random_state(grid, rng)
-        return V, fill_ghosts(ConservativeField(prim_to_cons(W.array, cfg)), grid)
+        return V, ConservativeField(fill_ghost_array(prim_to_cons(W.array, cfg), grid))
 
     def test_unit_mach_takes_conservative_branch_exactly(self):
         grid = GridSpec(6, 6, 0.0, 1.0, 0.0, 1.0)
@@ -126,17 +126,17 @@ class TestPostProcess:
         V_raw, U = self.make_pair(grid, cfg)
         assert switching_weight(cfg.epsilon) == 1.0  # 1 - 1e-84 rounds to 1
         out = post_process(V_raw, U, grid, cfg)
-        for a, b in zip(out.components(), V_raw.components()):
+        for a, b in zip(out.array, V_raw.array):
             assert np.array_equal(a, b)
 
     def test_agreeing_branches_are_a_fixed_point(self):
         grid = GridSpec(6, 6, 0.0, 1.0, 0.0, 1.0)
         cfg = SolverConfig(epsilon=0.3, gamma=1.4)  # genuinely blended regime
         V = random_state(grid, np.random.default_rng(4))
-        U = fill_ghosts(ConservativeField(prim_to_cons(V.array, cfg)), grid)
+        U = ConservativeField(fill_ghost_array(prim_to_cons(V.array, cfg), grid))
         before = V.copy()  # the blend consumes V
         out = post_process(V, U, grid, cfg)
-        for a, b in zip(out.components(), before.components()):
+        for a, b in zip(out.array, before.array):
             assert np.allclose(a, b, rtol=1e-13)
 
     def test_conservative_copy_untouched(self):
@@ -348,11 +348,11 @@ class TestRun:
     def test_conservation_over_many_steps(self):
         grid, cfg, state = CASES["gresho"].start(1e-2, 24, 24)
         core = grid.interior
-        sums0 = np.array([a[core].sum() for a in state.U.components()])
-        scale = np.array([np.abs(a[core]).sum() for a in state.U.components()])
+        sums0 = np.array([a[core].sum() for a in state.U.array])
+        scale = np.array([np.abs(a[core]).sum() for a in state.U.array])
         for _ in range(20):
             state, _ = si_dec_step(state, grid, cfg)
-        sums1 = np.array([a[core].sum() for a in state.U.components()])
+        sums1 = np.array([a[core].sum() for a in state.U.array])
         assert np.all(np.abs(sums1 - sums0) <= 1e-12 * np.maximum(scale, 1.0))
 
 
@@ -504,7 +504,7 @@ class TestStageGolden:
         V.u[core] = rng.standard_normal((70, 40))
         V.v[core] = rng.standard_normal((70, 40))
         V.p[core] = 0.5 + rng.random((70, 40))
-        fill_ghosts(V, grid)
+        fill_ghost_array(V.array, grid)
         assert stage_digest(V, grid, SolverConfig(epsilon=0.3)) == RANDOM_STAGE_DIGEST
 
 
@@ -549,7 +549,7 @@ def test_strips_do_not_change_the_stage(nx, extra, transpose, bcs, theta, eps, o
     V.u[core] = rng.standard_normal((nx, ny))
     V.v[core] = rng.standard_normal((nx, ny))
     V.p[core] = 0.5 + rng.random((nx, ny))
-    fill_ghosts(V, grid)
+    fill_ghost_array(V.array, grid)
     cfg = SolverConfig(epsilon=eps, theta=theta)
     R, D = whole_grid_operators(V, grid, cfg)
     for width in (1, odd, 32, max(nx, ny) + 1):

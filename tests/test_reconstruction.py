@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from allmach.errors import NonPhysicalState
-from allmach.grid import AXIS_X, AXIS_Y, OUTFLOW, PERIODIC, GridSpec, along, fill_ghosts
+from allmach.grid import AXIS_X, AXIS_Y, OUTFLOW, PERIODIC, GridSpec, along, fill_ghost_array
 from allmach.reconstruction import compute_slopes, minmod
 from allmach.state import PrimitiveField, SolverConfig
 
@@ -207,7 +207,7 @@ def test_traces_lie_between_neighbouring_averages(nx, extra, lengths, bcs, theta
     V.u[core] = rng.choice((-1.0, 1.0), (nx, ny)) * decades()
     V.v[core] = rng.choice((-1.0, 1.0), (nx, ny)) * decades()
     V.p[core] = decades()
-    fill_ghosts(V, grid)
+    fill_ghost_array(V.array, grid)
     g = grid.ghost
     for axis, (minus, plus) in enumerate(traces_per_axis(V, grid, theta)):
         Vs = along(V.array, axis)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from allmach.errors import NonPhysicalState
-from allmach.grid import GridSpec, fill_ghost_array, fill_ghosts
+from allmach.grid import GridSpec, fill_ghost_array
 from allmach.state import ConservativeField, PrimitiveField, SolverConfig, prim_to_cons
 
 from builders import primitive_of, uniform
@@ -45,7 +45,7 @@ class TestTransforms:
         U.my[:] = 1.0
         U.E[:] = 1.01
         V = primitive_of(U, cfg)
-        for a, want in zip(V.components(), (1.0, 1.0, 1.0, 1.0)):
+        for a, want in zip(V.array, (1.0, 1.0, 1.0, 1.0)):
             assert np.allclose(a, want, rtol=1e-14)
 
     def test_zero_velocity_inverse(self, grid):
@@ -69,7 +69,7 @@ class TestTransforms:
         )))
         cfg = SolverConfig(epsilon=eps, gamma=1.4)
         W = primitive_of(conservative(V, cfg), cfg)
-        for a, b in zip(V.components(), W.components()):
+        for a, b in zip(V.array, W.array):
             assert np.allclose(a, b, rtol=1e-13)
 
     def test_energy_continuous_in_mach_number(self, grid):
@@ -142,7 +142,7 @@ class TestGhostFilling:
         V = PrimitiveField.zeros(grid)
         V.rho[grid.interior] = 1.0
         V.p[grid.interior] = 2.0
-        fill_ghosts(V, grid)
+        fill_ghost_array(V.array, grid)
         assert np.all(V.rho == 1.0) and np.all(V.p == 2.0)
 
 
@@ -172,11 +172,16 @@ class TestConfig:
             {"epsilon": 0.5, "dt_override": (3, np.inf)},
             {"epsilon": 1e-158},  # 1/eps^2 overflows
             {"epsilon": 1e-200},  # eps^2 underflows to 0
+            {"epsilon": 0.5, "dt_override": (2.5, 1e-3)},  # the count must be an integer
+            {"epsilon": 0.5, "dt_override": (3,)},  # not a (count, step) pair
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    def test_numpy_integer_step_count_accepted(self):
+        assert SolverConfig(epsilon=0.5, dt_override=(np.int64(3), 1e-3)).dt_override[0] == 3
 
     def test_smallest_mach_numbers_with_finite_inverse_square_accepted(self):
         assert SolverConfig(epsilon=1e-154).epsilon == 1e-154

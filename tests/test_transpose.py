@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from allmach.benchmarks import CASES
 from allmach.conservative import flux_divergence
-from allmach.grid import OUTFLOW, PERIODIC, GridSpec, fill_ghosts
+from allmach.grid import OUTFLOW, PERIODIC, GridSpec, fill_ghost_array
 from allmach.integrator import DualState, build_stage, si_dec_step
 from allmach.nonstiff import SplitScalars, nonstiff_rate
 from allmach.reconstruction import limited_traces
@@ -97,7 +97,7 @@ def test_explicit_operators_commute_with_transposition(nx, extra, lengths, bc_x,
     V.u[core] = rng.standard_normal((nx, ny))
     V.v[core] = rng.standard_normal((nx, ny))
     V.p[core] = 0.5 + rng.random((nx, ny))
-    fill_ghosts(V, grid)
+    fill_ghost_array(V.array, grid)
     gridT = transposed_grid(grid)
     VT = transposed_field(V, grid)
     cfg = SolverConfig(epsilon=eps, gamma=1.4)

@@ -96,8 +96,12 @@ MUTANTS = [
      "cfg = self.config(eps, **overrides)\n        grid = self.make_grid(nx, ny, eps)\n",
      "grid = self.make_grid(nx, ny, eps)\n        cfg = self.config(eps, **overrides)\n",
      "start builds the grid before the config checks eps"),
-    ("benchmarks.py", "k = max(1, math.ceil(t_end / dt0))", "k = max(1, math.floor(t_end / dt0))",
+    ("benchmarks.py", "math.ceil(t_end / case.initial_dt(", "math.floor(t_end / case.initial_dt(",
      "uniform steps above the CFL step"),
+    ("benchmarks.py", 'if uniform_steps and "dt_override" not in cfg_overrides:', "if uniform_steps:",
+     "uniform steps override the caller's dt_override"),
+    ("benchmarks.py", 'if uniform_steps and "dt_override" not in cfg_overrides:',
+     'if "dt_override" not in cfg_overrides:', "uniform steps whether or not they are asked for"),
     ("benchmarks.py", "rho = 1.0 - eps**2 / (16.0 * math.pi**2) * e_full",
      "rho = 1.0 - eps**2 / (8.0 * math.pi**2) * e_full",
      "vortex density dip doubled"),
@@ -116,6 +120,8 @@ MUTANTS = [
      "pressure fluctuation probed at t = 0.02 instead of 0.2"),
     ("benchmarks.py", "for e in (eps, eps / 10.0):", "for e in (eps, eps / 5.0):",
      "pressure fluctuation compared with eps/5 instead of eps/10"),
+    ("state.py", "operator.index(count) >= 0", "count >= 0",
+     "dt_override accepts a fractional step count"),
     ("snapshots.py", "np.rint(e)", "np.floor(e + 0.5)", "writer rounds ties of the 17th digit up, not to even"),
     ("snapshots.py", "    ok &= (p - 1e16) + e >= 0\n", "",
      "writer trusts a log10 decade that is one too high"),

@@ -37,6 +37,7 @@ import numpy as np
 from allmach.benchmarks import CASES
 from allmach.errors import NoConvergence, NonPhysicalState
 from allmach.integrator import DualState, si_dec_step
+from allmach.state import PrimitiveField
 
 STEPS = 20
 RUNS = [  # (case, eps, n)
@@ -48,7 +49,6 @@ RUNS = [  # (case, eps, n)
     ("gresho", 1e-3, 128),
     ("gresho", 1e-6, 32),
 ]
-COMPONENTS = ("rho", "u", "v", "p")
 PEAK_SLACK = 0.05  # state arrays a step peak may rise above its saved value
 
 
@@ -56,13 +56,10 @@ def run(name: str, eps: float, n: int, order: int, ulp: bool = False) -> dict:
     """Final V, U and t, the step reports as rows (dt, residuals..., max|div
     u|, p fluctuation), their digest and the second step's memory peak in
     state arrays; the initial values are raised by one ulp when ``ulp``."""
-    case = CASES[name]
-    grid = case.make_grid(n, n, eps)
-    cfg = case.config(eps, order=order)
-    V0 = case.initial_state(grid, eps)
+    grid, cfg, state = CASES[name].start(eps, n, n, order=order)
     if ulp:
-        V0.array[:] = np.nextafter(V0.array, np.inf)
-    state = DualState.from_primitive(V0, grid, cfg)
+        state.V.array[:] = np.nextafter(state.V.array, np.inf)
+        state = DualState.from_primitive(state.V, grid, cfg)
     rows = []
     for i in range(STEPS):
         if i == 1:
@@ -110,7 +107,7 @@ def compare(new: dict, saved, label: str) -> tuple[float, bool, bool]:
     print(f"    step peak {old_peak:5.2f} saved, {new['step_peak']:5.2f} now (state arrays)"
           + (", risen" if risen else ""))
     print(f"    max|delta| vs 1-ulp sensitivity, ratio {ratio:.3g}")
-    for c, d, s in zip(COMPONENTS, delta, sens):
+    for c, d, s in zip(PrimitiveField.names, delta, sens):
         print(f"    {c:4s} {d:9.2e} {s:9.2e}")
     return ratio, state_same and reports_same, risen
 
