@@ -17,45 +17,66 @@ from .reconstruction import P, RHO, U, V, Traces
 from .state import SolverConfig, prim_to_cons
 
 
-def sound_speed(rho, p, cfg: SolverConfig):
-    return np.sqrt(cfg.gamma * p / rho) / cfg.epsilon
+def sound_speed(rho, p, cfg: SolverConfig, out=None):
+    """Full sound speed sqrt(gamma p / rho) / eps, written into ``out``, an
+    array of p's shape allocated when not given."""
+    c = np.multiply(cfg.gamma, p, out=np.empty_like(p) if out is None else out)
+    c /= rho
+    np.sqrt(c, out=c)
+    c /= cfg.epsilon
+    return c
 
 
-def flux_from_primitive(Vs: np.ndarray, Us: np.ndarray, cfg: SolverConfig, axis: int) -> np.ndarray:
+def flux_from_primitive(Vs: np.ndarray, Us: np.ndarray, cfg: SolverConfig, axis: int, out=None) -> np.ndarray:
     """Exact conservative flux along ``axis`` of a stacked state given in
     both forms: primitive ``Vs`` and its transform ``Us = prim_to_cons(Vs)``,
-    whose momentum and energy the flux reuses."""
+    whose momentum and energy the flux reuses.  Written into ``out`` when
+    given, which shares no memory with either form."""
     un, p = Vs[U + axis], Vs[P]
     mn, energy = Us[U + axis], Us[P]
-    F = np.empty_like(Vs)
+    F = np.empty_like(Vs) if out is None else out
+    # [c, ...] is a view also for one state (4,); the tangential row holds
+    # p / eps^2 until its own value goes in
+    f_normal, f_tangential, f_energy = F[U + axis, ...], F[V - axis, ...], F[P, ...]
+    np.multiply(mn, un, out=f_normal)
+    f_normal += np.divide(p, cfg.epsilon**2, out=f_tangential)
+    np.multiply(Us[U], Vs[V], out=f_tangential)
+    np.add(energy, p, out=f_energy)
+    f_energy *= un
     F[RHO] = mn
-    F[U + axis] = mn * un + p / cfg.epsilon**2
-    F[V - axis] = Us[U] * Vs[V]
-    F[P] = un * (energy + p)
     return F
 
 
-def flux_divergence(traces: Traces, cfg: SolverConfig, axis: int, h: float) -> np.ndarray:
+def flux_divergence(traces: Traces, cfg: SolverConfig, axis: int, h: float, work=None) -> np.ndarray:
     """Difference quotient (f[i+1/2] - f[i-1/2]) / h of the central-upwind
     fluxes normal to ``axis`` for the cells of one axis-first block, from
     their reconstruction ``traces``, shape (4, n, m).  The semi-discrete rate
     dU/dt is minus its sum over both axes.  The one-sided speeds come from
     u_n +- c and the interface states are the transforms of the traces.
 
+    ``work`` is ``nonstiff_rate``'s; the quotient is a C-contiguous prefix
+    view of the first buffer of its first list.  The traces are overwritten:
+    once the interface states and their fluxes exist, the central-upwind
+    flux works in them.
+
     Exactly telescoping under periodic boundaries: the componentwise sum of
     the rate over the domain vanishes to round-off.
     """
     minus, plus = traces
+    four, faces, m = minus.shape
+    if work is None:
+        work = [np.empty(minus.size) for _ in range(5)], [np.empty(minus[0].size) for _ in range(5)]
+    quads, ones = work
+    q0, q1, q2, q3, q4 = (np.ndarray(minus.shape, buffer=b) for b in quads)
+    o0, o1, o2, o3, o4 = (np.ndarray(minus[0].shape, buffer=b) for b in ones)
     s_minus, s_plus = one_sided_speeds(
-        minus, plus, sound_speed(minus[RHO], minus[P], cfg), sound_speed(plus[RHO], plus[P], cfg), axis
+        minus, plus, sound_speed(minus[RHO], minus[P], cfg, o0), sound_speed(plus[RHO], plus[P], cfg, o1),
+        axis, (o2, o3, o4),
     )
-    u_minus, u_plus = prim_to_cons(minus, cfg), prim_to_cons(plus, cfg)
-    f = cu_flux(
-        u_minus, u_plus,
-        flux_from_primitive(minus, u_minus, cfg, axis),
-        flux_from_primitive(plus, u_plus, cfg, axis),
-        s_minus, s_plus,
-    )
-    div = f[:, 1:] - f[:, :-1]
+    u_minus, u_plus = prim_to_cons(minus, cfg, q0), prim_to_cons(plus, cfg, q1)
+    f_minus = flux_from_primitive(minus, u_minus, cfg, axis, q2)
+    f_plus = flux_from_primitive(plus, u_plus, cfg, axis, q3)
+    f = cu_flux(u_minus, u_plus, f_minus, f_plus, s_minus, s_plus, (minus, plus, q4, o0, o1))
+    div = np.subtract(f[:, 1:], f[:, :-1], out=np.ndarray((four, faces - 1, m), buffer=quads[0]))
     div /= h
     return div

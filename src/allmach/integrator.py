@@ -26,6 +26,7 @@ caller that needs the solution at several times runs to each in turn on one
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -56,9 +57,10 @@ EPS0, EPS1, ALPHA = 0.15, 0.4, 14.0
 # Cells across the axis in one strip of build_stage.  Each array of a strip
 # (traces, fluxes, temporaries) is 4 x (n+1) x STRIP doubles, about 200 kB at
 # n = 200, so the strip's working set stays in a 2 MB per-core L2 where
-# whole-grid passes stream every array from L3.  Explosion 200^2 on a 2-core
-# Xeon (numpy 2.4), median ms per step of 5 runs: widths 8, 16, 32, 48, 64 and
-# 256 took 119, 109, 100, 103, 101 and 127; whole-grid passes took 149.
+# whole-grid passes stream every array from L3.  On a 2-core Xeon (numpy
+# 2.4), median ms per step of 30 interleaved in one process: widths 16, 32
+# and 64 took 49.9, 46.1 and 50.5 at explosion 200^2 and 22.6, 17.1 and 17.7
+# at gresho eps 1e-3 128^2.
 STRIP = 32
 
 
@@ -112,19 +114,52 @@ def build_stage(
     arrays stay in cache, where whole-grid passes would stream every
     temporary from memory.  Every cell adds its x and then its y part, so
     the result does not depend on the strip width.
+
+    The kernels write every array of a strip into one workspace, made here
+    and dropped on return: seven flat buffers of four components and five
+    of one, each sized for the widest strip and starting on a 64-byte
+    boundary.  The traces are built in the first four, which hold a block,
+    and kept in the first two.  The operators work in the last five and in
+    those of one component; the conservative flux also works in the traces
+    once it no longer reads them.  Allocating every strip array anew
+    instead, most of them off a 64-byte boundary, made a step 1.2-1.3 times
+    as long and raised this function's own peak at 200^2 from 1.39 to 1.59
+    state arrays.
     """
     scalars = split_scalars(Vf, grid, cfg.epsilon)
     g = grid.ghost
+
+    def cells(extra):  # doubles of one component of the widest strip, n + extra rows long
+        return max((grid.nx + extra) * min(STRIP, grid.ny), (grid.ny + extra) * min(STRIP, grid.nx))
+
+    # a block has n + 2g rows, an interface array n + 1
+    quads = [_aligned(4 * cells(2 * g)) for _ in range(4)] + [_aligned(4 * cells(1)) for _ in range(3)]
+    operators = (quads[2:], [_aligned(cells(1)) for _ in range(5)])
     for axis in (AXIS_X, AXIS_Y):
         Vs, Rs, Ds, h = along(Vf.array, axis), along(R, axis), along(D, axis), grid.spacing(axis)
         m = Rs.shape[-1]
         for j0 in range(0, m, STRIP):
             j1 = min(j0 + STRIP, m)
             block = Vs[..., g + j0:g + j1]
-            traces = limited_traces(block, h, cfg.theta, axis, j0)
-            Rs[..., j0:j1] += nonstiff_rate(block[:, g:-g], traces, scalars, cfg, axis, h)
-            Ds[..., j0:j1] -= flux_divergence(traces, cfg, axis, h)
+            traces = limited_traces(block, h, cfg.theta, axis, j0, quads[:4])
+            Rs[..., j0:j1] += nonstiff_rate(block[:, g:-g], traces, scalars, cfg, axis, h, operators)
+            Ds[..., j0:j1] -= flux_divergence(traces, cfg, axis, h, operators)
     return scalars
+
+
+def _aligned(size: int) -> np.ndarray:
+    """A flat float64 buffer of ``size`` doubles that starts on a 64-byte
+    boundary, so that no vector store into it splits two cache lines.
+
+    numpy aligns its arrays to 16 bytes only.  On a 2-core AVX-512 Xeon
+    (numpy 2.4), np.add of 25,728 doubles into an aligned array took 5.6 us,
+    and 12.6-15.3 us into one that starts 8, 16 or 32 bytes past a boundary.
+    """
+    raw = np.empty(size + 7)
+    # the address through ctypes.c_char, since reading raw.ctypes.data leaves
+    # objects behind in the interpreter that add to the step's traced peak
+    start = -ctypes.addressof(ctypes.c_char.from_buffer(raw)) % 64 // 8
+    return raw[start:start + size]
 
 
 def compute_dt(Vf: PrimitiveField, scalars: SplitScalars, grid: GridSpec, cfg: SolverConfig) -> float:

@@ -54,88 +54,113 @@ def split_scalars(Vf: PrimitiveField, grid: GridSpec, eps: float) -> SplitScalar
     )
 
 
-def modified_sound_speed(rho, p, scalars: SplitScalars, eps: float, gamma: float):
+def modified_sound_speed(rho, p, scalars: SplitScalars, eps: float, gamma: float, out=None, work=None):
     """Sound speed of the split (nonstiff) subsystem.
 
     O(1) as eps -> 0 for well-prepared data, unlike the full sound speed.
-    Works on scalars and arrays alike.
+    Works on scalars and arrays alike.  It is written into ``out``, with
+    ``work`` as scratch: two arrays of rho's shape, allocated when not given.
     """
-    radicand = gamma * (scalars.rho_max - rho) * (p - scalars.p_min) / (rho * scalars.rho_max)
-    if np.any(np.asarray(radicand) < 0.0):
+    if out is None:
+        out, work = np.empty_like(rho), np.empty_like(rho)
+    # gamma (rho_max - rho) (p - p_min) / (rho rho_max)
+    radicand = np.subtract(scalars.rho_max, rho, out=out)
+    radicand *= gamma
+    radicand *= np.subtract(p, scalars.p_min, out=work)
+    radicand /= np.multiply(rho, scalars.rho_max, out=work)
+    # the least value that is not NaN: negative exactly when some value is
+    if np.fmin.reduce(radicand, axis=None) < 0.0:
         raise NonPhysicalState("negative radicand in modified sound speed (stale split scalars?)")
-    return np.sqrt(radicand) / eps
+    c = np.sqrt(radicand, out=radicand)
+    c /= eps
+    return c
 
 
-def one_sided_speeds(minus, plus, c_minus, c_plus, axis):
+def one_sided_speeds(minus, plus, c_minus, c_plus, axis, work=None):
     """Local speeds of the waves leaving each interface normal to ``axis``
     to the left and right, from the normal velocity plus/minus a sound
-    speed, floored away from zero by DELTA."""
+    speed, floored away from zero by DELTA.  ``work`` is three arrays of the
+    interfaces' shape, allocated when not given: the speeds are written into
+    the first two and the third is scratch."""
     un_minus, un_plus = minus[U + axis], plus[U + axis]
-    lo = np.minimum(un_minus - c_minus, un_plus - c_plus)
-    hi = np.maximum(un_minus + c_minus, un_plus + c_plus)
-    return np.minimum(lo, -DELTA), np.maximum(hi, DELTA)
+    if work is None:
+        work = [np.empty_like(un_minus) for _ in range(3)]
+    lo, hi, scratch = work
+    np.minimum(np.subtract(un_minus, c_minus, out=lo), np.subtract(un_plus, c_plus, out=scratch), out=lo)
+    np.maximum(np.add(un_minus, c_minus, out=hi), np.add(un_plus, c_plus, out=scratch), out=hi)
+    return np.minimum(lo, -DELTA, out=lo), np.maximum(hi, DELTA, out=hi)
 
 
-def nonstiff_flux(Vs: np.ndarray, axis: int) -> np.ndarray:
+def nonstiff_flux(Vs: np.ndarray, axis: int, out=None) -> np.ndarray:
     """Flux of the split subsystem along ``axis``: (rho*u, u^2/2, 0, 0)
-    along x and (rho*v, 0, v^2/2, 0) along y."""
+    along x and (rho*v, 0, v^2/2, 0) along y, written into ``out`` when
+    given."""
     un = Vs[U + axis]
-    F = np.zeros_like(Vs)
-    F[RHO] = Vs[RHO] * un
-    F[U + axis] = 0.5 * un * un
+    F = np.empty_like(Vs) if out is None else out
+    F[V - axis] = 0.0
+    F[P] = 0.0
+    np.multiply(Vs[RHO], un, out=F[RHO, ...])  # [c, ...] is a view also for one state (4,)
+    half_square = np.multiply(0.5, un, out=F[U + axis, ...])
+    half_square *= un
     return F
 
 
-def antidiffusion(v_minus, v_plus, f_minus, f_plus, s_minus, s_plus):
+def antidiffusion(v_minus, v_plus, f_minus, f_plus, s_minus, s_plus, work=None):
     """Built-in anti-diffusion correction of the central-upwind flux.
 
     Uses the intermediate state reconstructed from the one-sided speeds; the
-    minmod keeps the correction between zero and the interface jump.  Works
-    in place on two arrays of its own and returns one of them.
+    minmod keeps the correction between zero and the interface jump.
+    ``work`` is four arrays, allocated when not given: three of the
+    arguments' broadcast shape, the first of which takes the correction, and
+    one of the speeds' shape.  The arguments are left unchanged.
     """
-    v_int = np.asarray(s_plus * v_plus)
-    scratch = np.asarray(s_minus * v_minus)
-    v_int -= scratch
+    if work is None:
+        shape = np.broadcast(v_minus, v_plus, f_minus, f_plus, s_minus, s_plus).shape
+        work = [np.empty(shape) for _ in range(4)]
+    v_int, scratch, lo, den = work
+    np.multiply(s_plus, v_plus, out=v_int)
+    v_int -= np.multiply(s_minus, v_minus, out=scratch)
     v_int -= f_plus
     v_int += f_minus
-    v_int /= s_plus - s_minus
+    v_int /= np.subtract(s_plus, s_minus, out=den)
     np.subtract(v_int, v_minus, out=scratch)
     np.subtract(v_plus, v_int, out=v_int)
-    return minmod(scratch, v_int, out=v_int)
+    return minmod(scratch, v_int, out=v_int, work=lo)
 
 
-# cu_flux, antidiffusion, minmod(out=) and compute_slopes work in place.  With
-# them, the two operators' differences and limited_traces' slope scaling all
-# written as plain expressions, every step digest stayed bit-identical, but on
-# a 2-core Xeon (numpy 2.4), in 4 of 4 paired runs, gresho eps 1e-3 128^2 took
-# 42-49 ms per step against 32-35 and explosion 200^2 took 77-92 against
-# 72-80, and gresho's step peak rose from 5.47 to 6.33 state arrays.
-def cu_flux(v_minus, v_plus, f_minus, f_plus, s_minus, s_plus):
+def cu_flux(v_minus, v_plus, f_minus, f_plus, s_minus, s_plus, work=None):
     """Central-upwind numerical flux with anti-diffusion,
     (s+ f- - s- f+)/(s+ - s-) + (s+ s-/(s+ - s-)) (v+ - v- - dv).
 
     Consistency: for equal one-sided states the flux reduces to the exact
-    flux of that state.  Works in place on the anti-diffusion's array and
-    one scratch array; plain float on scalars.
+    flux of that state.  ``work`` is five arrays, allocated when not given:
+    three of the arguments' broadcast shape, the second of which takes the
+    flux, and two of the speeds' shape.  The arguments are left unchanged;
+    plain float on scalars.
     """
-    dv = antidiffusion(v_minus, v_plus, f_minus, f_plus, s_minus, s_plus)
-    den = s_plus - s_minus
-    flux = np.asarray(s_plus * f_minus)
-    scratch = np.asarray(s_minus * f_plus)
-    flux -= scratch
-    flux /= den
+    if work is None:
+        shape = np.broadcast(v_minus, v_plus, f_minus, f_plus, s_minus, s_plus).shape
+        work = [np.empty(shape) for _ in range(5)]
+    dv = antidiffusion(v_minus, v_plus, f_minus, f_plus, s_minus, s_plus, work[:4])
+    _, flux, scratch, den, weight = work
+    np.multiply(s_plus, f_minus, out=flux)
+    flux -= np.multiply(s_minus, f_plus, out=scratch)
+    flux /= np.subtract(s_plus, s_minus, out=den)
     np.subtract(v_plus, v_minus, out=scratch)
     scratch -= dv
-    scratch *= s_plus * s_minus / den
+    np.multiply(s_plus, s_minus, out=weight)
+    weight /= den
+    scratch *= weight
     flux += scratch
     return float(flux) if flux.ndim == 0 else flux
 
 
 def _bmat_apply(
-    Vs: np.ndarray, w: np.ndarray, scalars: SplitScalars, cfg: SolverConfig, axis: int
+    Vs: np.ndarray, w: np.ndarray, scalars: SplitScalars, cfg: SolverConfig, axis: int, out=None, work=None
 ) -> np.ndarray:
     """Action of the nonstiff nonconservative matrix along ``axis`` on a
-    state increment.
+    state increment, written into ``out`` with ``work`` as scratch: two
+    arrays of one component's shape, allocated with ``out`` when not given.
 
     Rows: nothing for rho; the density-weighted pressure-gradient coefficient
     for the normal velocity; advection of the tangential velocity; and
@@ -143,12 +168,25 @@ def _bmat_apply(
     """
     normal, tangential = U + axis, V - axis
     rho, un, p = Vs[RHO], Vs[normal], Vs[P]
-    q = (scalars.rho_max - rho) / (cfg.epsilon**2 * rho * scalars.rho_max)
-    g = cfg.gamma * (p - scalars.p_min)
-    out = np.zeros_like(w)
-    out[normal] = -q * w[P]
-    out[tangential] = -un * w[tangential]
-    out[P] = -g * w[normal] - un * w[P]
+    if out is None:
+        out, work = np.empty_like(w), (np.empty_like(rho), np.empty_like(rho))
+    q, g = work
+    # q = (rho_max - rho) / (eps^2 rho rho_max), g = gamma (p - p_min)
+    np.subtract(scalars.rho_max, rho, out=q)
+    np.multiply(cfg.epsilon**2, rho, out=g)
+    g *= scalars.rho_max
+    q /= g
+    np.subtract(p, scalars.p_min, out=g)
+    g *= cfg.gamma
+    out[RHO] = 0.0
+    out_n, out_t, out_p = out[normal, ...], out[tangential, ...], out[P, ...]
+    np.negative(q, out=out_n)
+    out_n *= w[P]  # -q w_p
+    np.negative(un, out=out_t)
+    out_t *= w[tangential]  # -u_n w_t
+    np.negative(g, out=out_p)
+    out_p *= w[normal]
+    out_p -= np.multiply(un, w[P], out=q)  # -g w_n - u_n w_p
     return out
 
 
@@ -159,6 +197,7 @@ def nonstiff_rate(
     cfg: SolverConfig,
     axis: int,
     h: float,
+    work=None,
 ) -> np.ndarray:
     """The part of one stage's explicit operator that comes from the
     interfaces normal to ``axis``, for the cells of one axis-first block:
@@ -169,25 +208,44 @@ def nonstiff_rate(
     order, the divergence of the mass flux, the velocity advection plus the
     density-weighted pressure gradient, and the pressure advection plus
     (p - p_min)-weighted dilatation.
+
+    ``work`` is a pair of lists of flat float64 buffers, allocated when not
+    given: five of at least 4 (n+1) m doubles and five of at least (n+1) m.
+    The rate is a C-contiguous prefix view of the third of the first list;
+    the traces are left unchanged.
     """
     minus, plus = traces
+    four, faces, m = minus.shape
+    if work is None:
+        work = [np.empty(minus.size) for _ in range(5)], [np.empty(minus[0].size) for _ in range(5)]
+    quads, ones = work
+    q0, q1, q2, q3, q4 = (np.ndarray(minus.shape, buffer=b) for b in quads)
+    o0, o1, o2, o3, o4 = (np.ndarray(minus[0].shape, buffer=b) for b in ones)
     # speeds from the split subsystem's eigenvalues u_n +- c_tilde
     s_minus, s_plus = one_sided_speeds(
         minus, plus,
-        modified_sound_speed(minus[RHO], minus[P], scalars, cfg.epsilon, cfg.gamma),
-        modified_sound_speed(plus[RHO], plus[P], scalars, cfg.epsilon, cfg.gamma),
-        axis,
+        modified_sound_speed(minus[RHO], minus[P], scalars, cfg.epsilon, cfg.gamma, o0, o2),
+        modified_sound_speed(plus[RHO], plus[P], scalars, cfg.epsilon, cfg.gamma, o1, o2),
+        axis, (o2, o3, o4),
     )
-    f = cu_flux(minus, plus, nonstiff_flux(minus, axis), nonstiff_flux(plus, axis), s_minus, s_plus)
+    f = cu_flux(
+        minus, plus, nonstiff_flux(minus, axis, q0), nonstiff_flux(plus, axis, q1), s_minus, s_plus,
+        (q2, q3, q4, o0, o1),
+    )
     # path-conservative products: the matrix at the cell average applied to
     # the in-cell jump, and at the midpoint of the linear path between the
     # interface traces applied to the interface jump
-    cell = _bmat_apply(Vbar, minus[:, 1:] - plus[:, :-1], scalars, cfg, axis)
-    psi = _bmat_apply(0.5 * (minus + plus), plus - minus, scalars, cfg, axis)
-    den = s_plus - s_minus
-    rate = f[:, 1:] - f[:, :-1]
+    cells = (four, faces - 1, m)
+    c0, c1, c2 = (np.ndarray(cells, buffer=b) for b in quads[:3])
+    k0, k1 = (np.ndarray(cells[1:], buffer=b) for b in ones[:2])
+    cell = _bmat_apply(Vbar, np.subtract(minus[:, 1:], plus[:, :-1], out=c0), scalars, cfg, axis, c1, (k0, k1))
+    rate = np.subtract(f[:, 1:], f[:, :-1], out=c2)
     rate -= cell
-    rate -= (s_plus[:-1] / den[:-1]) * psi[:, :-1]
-    rate += (s_minus[1:] / den[1:]) * psi[:, 1:]
+    mid = np.add(minus, plus, out=q0)
+    mid *= 0.5
+    psi = _bmat_apply(mid, np.subtract(plus, minus, out=q1), scalars, cfg, axis, q3, (o0, o1))
+    den = np.subtract(s_plus, s_minus, out=o4)
+    rate -= np.multiply(np.divide(s_plus[:-1], den[:-1], out=k0), psi[:, :-1], out=c0)
+    rate += np.multiply(np.divide(s_minus[1:], den[1:], out=k0), psi[:, 1:], out=c0)
     rate /= h
     return rate

@@ -153,14 +153,21 @@ class ConservativeField(_Field):
         return self
 
 
-def prim_to_cons(Vs: np.ndarray, cfg: SolverConfig) -> np.ndarray:
+def prim_to_cons(Vs: np.ndarray, cfg: SolverConfig, out=None) -> np.ndarray:
     """Transform stacked (rho, u, v, p) values, shape (4, ...), to
-    (rho, rho*u, rho*v, E)."""
+    (rho, rho*u, rho*v, E), written into ``out`` when given, which shares no
+    memory with ``Vs``."""
     rho, u, v, p = Vs
-    Us = np.empty_like(Vs)
+    Us = np.empty_like(Vs) if out is None else out
+    # E = p / (gamma - 1) + (eps^2 / 2) rho (u^2 + v^2); [c, ...] is a view
+    # also for one state (4,), and the density row is scratch until rho goes in
+    energy, scratch = Us[3, ...], Us[0, ...]
+    np.multiply(u, u, out=energy)
+    energy += np.multiply(v, v, out=scratch)
+    energy *= np.multiply(0.5 * cfg.epsilon**2, rho, out=scratch)
+    energy += np.divide(p, cfg.gamma - 1.0, out=scratch)
     Us[0] = rho
-    Us[1:3] = rho * Vs[1:3]
-    Us[3] = p / (cfg.gamma - 1.0) + 0.5 * cfg.epsilon**2 * rho * (u * u + v * v)
+    np.multiply(rho, Vs[1:3], out=Us[1:3])
     return Us
 
 

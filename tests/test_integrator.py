@@ -31,6 +31,22 @@ from allmach.state import ConservativeField, PrimitiveField, SolverConfig, prim_
 from builders import primitive_of, random_state, stage_operators, traces_along, uniform
 
 
+def traced_peak(call):
+    """Bytes by which tracemalloc's peak during ``call()`` exceeds the
+    memory traced before it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 class TestTimeStep:
     def test_hand_value(self):
         # dx=dy=0.1, max(|u|+c)=2, max(|v|+c)=4, K=0.475: c is zeroed by
@@ -217,27 +233,17 @@ class TestStep:
     def test_step_holds_few_full_grid_arrays(self):
         # tracemalloc peak of one step after a warm-up step, in state arrays:
         # the two new solution copies, the step's one operator pair, and the
-        # transients of each stage; at 128^2 measured 4.36 at order 1 and 5.32
+        # transients of each stage; at 128^2 measured 4.36 at order 1 and 5.11
         # at order 2, where the corrector's strip workspace sets the peak.  At
         # unit Mach the blend writes the transform of U into the stage's
         # primitive buffer, so 200^2 at eps 1 holds the order-2 peak of
-        # eps 0.9, measured 4.51
-        for eps, n, order, bound in ((0.9, 128, 1, 4.61), (0.9, 128, 2, 5.57), (1.0, 200, 2, 4.76)):
+        # eps 0.9, measured 4.45
+        for eps, n, order, bound in ((0.9, 128, 1, 4.61), (0.9, 128, 2, 5.36), (1.0, 200, 2, 4.70)):
             unit = 4 * (n + 4) ** 2 * 8
             grid, cfg, state = CASES["explosion"].start(eps, n, n, order=order)
             state, _ = si_dec_step(state, grid, cfg)
             assert state.V.array.nbytes == unit
-            tracing = tracemalloc.is_tracing()
-            if not tracing:
-                tracemalloc.start()
-            try:
-                tracemalloc.reset_peak()
-                before = tracemalloc.get_traced_memory()[0]
-                si_dec_step(state, grid, cfg)
-                peak = tracemalloc.get_traced_memory()[1] - before
-            finally:
-                if not tracing:
-                    tracemalloc.stop()
+            peak = traced_peak(lambda: si_dec_step(state, grid, cfg))
             assert peak <= bound * unit, (eps, n, order, peak / unit)
 
     def test_blowup_raises(self):
@@ -559,3 +565,48 @@ def test_strips_do_not_change_the_stage(nx, extra, transpose, bcs, theta, eps, o
             build_stage(V, grid, cfg, Rs, Ds)
         assert np.array_equal(Rs, R), width
         assert np.array_equal(Ds, D), width
+
+
+def test_strips_work_in_one_aligned_workspace(monkeypatch):
+    # build_stage's own tracemalloc peak after a warm-up call, in state
+    # arrays: its workspace for strips of 32 of the 200 cells (1.28) and
+    # numpy's transients, measured 1.39 (1.59 when every strip array was
+    # allocated anew)
+    grid, cfg, state = CASES["explosion"].start(0.9, 200, 200)
+    R, D, _ = stage_operators(state.V, grid, cfg)
+    peak = traced_peak(lambda: build_stage(state.V, grid, cfg, R, D))
+    assert peak <= 1.50 * state.V.array.nbytes, peak / state.V.array.nbytes
+
+    # each kernel call's workspace buffers and the arrays it returns
+    calls = {name: [] for name in ("limited_traces", "nonstiff_rate", "flux_divergence")}
+    for name, record in calls.items():
+        def recording(*args, kernel=getattr(integrator, name), record=record):
+            record.append((args[-1], kernel(*args)))
+            return record[-1][1]
+
+        monkeypatch.setattr(integrator, name, recording)
+    stage_operators(state.V, grid, cfg)
+
+    def buffers(strips):  # the workspace buffers of the calls in slice ``strips``, by id
+        found = {}
+        for work, _ in calls["limited_traces"][strips]:
+            found.update((id(b), b) for b in work)
+        for name in ("nonstiff_rate", "flux_divergence"):
+            for (quads, ones), _ in calls[name][strips]:
+                found.update((id(b), b) for b in quads + ones)
+        return found
+
+    shared = buffers(slice(0, 1))
+    assert buffers(slice(None)).keys() == shared.keys(), "a strip made a buffer of its own"
+    assert all(b.ctypes.data % 64 == 0 for b in shared.values())
+
+    def starts(strip):  # the strip's traces, rate and difference quotient
+        minus, plus = calls["limited_traces"][strip][1]
+        arrays = (minus, plus, calls["nonstiff_rate"][strip][1], calls["flux_divergence"][strip][1])
+        assert all(a.flags.c_contiguous for a in arrays)
+        return [a.ctypes.data for a in arrays]
+
+    # along x, six strips of 32 cells and a last one of 8
+    assert calls["limited_traces"][6][1][0].shape == (4, 201, 8)
+    assert starts(6) == starts(0)
+    assert set(starts(0)) <= {b.ctypes.data for b in shared.values()}

@@ -227,7 +227,7 @@ class TestPositivity:
         for comp, name in ((0, "density"), (3, "pressure")):
             slopes = slopes_along(V, grid, AXIS_X, theta=1.3)
             slopes[comp, 2, 1] = 100.0  # cell (1, 1): its left trace goes negative
-            monkeypatch.setattr(rec, "compute_slopes", lambda Vs, h, theta, s=slopes: s)
+            monkeypatch.setattr(rec, "compute_slopes", lambda Vs, h, theta, work, s=slopes: s)
             with pytest.raises(NonPhysicalState, match=rf"{name} .* along x at cell \(1, 1\)"):
                 stage_operators(V, grid, SolverConfig(epsilon=1.0))
 

@@ -52,14 +52,14 @@ MUTANTS = [
      "lam = (2.0 - 2.0 * np.cos(angle)) / h",
      "periodic eigenvalues scaled by 1/h"),
     ("nonstiff.py", "shift = eps**4", "shift = eps**2", "split-scalar shift eps^2"),
-    ("nonstiff.py", "F[U + axis] = 0.5 * un * un", "F[U + axis] = un * un",
+    ("nonstiff.py", "half_square = np.multiply(0.5, un,", "half_square = np.multiply(1.0, un,",
      "normal velocity flux u^2 instead of u^2/2"),
-    ("nonstiff.py", "out[P] = -g * w[normal] - un * w[P]", "out[P] = -g * w[normal] + un * w[P]",
+    ("nonstiff.py", "out_p -= np.multiply(un, w[P], out=q)", "out_p += np.multiply(un, w[P], out=q)",
      "pressure advected backwards"),
-    ("nonstiff.py", "rate += (s_minus[1:] / den[1:]) * psi[:, 1:]",
-     "rate += (s_plus[1:] / den[1:]) * psi[:, 1:]",
+    ("nonstiff.py", "rate += np.multiply(np.divide(s_minus[1:], den[1:],",
+     "rate += np.multiply(np.divide(s_plus[1:], den[1:],",
      "right fluctuation weighted by the wrong speed"),
-    ("nonstiff.py", "psi = _bmat_apply(0.5 * (minus + plus),", "psi = _bmat_apply(minus,",
+    ("nonstiff.py", "psi = _bmat_apply(mid,", "psi = _bmat_apply(minus,",
      "fluctuation matrix at the left trace instead of the path midpoint"),
     ("integrator.py", "math.exp(1.0 - 1.0 / (1.0 - s))", "math.exp(0.9 - 0.9 / (1.0 - s))",
      "band exponent of the blend weight"),
@@ -74,16 +74,17 @@ MUTANTS = [
      "in-place blend scales the primitive copy by the conservative weight"),
     ("integrator.py", "V_raw.array[c] = values", "V_raw.array[c] += values",
      "unit-Mach blend adds the transform to the primitive copy instead of overwriting it"),
-    ("conservative.py", "F[U + axis] = mn * un + p / cfg.epsilon**2",
-     "F[U + axis] = mn * un + p / cfg.epsilon",
+    ("conservative.py", "np.divide(p, cfg.epsilon**2, out=f_tangential)",
+     "np.divide(p, cfg.epsilon, out=f_tangential)",
      "momentum flux pressure scaled by 1/eps"),
-    ("conservative.py", "F[P] = un * (energy + p)", "F[P] = un * energy",
+    ("conservative.py", "np.add(energy, p, out=f_energy)", "np.add(energy, 0.0, out=f_energy)",
      "energy flux without the pressure work"),
     ("conservative.py",
-     "minus, plus, sound_speed(minus[RHO], minus[P], cfg), sound_speed(plus[RHO], plus[P], cfg), axis",
-     "minus, minus, sound_speed(minus[RHO], minus[P], cfg), sound_speed(minus[RHO], minus[P], cfg), axis",
+     "minus, plus, sound_speed(minus[RHO], minus[P], cfg, o0), sound_speed(plus[RHO], plus[P], cfg, o1),",
+     "minus, minus, sound_speed(minus[RHO], minus[P], cfg, o0), sound_speed(minus[RHO], minus[P], cfg, o1),",
      "conservative speeds from the left trace on both sides"),
-    ("reconstruction.py", "minus = Vs[:, 1:-2] + s[:, :-1]", "minus = Vs[:, 1:-2] - s[:, :-1]",
+    ("reconstruction.py", "minus = np.add(block[:, 1:-2], s[:, :-1],",
+     "minus = np.subtract(block[:, 1:-2], s[:, :-1],",
      "left trace extrapolated the wrong way"),
     ("reconstruction.py", "one_sided *= theta", "one_sided *= 1.0", "limiter ignores theta"),
     ("grid.py", "b[..., -g:, :] = b[..., g:2 * g, :]", "b[..., -g:, :] = b[..., g + 1:2 * g + 1, :]",
@@ -130,7 +131,8 @@ MUTANTS = [
 ]
 
 EQUIVALENT = [
-    ("conservative.py", "F[V - axis] = Us[U] * Vs[V]", "F[V - axis] = Us[V] * Vs[U]",
+    ("conservative.py", "np.multiply(Us[U], Vs[V], out=f_tangential)",
+     "np.multiply(Us[V], Vs[U], out=f_tangential)",
      "tangential momentum flux with its operands swapped: rho*u*v either way"),
 ]
 
