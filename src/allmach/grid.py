@@ -69,9 +69,6 @@ class GridSpec:
     def spacing(self, axis: int) -> float:
         return (self.dx, self.dy)[axis]
 
-    def zeros(self) -> np.ndarray:
-        return np.zeros(self.shape)
-
     def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
         """Interior cell-center coordinates as (nx, ny) meshes."""
         x = self.x_lo + (np.arange(self.nx) + 0.5) * self.dx
@@ -109,6 +106,6 @@ def fill_ghost_array(a: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 def padded(interior: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Padded copy of an interior scalar field, ghosts filled by the grid's rule."""
-    a = grid.zeros()
+    a = np.zeros(grid.shape)
     a[grid.interior] = interior
     return fill_ghost_array(a, grid)

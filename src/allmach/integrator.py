@@ -26,7 +26,6 @@ caller that needs the solution at several times runs to each in turn on one
 
 from __future__ import annotations
 
-import ctypes
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -156,9 +155,7 @@ def _aligned(size: int) -> np.ndarray:
     and 12.6-15.3 us into one that starts 8, 16 or 32 bytes past a boundary.
     """
     raw = np.empty(size + 7)
-    # the address through ctypes.c_char, since reading raw.ctypes.data leaves
-    # objects behind in the interpreter that add to the step's traced peak
-    start = -ctypes.addressof(ctypes.c_char.from_buffer(raw)) % 64 // 8
+    start = -raw.__array_interface__["data"][0] % 64 // 8
     return raw[start:start + size]
 
 

@@ -170,23 +170,21 @@ def _bmat_apply(
     rho, un, p = Vs[RHO], Vs[normal], Vs[P]
     if out is None:
         out, work = np.empty_like(w), (np.empty_like(rho), np.empty_like(rho))
-    q, g = work
-    # q = (rho_max - rho) / (eps^2 rho rho_max), g = gamma (p - p_min)
-    np.subtract(scalars.rho_max, rho, out=q)
-    np.multiply(cfg.epsilon**2, rho, out=g)
-    g *= scalars.rho_max
-    q /= g
-    np.subtract(p, scalars.p_min, out=g)
-    g *= cfg.gamma
+    neg_q, neg_g = work
+    # -q = (rho - rho_max) / (eps^2 rho rho_max), -g = gamma (p_min - p)
+    np.subtract(rho, scalars.rho_max, out=neg_q)
+    np.multiply(cfg.epsilon**2, rho, out=neg_g)
+    neg_g *= scalars.rho_max
+    neg_q /= neg_g
+    np.subtract(scalars.p_min, p, out=neg_g)
+    neg_g *= cfg.gamma
     out[RHO] = 0.0
     out_n, out_t, out_p = out[normal, ...], out[tangential, ...], out[P, ...]
-    np.negative(q, out=out_n)
-    out_n *= w[P]  # -q w_p
+    np.multiply(neg_q, w[P], out=out_n)  # -q w_p
     np.negative(un, out=out_t)
     out_t *= w[tangential]  # -u_n w_t
-    np.negative(g, out=out_p)
-    out_p *= w[normal]
-    out_p -= np.multiply(un, w[P], out=q)  # -g w_n - u_n w_p
+    np.multiply(neg_g, w[normal], out=out_p)
+    out_p -= np.multiply(un, w[P], out=neg_q)  # -g w_n - u_n w_p
     return out
 
 

@@ -87,9 +87,6 @@ class _Field:
             c = int(np.argmin(finite.all(axis=(1, 2))))
             raise _at_cell(f"{self.label}: non-finite {self.names[c]}", values[c], np.argmin(finite[c]))
 
-    def copy(self):
-        return type(self)(self.array.copy())
-
     @classmethod
     def zeros(cls, grid: GridSpec):
         return cls(np.zeros((4,) + grid.shape))

@@ -20,6 +20,7 @@ from allmach.benchmarks import (
 from allmach.errors import NonPhysicalState
 from allmach.grid import OUTFLOW, PERIODIC, GridSpec
 from allmach.integrator import run
+from allmach.state import PrimitiveField
 
 from builders import uniform
 
@@ -206,7 +207,7 @@ class TestErrorMachinery:
     def test_constant_offset_on_unit_domain(self):
         grid = GridSpec(8, 8, 0.0, 1.0, 0.0, 1.0)
         V = uniform(grid)
-        W = V.copy()
+        W = PrimitiveField(V.array.copy())
         W.rho += 0.25
         assert l1_error(V, W, grid)[0] == pytest.approx(0.25, rel=1e-13)
 
@@ -215,7 +216,7 @@ class TestErrorMachinery:
         for grid, area in ((GridSpec(8, 8, -10.0, 10.0, -10.0, 10.0), 400.0),
                            (GridSpec(8, 5, 0.0, 2.0, 0.0, 3.0), 6.0)):
             V = uniform(grid)
-            W = V.copy()
+            W = PrimitiveField(V.array.copy())
             W.rho += 0.25
             assert l1_error(V, W, grid)[0] == pytest.approx(area * 0.25, rel=1e-13)
 

@@ -15,7 +15,7 @@ from allmach.errors import NoConvergence
 from allmach.grid import OUTFLOW, PERIODIC, GridSpec, fill_ghost_array
 from allmach.grid import padded as padded_copy
 from allmach.nonstiff import SplitScalars
-from allmach.state import SolverConfig
+from allmach.state import PrimitiveField, SolverConfig
 from allmach.stiff import discrete_divergence
 
 from builders import padded, random_state, uniform
@@ -120,7 +120,7 @@ def test_prediction_system_matches_bracket_form(nx, ny, bcs, n_brackets, eps, dt
     Vn = random_state(grid, rng)
     brackets = [rng.standard_normal((4, nx, ny)) for _ in range(n_brackets)]
     scalars = SplitScalars(rho_max, p_min)
-    Vstar = Vn.copy()
+    Vstar = PrimitiveField(Vn.array.copy())
     Vstar.array[grid.interior] -= dt * sum(brackets)
     fill_ghost_array(Vstar.array, grid)
     sys = pressure_system(Vstar, scalars, dt, cfg, grid)

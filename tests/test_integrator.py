@@ -1,3 +1,4 @@
+import ctypes
 import hashlib
 import tracemalloc
 
@@ -129,11 +130,11 @@ class TestPostProcess:
         grid = GridSpec(6, 6, 0.0, 1.0, 0.0, 1.0)
         cfg = SolverConfig(epsilon=1.0, gamma=1.4)
         V_raw, U = self.make_pair(grid, cfg)
-        U_before = U.copy()
+        U_before = U.array.copy()
         V_raw.array[:] = np.nan  # at weight 0 the primitive copy's values are not read
         out = post_process(V_raw, U, grid, cfg)
         assert out is V_raw  # the transform is written into V_raw's own buffer
-        assert U.array.tobytes() == U_before.array.tobytes()
+        assert U.array.tobytes() == U_before.tobytes()
         assert out.array.tobytes() == primitive_of(U, cfg).array.tobytes()
 
     def test_vanishing_mach_keeps_primitive_branch_exactly(self):
@@ -150,22 +151,22 @@ class TestPostProcess:
         cfg = SolverConfig(epsilon=0.3, gamma=1.4)  # genuinely blended regime
         V = random_state(grid, np.random.default_rng(4))
         U = ConservativeField(fill_ghost_array(prim_to_cons(V.array, cfg), grid))
-        before = V.copy()  # the blend consumes V
+        before = V.array.copy()  # the blend consumes V
         out = post_process(V, U, grid, cfg)
-        for a, b in zip(out.array, before.array):
+        for a, b in zip(out.array, before):
             assert np.allclose(a, b, rtol=1e-13)
 
     def test_conservative_copy_untouched(self):
         grid = GridSpec(6, 6, 0.0, 1.0, 0.0, 1.0)
         cfg = SolverConfig(epsilon=0.3, gamma=1.4)
         V_raw, U = self.make_pair(grid, cfg)
-        U_before, V_before = U.copy(), V_raw.copy()
+        U_before, V_before = ConservativeField(U.array.copy()), V_raw.array.copy()
         out = post_process(V_raw, U, grid, cfg)
         assert U.array.tobytes() == U_before.array.tobytes()
         assert out is V_raw  # blended in V_raw's own buffer
         # the in-place blend keeps the two-product form's rounding
         s = switching_weight(cfg.epsilon)
-        want = (1.0 - s) * primitive_of(U_before, cfg).array + s * V_before.array
+        want = (1.0 - s) * primitive_of(U_before, cfg).array + s * V_before
         assert out.array.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("eps", [0.3, 1.0])
@@ -610,3 +611,42 @@ def test_strips_work_in_one_aligned_workspace(monkeypatch):
     assert calls["limited_traces"][6][1][0].shape == (4, 201, 8)
     assert starts(6) == starts(0)
     assert set(starts(0)) <= {b.ctypes.data for b in shared.values()}
+
+
+@pytest.mark.parametrize("fill", [np.nan, 1e300])
+@pytest.mark.parametrize("case, eps, nx, ny", [
+    ("explosion", 0.9, 72, 40),  # the last strips are 8 cells wide
+    ("gresho", 1e-3, 40, 72),
+    ("double_shear", 0.3, 33, 65),  # the last strips are one cell wide
+    ("vortex", 1.0, 64, 64),
+])
+def test_poisoned_workspace_changes_nothing(monkeypatch, case, eps, nx, ny, fill):
+    # np.empty hands the workspace whatever memory it gets, so a kernel that
+    # reads a buffer before writing it shows only on poisoned buffers: NaN
+    # spreads into the result, and 1e300 overflows into a RuntimeWarning
+    def digest():
+        grid, cfg, state = CASES[case].start(eps, nx, ny)
+        R, D, _ = stage_operators(state.V, grid, cfg)
+        new, report = si_dec_step(state, grid, cfg)
+        h = hashlib.sha256()
+        for a in (R, D, new.V.array, new.U.array, np.array([report.dt, *report.solve_residuals])):
+            h.update(a.tobytes())
+        return h.hexdigest()
+
+    clean = digest()
+    aligned = integrator._aligned
+
+    def poisoned(size):
+        buffer = aligned(size)
+        buffer.fill(fill)
+        return buffer
+
+    monkeypatch.setattr(integrator, "_aligned", poisoned)
+    assert digest() == clean
+
+
+def test_aligned_buffers_start_on_a_cache_line():
+    for size in range(1, 201):
+        buffer = integrator._aligned(size)
+        assert buffer.shape == (size,) and buffer.dtype == np.float64
+        assert ctypes.addressof(ctypes.c_char.from_buffer(buffer)) % 64 == 0, size

@@ -54,8 +54,12 @@ MUTANTS = [
     ("nonstiff.py", "shift = eps**4", "shift = eps**2", "split-scalar shift eps^2"),
     ("nonstiff.py", "half_square = np.multiply(0.5, un,", "half_square = np.multiply(1.0, un,",
      "normal velocity flux u^2 instead of u^2/2"),
-    ("nonstiff.py", "out_p -= np.multiply(un, w[P], out=q)", "out_p += np.multiply(un, w[P], out=q)",
+    ("nonstiff.py", "out_p -= np.multiply(un, w[P], out=neg_q)", "out_p += np.multiply(un, w[P], out=neg_q)",
      "pressure advected backwards"),
+    ("nonstiff.py", "np.subtract(rho, scalars.rho_max, out=neg_q)", "np.subtract(scalars.rho_max, rho, out=neg_q)",
+     "pressure-gradient coefficient of the normal velocity with its sign flipped"),
+    ("nonstiff.py", "np.subtract(scalars.p_min, p, out=neg_g)", "np.subtract(p, scalars.p_min, out=neg_g)",
+     "dilatation coefficient of the pressure with its sign flipped"),
     ("nonstiff.py", "rate += np.multiply(np.divide(s_minus[1:], den[1:],",
      "rate += np.multiply(np.divide(s_plus[1:], den[1:],",
      "right fluctuation weighted by the wrong speed"),
