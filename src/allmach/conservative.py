@@ -20,10 +20,10 @@ from .state import SolverConfig, prim_to_cons
 def sound_speed(rho, p, cfg: SolverConfig, out=None):
     """Full sound speed sqrt(gamma p / rho) / eps, written into ``out``, an
     array of p's shape allocated when not given."""
-    c = np.multiply(cfg.gamma, p, out=np.empty_like(p) if out is None else out)
-    c /= rho
+    c = np.divide(p, rho, out=np.empty_like(p) if out is None else out)
+    c *= cfg.gamma
     np.sqrt(c, out=c)
-    c /= cfg.epsilon
+    c *= 1.0 / cfg.epsilon  # outside the root, which 1/eps^2 would overflow
     return c
 
 
@@ -39,7 +39,7 @@ def flux_from_primitive(Vs: np.ndarray, Us: np.ndarray, cfg: SolverConfig, axis:
     # p / eps^2 until its own value goes in
     f_normal, f_tangential, f_energy = F[U + axis, ...], F[V - axis, ...], F[P, ...]
     np.multiply(mn, un, out=f_normal)
-    f_normal += np.divide(p, cfg.epsilon**2, out=f_tangential)
+    f_normal += np.multiply(p, 1.0 / cfg.epsilon**2, out=f_tangential)
     np.multiply(Us[U], Vs[V], out=f_tangential)
     np.add(energy, p, out=f_energy)
     f_energy *= un
@@ -78,5 +78,5 @@ def flux_divergence(traces: Traces, cfg: SolverConfig, axis: int, h: float, work
     f_plus = flux_from_primitive(plus, u_plus, cfg, axis, q3)
     f = cu_flux(u_minus, u_plus, f_minus, f_plus, s_minus, s_plus, (minus, plus, q4, o0, o1))
     div = np.subtract(f[:, 1:], f[:, :-1], out=np.ndarray((four, faces - 1, m), buffer=quads[0]))
-    div /= h
+    div *= 1.0 / h
     return div

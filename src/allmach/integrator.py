@@ -58,7 +58,7 @@ EPS0, EPS1, ALPHA = 0.15, 0.4, 14.0
 # n = 200, so the strip's working set stays in a 2 MB per-core L2 where
 # whole-grid passes stream every array from L3.  On a 2-core Xeon (numpy
 # 2.4), median ms per step of 30 interleaved in one process: widths 16, 32
-# and 64 took 49.9, 46.1 and 50.5 at explosion 200^2 and 22.6, 17.1 and 17.7
+# and 64 took 41.5, 36.3 and 42.5 at explosion 200^2 and 19.9, 15.1 and 17.0
 # at gresho eps 1e-3 128^2.
 STRIP = 32
 

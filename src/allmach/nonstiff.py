@@ -63,16 +63,17 @@ def modified_sound_speed(rho, p, scalars: SplitScalars, eps: float, gamma: float
     """
     if out is None:
         out, work = np.empty_like(rho), np.empty_like(rho)
-    # gamma (rho_max - rho) (p - p_min) / (rho rho_max)
+    # (rho_max - rho) (p - p_min) / rho * gamma / rho_max; the 1/eps stays
+    # outside the root, so nothing overflows where c itself is finite
     radicand = np.subtract(scalars.rho_max, rho, out=out)
-    radicand *= gamma
     radicand *= np.subtract(p, scalars.p_min, out=work)
-    radicand /= np.multiply(rho, scalars.rho_max, out=work)
+    radicand /= rho
+    radicand *= gamma / scalars.rho_max
     # the least value that is not NaN: negative exactly when some value is
     if np.fmin.reduce(radicand, axis=None) < 0.0:
         raise NonPhysicalState("negative radicand in modified sound speed (stale split scalars?)")
     c = np.sqrt(radicand, out=radicand)
-    c /= eps
+    c *= 1.0 / eps
     return c
 
 
@@ -112,17 +113,19 @@ def antidiffusion(v_minus, v_plus, f_minus, f_plus, s_minus, s_plus, work=None):
     minmod keeps the correction between zero and the interface jump.
     ``work`` is four arrays, allocated when not given: three of the
     arguments' broadcast shape, the first of which takes the correction, and
-    one of the speeds' shape.  The arguments are left unchanged.
+    one of the speeds' shape, which is left holding 1/(s+ - s-) for the
+    caller to reuse.  The arguments are left unchanged.
     """
     if work is None:
         shape = np.broadcast(v_minus, v_plus, f_minus, f_plus, s_minus, s_plus).shape
         work = [np.empty(shape) for _ in range(4)]
-    v_int, scratch, lo, den = work
+    v_int, scratch, lo, inv = work
     np.multiply(s_plus, v_plus, out=v_int)
     v_int -= np.multiply(s_minus, v_minus, out=scratch)
     v_int -= f_plus
     v_int += f_minus
-    v_int /= np.subtract(s_plus, s_minus, out=den)
+    np.subtract(s_plus, s_minus, out=inv)
+    v_int *= np.divide(1.0, inv, out=inv)
     np.subtract(v_int, v_minus, out=scratch)
     np.subtract(v_plus, v_int, out=v_int)
     return minmod(scratch, v_int, out=v_int, work=lo)
@@ -135,21 +138,22 @@ def cu_flux(v_minus, v_plus, f_minus, f_plus, s_minus, s_plus, work=None):
     Consistency: for equal one-sided states the flux reduces to the exact
     flux of that state.  ``work`` is five arrays, allocated when not given:
     three of the arguments' broadcast shape, the second of which takes the
-    flux, and two of the speeds' shape.  The arguments are left unchanged;
+    flux, and two of the speeds' shape, the first of which is left holding
+    ``antidiffusion``'s 1/(s+ - s-).  The arguments are left unchanged;
     plain float on scalars.
     """
     if work is None:
         shape = np.broadcast(v_minus, v_plus, f_minus, f_plus, s_minus, s_plus).shape
         work = [np.empty(shape) for _ in range(5)]
     dv = antidiffusion(v_minus, v_plus, f_minus, f_plus, s_minus, s_plus, work[:4])
-    _, flux, scratch, den, weight = work
+    _, flux, scratch, inv, weight = work
     np.multiply(s_plus, f_minus, out=flux)
     flux -= np.multiply(s_minus, f_plus, out=scratch)
-    flux /= np.subtract(s_plus, s_minus, out=den)
+    flux *= inv
     np.subtract(v_plus, v_minus, out=scratch)
     scratch -= dv
     np.multiply(s_plus, s_minus, out=weight)
-    weight /= den
+    weight *= inv
     scratch *= weight
     flux += scratch
     return float(flux) if flux.ndim == 0 else flux
@@ -171,11 +175,10 @@ def _bmat_apply(
     if out is None:
         out, work = np.empty_like(w), (np.empty_like(rho), np.empty_like(rho))
     neg_q, neg_g = work
-    # -q = (rho - rho_max) / (eps^2 rho rho_max), -g = gamma (p_min - p)
+    # -q = (rho - rho_max) / rho / (eps^2 rho_max), -g = gamma (p_min - p)
     np.subtract(rho, scalars.rho_max, out=neg_q)
-    np.multiply(cfg.epsilon**2, rho, out=neg_g)
-    neg_g *= scalars.rho_max
-    neg_q /= neg_g
+    neg_q /= rho
+    neg_q *= 1.0 / (cfg.epsilon**2 * scalars.rho_max)
     np.subtract(scalars.p_min, p, out=neg_g)
     neg_g *= cfg.gamma
     out[RHO] = 0.0
@@ -209,8 +212,9 @@ def nonstiff_rate(
 
     ``work`` is a pair of lists of flat float64 buffers, allocated when not
     given: five of at least 4 (n+1) m doubles and five of at least (n+1) m.
-    The rate is a C-contiguous prefix view of the third of the first list;
-    the traces are left unchanged.
+    The rate is a C-contiguous prefix view of the third buffer of the first
+    list, and the central-upwind flux's 1/(s+ - s-), shape (n+1, m), one of
+    the first buffer of the second list; the traces are left unchanged.
     """
     minus, plus = traces
     four, faces, m = minus.shape
@@ -230,20 +234,20 @@ def nonstiff_rate(
         minus, plus, nonstiff_flux(minus, axis, q0), nonstiff_flux(plus, axis, q1), s_minus, s_plus,
         (q2, q3, q4, o0, o1),
     )
+    inv = o0  # 1/(s+ - s-), left by cu_flux
     # path-conservative products: the matrix at the cell average applied to
     # the in-cell jump, and at the midpoint of the linear path between the
     # interface traces applied to the interface jump
     cells = (four, faces - 1, m)
     c0, c1, c2 = (np.ndarray(cells, buffer=b) for b in quads[:3])
-    k0, k1 = (np.ndarray(cells[1:], buffer=b) for b in ones[:2])
-    cell = _bmat_apply(Vbar, np.subtract(minus[:, 1:], plus[:, :-1], out=c0), scalars, cfg, axis, c1, (k0, k1))
+    k1, k4 = (np.ndarray(cells[1:], buffer=ones[i]) for i in (1, 4))
+    cell = _bmat_apply(Vbar, np.subtract(minus[:, 1:], plus[:, :-1], out=c0), scalars, cfg, axis, c1, (k1, k4))
     rate = np.subtract(f[:, 1:], f[:, :-1], out=c2)
     rate -= cell
     mid = np.add(minus, plus, out=q0)
     mid *= 0.5
-    psi = _bmat_apply(mid, np.subtract(plus, minus, out=q1), scalars, cfg, axis, q3, (o0, o1))
-    den = np.subtract(s_plus, s_minus, out=o4)
-    rate -= np.multiply(np.divide(s_plus[:-1], den[:-1], out=k0), psi[:, :-1], out=c0)
-    rate += np.multiply(np.divide(s_minus[1:], den[1:], out=k0), psi[:, 1:], out=c0)
-    rate /= h
+    psi = _bmat_apply(mid, np.subtract(plus, minus, out=q1), scalars, cfg, axis, q3, (o1, o4))
+    rate -= np.multiply(np.multiply(s_plus[:-1], inv[:-1], out=k1), psi[:, :-1], out=c0)
+    rate += np.multiply(np.multiply(s_minus[1:], inv[1:], out=k1), psi[:, 1:], out=c0)
+    rate *= 1.0 / h
     return rate

@@ -63,10 +63,9 @@ def compute_slopes(Vs: np.ndarray, h: float, theta: float, work=None) -> np.ndar
         work = [np.empty(Vs[:, 1:].size) for _ in range(3)]
     four, rows, m = Vs.shape
     one_sided = np.subtract(Vs[:, 1:], Vs[:, :-1], out=np.ndarray((four, rows - 1, m), buffer=work[0]))
-    one_sided *= theta
-    one_sided /= h
+    one_sided *= theta / h
     central = np.subtract(Vs[:, 2:], Vs[:, :-2], out=np.ndarray((four, rows - 2, m), buffer=work[2]))
-    central /= 2.0 * h
+    central *= 0.5 / h
     lo = np.ndarray(central.shape, buffer=work[1])
     return minmod(one_sided[:, :-1], central, one_sided[:, 1:], out=central, work=lo)
 

@@ -162,7 +162,7 @@ def prim_to_cons(Vs: np.ndarray, cfg: SolverConfig, out=None) -> np.ndarray:
     np.multiply(u, u, out=energy)
     energy += np.multiply(v, v, out=scratch)
     energy *= np.multiply(0.5 * cfg.epsilon**2, rho, out=scratch)
-    energy += np.divide(p, cfg.gamma - 1.0, out=scratch)
+    energy += np.multiply(p, 1.0 / (cfg.gamma - 1.0), out=scratch)
     Us[0] = rho
     np.multiply(rho, Vs[1:3], out=Us[1:3])
     return Us

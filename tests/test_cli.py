@@ -158,7 +158,7 @@ def test_snapshot_series_golden(tmp_path, capsys):
         digest.update(p.name.encode())
         digest.update(p.read_bytes())
     assert digest.hexdigest() == (
-        "59765731d2b4e8e6d84929cd249c0131cafdd56051dc4cc2bac8d4164facc357"
+        "25a8b2c84fb79cbea71a95e737b8e98cb59b02b32faa5b7ad0e9e07a16c0bd42"
     )
 
 

@@ -478,8 +478,8 @@ class TestReferenceStep:
 
 
 # build_stage digests of the two inputs of TestStageGolden.
-EXPLOSION_STAGE_DIGEST = "761dec61b2a9e45e6c07ac5ca061438c02b9229f3cdc2289eff162793b776580"
-RANDOM_STAGE_DIGEST = "181b8d2cb1d46533408ebebb053ec27c870ff4149ee9c1e67602a07dace85437"
+EXPLOSION_STAGE_DIGEST = "6f0c0b9e3a6fdcc362a759374687deb877436a9fa0ec4e8af218094a26b50be2"
+RANDOM_STAGE_DIGEST = "d29a6985d3b446648c2748dd8c8d85c41e983bca5ab7f33131b236d7de04534e"
 
 
 def stage_digest(Vf, grid, cfg):

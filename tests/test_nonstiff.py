@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from allmach.conservative import flux_from_primitive, sound_speed
 from allmach.errors import NonPhysicalState
 from allmach.grid import AXIS_X, AXIS_Y, GridSpec, along
 from allmach.nonstiff import (
@@ -20,9 +21,9 @@ from allmach.nonstiff import (
     one_sided_speeds,
     split_scalars,
 )
-from allmach.state import SolverConfig
+from allmach.state import SolverConfig, prim_to_cons
 
-from builders import stage_operators, traces_along, uniform
+from builders import random_state, stage_operators, traces_along, uniform
 
 
 def smooth_field(grid):
@@ -221,6 +222,61 @@ def test_in_place_kernels_leave_their_arguments_unchanged(shape, data):
     for kernel in (cu_flux, antidiffusion):
         kernel(*args)
         assert [a.tobytes() for a in args] == before, kernel.__name__
+
+
+def test_speed_differences_are_inverted_once_and_shared():
+    # antidiffusion leaves 1/(s+ - s-) in its last work array, cu_flux in
+    # its fourth, and nonstiff_rate in its first one-component buffer
+    rng = np.random.default_rng(30)
+    v_minus, v_plus, f_minus, f_plus = rng.standard_normal((4, 4, 9, 5))
+    s_minus, s_plus = -0.1 - rng.random((9, 5)), 0.1 + rng.random((9, 5))
+    expected = np.divide(1.0, s_plus - s_minus)
+    for kernel, count in ((antidiffusion, 4), (cu_flux, 5)):
+        work = [np.empty((4, 9, 5)) for _ in range(3)] + [np.empty((9, 5)) for _ in range(count - 3)]
+        kernel(v_minus, v_plus, f_minus, f_plus, s_minus, s_plus, work)
+        assert work[3].tobytes() == expected.tobytes(), kernel.__name__
+
+    grid = GridSpec(12, 7, 0.0, 1.0, 0.0, 0.8)
+    V = random_state(grid, rng)
+    cfg = SolverConfig(epsilon=0.3)
+    s = split_scalars(V, grid, cfg.epsilon)
+    for axis in (AXIS_X, AXIS_Y):
+        minus, plus = traces_along(V, grid, axis, cfg.theta)
+        speeds = [modified_sound_speed(t[0], t[3], s, cfg.epsilon, cfg.gamma) for t in (minus, plus)]
+        s_minus, s_plus = one_sided_speeds(minus, plus, *speeds, axis)
+        work = [np.empty(minus.size) for _ in range(5)], [np.empty(minus[0].size) for _ in range(5)]
+        Vbar = along(V.array[grid.interior], axis)
+        nonstiff_rate(Vbar, (minus, plus), s, cfg, axis, grid.spacing(axis), work)
+        assert work[1][0].tobytes() == np.divide(1.0, s_plus - s_minus).tobytes(), axis
+
+
+def test_folded_constants_stay_finite_at_the_smallest_eps():
+    # At eps 1e-154, 1/eps^2 is 1e308: a kernel that took 1/eps^2 inside a
+    # square root or into a product with an O(1) factor before dividing
+    # would overflow where the direct formulas below stay finite.
+    from allmach.nonstiff import _bmat_apply
+
+    eps, gamma = 1e-154, 1.4
+    cfg = SolverConfig(epsilon=eps, gamma=gamma)
+    rng = np.random.default_rng(154)
+    rho, u, v, p = 0.5 + 1.5 * rng.random((4, 400))
+    rho[:2], p[:2] = (0.5, 2.0), (2.0, 0.5)
+    s = SplitScalars(rho_max=float(rho.max()), p_min=float(p.min()))
+    Vs, w = np.stack((rho, u, v, p)), rng.uniform(-1.0, 1.0, (4, 400))
+    with np.errstate(over="ignore"):  # an overflow shows as inf below
+        cases = [
+            (modified_sound_speed(rho, p, s, eps, gamma),
+             np.sqrt((s.rho_max - rho) * gamma * (p - s.p_min) / (rho * s.rho_max)) / eps),
+            (sound_speed(rho, p, cfg), np.sqrt(gamma * p / rho) / eps),
+            (_bmat_apply(Vs, w, s, cfg, AXIS_X)[1], (rho - s.rho_max) / (eps**2 * rho * s.rho_max) * w[3]),
+            # p / eps^2 itself overflows for p above 1.8
+            (flux_from_primitive(Vs, prim_to_cons(Vs, cfg), cfg, AXIS_X)[1], rho * u * u + p / eps**2),
+        ]
+    for i, (got, direct) in enumerate(cases):
+        finite = np.isfinite(direct)
+        assert finite.all() if i < 3 else finite.any() and not finite.all(), i
+        assert np.isfinite(got[finite]).all(), i
+        assert np.allclose(got[finite], direct[finite], rtol=1e-13, atol=0.0), i
 
 
 class TestNonconservativeTerms:

@@ -60,9 +60,15 @@ MUTANTS = [
      "pressure-gradient coefficient of the normal velocity with its sign flipped"),
     ("nonstiff.py", "np.subtract(scalars.p_min, p, out=neg_g)", "np.subtract(p, scalars.p_min, out=neg_g)",
      "dilatation coefficient of the pressure with its sign flipped"),
-    ("nonstiff.py", "rate += np.multiply(np.divide(s_minus[1:], den[1:],",
-     "rate += np.multiply(np.divide(s_plus[1:], den[1:],",
+    ("nonstiff.py", "rate += np.multiply(np.multiply(s_minus[1:], inv[1:],",
+     "rate += np.multiply(np.multiply(s_plus[1:], inv[1:],",
      "right fluctuation weighted by the wrong speed"),
+    ("nonstiff.py", "rate -= np.multiply(np.multiply(s_plus[:-1], inv[:-1],",
+     "rate -= np.multiply(np.multiply(s_minus[:-1], inv[:-1],",
+     "left fluctuation weighted by the wrong speed"),
+    ("nonstiff.py", "c *= 1.0 / eps", "c *= 1.0 / eps**2", "modified sound speed scaled by 1/eps^2"),
+    ("nonstiff.py", "radicand *= gamma / scalars.rho_max", "radicand *= gamma * scalars.rho_max",
+     "modified sound speed multiplied by rho_max instead of divided"),
     ("nonstiff.py", "psi = _bmat_apply(mid,", "psi = _bmat_apply(minus,",
      "fluctuation matrix at the left trace instead of the path midpoint"),
     ("integrator.py", "math.exp(1.0 - 1.0 / (1.0 - s))", "math.exp(0.9 - 0.9 / (1.0 - s))",
@@ -78,8 +84,8 @@ MUTANTS = [
      "in-place blend scales the primitive copy by the conservative weight"),
     ("integrator.py", "V_raw.array[c] = values", "V_raw.array[c] += values",
      "unit-Mach blend adds the transform to the primitive copy instead of overwriting it"),
-    ("conservative.py", "np.divide(p, cfg.epsilon**2, out=f_tangential)",
-     "np.divide(p, cfg.epsilon, out=f_tangential)",
+    ("conservative.py", "np.multiply(p, 1.0 / cfg.epsilon**2, out=f_tangential)",
+     "np.multiply(p, 1.0 / cfg.epsilon, out=f_tangential)",
      "momentum flux pressure scaled by 1/eps"),
     ("conservative.py", "np.add(energy, p, out=f_energy)", "np.add(energy, 0.0, out=f_energy)",
      "energy flux without the pressure work"),
