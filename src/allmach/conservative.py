@@ -76,7 +76,7 @@ def flux_divergence(traces: Traces, cfg: SolverConfig, axis: int, h: float, work
     u_minus, u_plus = prim_to_cons(minus, cfg, q0), prim_to_cons(plus, cfg, q1)
     f_minus = flux_from_primitive(minus, u_minus, cfg, axis, q2)
     f_plus = flux_from_primitive(plus, u_plus, cfg, axis, q3)
-    f = cu_flux(u_minus, u_plus, f_minus, f_plus, s_minus, s_plus, (minus, plus, q4, o0, o1))
+    f = cu_flux(u_minus, u_plus, f_minus, f_plus, s_minus, s_plus, (q4, minus, plus, f_plus, o0, o1, o4))
     div = np.subtract(f[:, 1:], f[:, :-1], out=np.ndarray((four, faces - 1, m), buffer=quads[0]))
     div *= 1.0 / h
     return div

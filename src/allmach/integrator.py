@@ -198,8 +198,9 @@ def post_process(
     Whenever U can influence the result (weight below 1) it is validated
     first.  At vanishing Mach numbers the weight rounds to exactly 1 and U is
     only checked to be finite: it is still advanced, but its positivity
-    cannot be maintained against the 1/eps^2 flux amplification, and by
-    eps = 1e-130 its fluxes overflow.
+    cannot be maintained against the 1/eps^2 flux amplification.  Its
+    fluxes multiply no speed by a flux, so gresho and the vortex keep it
+    finite down to eps = 1e-154.
 
     The result is always V_raw's buffer, and U is never modified.  Below
     weight 1, V_raw is consumed: at weight 0 each component of U's transform

@@ -106,56 +106,47 @@ def nonstiff_flux(Vs: np.ndarray, axis: int, out=None) -> np.ndarray:
     return F
 
 
-def antidiffusion(v_minus, v_plus, f_minus, f_plus, s_minus, s_plus, work=None):
-    """Built-in anti-diffusion correction of the central-upwind flux.
-
-    Uses the intermediate state reconstructed from the one-sided speeds; the
-    minmod keeps the correction between zero and the interface jump.
-    ``work`` is four arrays, allocated when not given: three of the
-    arguments' broadcast shape, the first of which takes the correction, and
-    one of the speeds' shape, which is left holding 1/(s+ - s-) for the
-    caller to reuse.  The arguments are left unchanged.
-    """
-    if work is None:
-        shape = np.broadcast(v_minus, v_plus, f_minus, f_plus, s_minus, s_plus).shape
-        work = [np.empty(shape) for _ in range(4)]
-    v_int, scratch, lo, inv = work
-    np.multiply(s_plus, v_plus, out=v_int)
-    v_int -= np.multiply(s_minus, v_minus, out=scratch)
-    v_int -= f_plus
-    v_int += f_minus
-    np.subtract(s_plus, s_minus, out=inv)
-    v_int *= np.divide(1.0, inv, out=inv)
-    np.subtract(v_int, v_minus, out=scratch)
-    np.subtract(v_plus, v_int, out=v_int)
-    return minmod(scratch, v_int, out=v_int, work=lo)
-
-
 def cu_flux(v_minus, v_plus, f_minus, f_plus, s_minus, s_plus, work=None):
-    """Central-upwind numerical flux with anti-diffusion,
-    (s+ f- - s- f+)/(s+ - s-) + (s+ s-/(s+ - s-)) (v+ - v- - dv).
+    """Central-upwind numerical flux with its built-in anti-diffusion
+    (Kurganov & Lin, Commun. Comput. Phys. 2, 2007),
+    (s+ f- - s- f+)/(s+ - s-) + s+ s-/(s+ - s-) (v+ - v- - dv), where
+    dv = minmod(v+ - v_int, v_int - v-) about the intermediate state
+    v_int = (s+ v+ - s- v- - (f+ - f-))/(s+ - s-).
+
+    With A = s+ (v+ - v-) - (f+ - f-), B = (s+ - s-)(v+ - v-) - A,
+    a = s+/(s+ - s-) and b = s-/(s+ - s-), the intermediate state's jumps
+    are A/(s+ - s-) and B/(s+ - s-), and since s+ - s- > 0 the flux is
+    f- + b A - a b minmod(A, B): no speed multiplies a flux.
 
     Consistency: for equal one-sided states the flux reduces to the exact
-    flux of that state.  ``work`` is five arrays, allocated when not given:
-    three of the arguments' broadcast shape, the second of which takes the
-    flux, and two of the speeds' shape, the first of which is left holding
-    ``antidiffusion``'s 1/(s+ - s-).  The arguments are left unchanged;
-    plain float on scalars.
+    flux of that state.  ``work`` is seven arrays, allocated when not given:
+    four of the arguments' broadcast shape, the first of which is left
+    holding v+ - v- and the second the flux, and three of the speeds' shape,
+    the first two left holding a and b.  The fourth may be ``f_plus``, which
+    is read before it is written; the arguments are left unchanged
+    otherwise.  Plain float on scalars.
     """
     if work is None:
         shape = np.broadcast(v_minus, v_plus, f_minus, f_plus, s_minus, s_plus).shape
-        work = [np.empty(shape) for _ in range(5)]
-    dv = antidiffusion(v_minus, v_plus, f_minus, f_plus, s_minus, s_plus, work[:4])
-    _, flux, scratch, inv, weight = work
-    np.multiply(s_plus, f_minus, out=flux)
-    flux -= np.multiply(s_minus, f_plus, out=scratch)
-    flux *= inv
-    np.subtract(v_plus, v_minus, out=scratch)
-    scratch -= dv
-    np.multiply(s_plus, s_minus, out=weight)
-    weight *= inv
-    scratch *= weight
-    flux += scratch
+        speeds = np.broadcast(s_minus, s_plus).shape
+        work = [np.empty(shape) for _ in range(4)] + [np.empty(speeds) for _ in range(3)]
+    jump, flux, lo, B, a, b, ab = work
+    np.subtract(v_plus, v_minus, out=jump)
+    np.subtract(f_plus, f_minus, out=B)
+    A = np.multiply(s_plus, jump, out=flux)
+    A -= B
+    np.subtract(s_plus, s_minus, out=ab)
+    np.multiply(ab, jump, out=B)
+    B -= A
+    np.divide(1.0, ab, out=ab)
+    np.multiply(s_plus, ab, out=a)
+    np.multiply(s_minus, ab, out=b)
+    np.multiply(a, b, out=ab)
+    correction = minmod(A, B, out=B, work=lo)
+    correction *= ab
+    flux *= b
+    flux += f_minus
+    flux -= correction
     return float(flux) if flux.ndim == 0 else flux
 
 
@@ -212,9 +203,10 @@ def nonstiff_rate(
 
     ``work`` is a pair of lists of flat float64 buffers, allocated when not
     given: five of at least 4 (n+1) m doubles and five of at least (n+1) m.
-    The rate is a C-contiguous prefix view of the third buffer of the first
-    list, and the central-upwind flux's 1/(s+ - s-), shape (n+1, m), one of
-    the first buffer of the second list; the traces are left unchanged.
+    The rate is a C-contiguous prefix view of the fifth buffer of the first
+    list, and the central-upwind flux's weights a and b, shape (n+1, m), are
+    left in the first two buffers of the second; the traces are left
+    unchanged.
     """
     minus, plus = traces
     four, faces, m = minus.shape
@@ -232,22 +224,22 @@ def nonstiff_rate(
     )
     f = cu_flux(
         minus, plus, nonstiff_flux(minus, axis, q0), nonstiff_flux(plus, axis, q1), s_minus, s_plus,
-        (q2, q3, q4, o0, o1),
+        (q2, q3, q4, q1, o0, o1, o4),
     )
-    inv = o0  # 1/(s+ - s-), left by cu_flux
+    jump, a, b = q2, o0, o1  # plus - minus, s+/(s+ - s-) and s-/(s+ - s-), left by cu_flux
     # path-conservative products: the matrix at the cell average applied to
     # the in-cell jump, and at the midpoint of the linear path between the
     # interface traces applied to the interface jump
     cells = (four, faces - 1, m)
-    c0, c1, c2 = (np.ndarray(cells, buffer=b) for b in quads[:3])
-    k1, k4 = (np.ndarray(cells[1:], buffer=ones[i]) for i in (1, 4))
-    cell = _bmat_apply(Vbar, np.subtract(minus[:, 1:], plus[:, :-1], out=c0), scalars, cfg, axis, c1, (k1, k4))
-    rate = np.subtract(f[:, 1:], f[:, :-1], out=c2)
+    c0, c1, c4 = (np.ndarray(cells, buffer=quads[i]) for i in (0, 1, 4))
+    k2, k3 = (np.ndarray(cells[1:], buffer=ones[i]) for i in (2, 3))
+    cell = _bmat_apply(Vbar, np.subtract(minus[:, 1:], plus[:, :-1], out=c0), scalars, cfg, axis, c1, (k2, k3))
+    rate = np.subtract(f[:, 1:], f[:, :-1], out=c4)
     rate -= cell
     mid = np.add(minus, plus, out=q0)
     mid *= 0.5
-    psi = _bmat_apply(mid, np.subtract(plus, minus, out=q1), scalars, cfg, axis, q3, (o1, o4))
-    rate -= np.multiply(np.multiply(s_plus[:-1], inv[:-1], out=k1), psi[:, :-1], out=c0)
-    rate += np.multiply(np.multiply(s_minus[1:], inv[1:], out=k1), psi[:, 1:], out=c0)
+    psi = _bmat_apply(mid, jump, scalars, cfg, axis, q1, (o2, o3))
+    rate -= np.multiply(a[:-1], psi[:, :-1], out=c0)
+    rate += np.multiply(b[1:], psi[:, 1:], out=c0)
     rate *= 1.0 / h
     return rate

@@ -43,11 +43,10 @@ def minmod(*zs, out=None, work=None):
     for z in zs[2:]:
         np.minimum(lo, z, out=lo)
         np.maximum(hi, z, out=hi)
-    # The arguments share a sign exactly when their minimum and maximum do,
-    # so at most one of the two clipped terms is nonzero.
+    # min(max(lo, 0), hi) is lo if all are positive, hi if all are negative
+    # and zero otherwise
     np.maximum(lo, 0.0, out=lo)
-    np.minimum(hi, 0.0, out=hi)
-    lo = np.add(lo, hi, out=lo if out is None else out)
+    lo = np.minimum(lo, hi, out=lo if out is None else out)
     return float(lo) if lo.ndim == 0 else lo
 
 

@@ -158,7 +158,7 @@ def test_snapshot_series_golden(tmp_path, capsys):
         digest.update(p.name.encode())
         digest.update(p.read_bytes())
     assert digest.hexdigest() == (
-        "25a8b2c84fb79cbea71a95e737b8e98cb59b02b32faa5b7ad0e9e07a16c0bd42"
+        "6102f110a4756faf1b349df085f833176f51402fc090fba912a6b472f8bbfade"
     )
 
 

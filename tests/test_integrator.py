@@ -478,8 +478,8 @@ class TestReferenceStep:
 
 
 # build_stage digests of the two inputs of TestStageGolden.
-EXPLOSION_STAGE_DIGEST = "6f0c0b9e3a6fdcc362a759374687deb877436a9fa0ec4e8af218094a26b50be2"
-RANDOM_STAGE_DIGEST = "d29a6985d3b446648c2748dd8c8d85c41e983bca5ab7f33131b236d7de04534e"
+EXPLOSION_STAGE_DIGEST = "a60eaeb66a41a9d6869ce288e577558a8dd04ed6c70b7c4152ad2bab498afdd5"
+RANDOM_STAGE_DIGEST = "63ed312a7e935265d4eeffca8f0aa8522be40248f3db96f0fe7dd0b7cf26527c"
 
 
 def stage_digest(Vf, grid, cfg):

@@ -13,7 +13,6 @@ from allmach.grid import AXIS_X, AXIS_Y, GridSpec, along
 from allmach.nonstiff import (
     DELTA,
     SplitScalars,
-    antidiffusion,
     cu_flux,
     modified_sound_speed,
     nonstiff_flux,
@@ -184,28 +183,77 @@ class TestFluxes:
         assert got == pytest.approx(10.0 / 3.0, rel=1e-14)
 
     def test_antidiffusion_equal_states(self):
-        assert antidiffusion(1.0, 1.0, 0.3, 0.3, -1.0, 1.0) == 0.0
+        # no jump, no anti-diffusion: the exact flux, bit for bit
+        assert cu_flux(1.0, 1.0, 0.3, 0.3, -1.0, 1.0) == 0.3
 
     def test_antidiffusion_outside_bracket(self):
-        # intermediate state outside [v-, v+] gives zero correction
-        assert antidiffusion(1.0, 2.0, 3.0, 6.0, -1.0, 2.0) == 0.0
+        # v_int = 2/3 lies outside [1, 2], so the oracle's anti-diffusion is
+        # zero and the flux is the two-term flux without it (10/3 above)
+        assert textbook_antidiffusion(1.0, 2.0, 3.0, 6.0, -1.0, 2.0) == 0.0
+        diffusive = (2.0 * 3.0 + 1.0 * 6.0) / 3.0 - 2.0 / 3.0 * (2.0 - 1.0)
+        assert cu_flux(1.0, 2.0, 3.0, 6.0, -1.0, 2.0) == pytest.approx(diffusive, rel=1e-14)
 
     def test_antidiffusion_hand_value(self):
-        # a+-=+-1, v-=0, v+=2, f identical: v_int = 1, minmod(1, 1) = 1
-        assert antidiffusion(0.0, 2.0, 0.0, 0.0, -1.0, 1.0) == 1.0
+        # s+- = +-1, v- = 0, v+ = 2, f identical: v_int = 1, minmod(1, 1) = 1,
+        # so the flux is 0 - 1/2 (2 - 0 - 1) instead of the diffusive -1
+        assert textbook_antidiffusion(0.0, 2.0, 0.0, 0.0, -1.0, 1.0) == 1.0
+        assert cu_flux(0.0, 2.0, 0.0, 0.0, -1.0, 1.0) == -0.5
 
     def test_antidiffusion_bounded_by_jump(self):
+        # the anti-diffusion lies between 0 and the jump, so the flux lies
+        # between its values for dv = 0 and dv = v+ - v-
         rng = np.random.default_rng(9)
-        vm = rng.standard_normal(200)
-        vp = rng.standard_normal(200)
-        fm = rng.standard_normal(200)
-        fp = rng.standard_normal(200)
+        vm, vp, fm, fp = rng.standard_normal((4, 200))
         sm = -0.1 - rng.random(200)
         sp = 0.1 + rng.random(200)
-        dv = antidiffusion(vm, vp, fm, fp, sm, sp)
+        got = cu_flux(vm, vp, fm, fp, sm, sp)
+        central = (sp * fm - sm * fp) / (sp - sm)
+        diffusive = central + sp * sm / (sp - sm) * (vp - vm)
+        slack = 1e-14 * (np.abs(fm) + np.abs(fp) + np.maximum(sp, -sm) * (np.abs(vm) + np.abs(vp)))
+        assert np.all(got >= np.minimum(central, diffusive) - slack)
+        assert np.all(got <= np.maximum(central, diffusive) + slack)
+        dv = textbook_antidiffusion(vm, vp, fm, fp, sm, sp)
         jump = vp - vm
-        assert np.all(dv * jump >= -1e-15)
-        assert np.all(np.abs(dv) <= np.abs(jump) + 1e-15)
+        assert np.all(dv * jump >= 0.0) and np.all(np.abs(dv) <= np.abs(jump) + 1e-15)
+
+
+def textbook_antidiffusion(v_minus, v_plus, f_minus, f_plus, s_minus, s_plus):
+    """Kurganov & Lin's anti-diffusion dv: the minmod of the jumps from the
+    intermediate state v_int to the two one-sided states, written out."""
+    v_int = (s_plus * v_plus - s_minus * v_minus - (f_plus - f_minus)) / (s_plus - s_minus)
+    left, right = v_int - v_minus, v_plus - v_int
+    same_sign = np.sign(left) == np.sign(right)
+    return np.where(same_sign, np.sign(left) * np.minimum(np.abs(left), np.abs(right)), 0.0)
+
+
+def textbook_cu_flux(v_minus, v_plus, f_minus, f_plus, s_minus, s_plus):
+    """The central-upwind flux in its two-term textbook form."""
+    dv = textbook_antidiffusion(v_minus, v_plus, f_minus, f_plus, s_minus, s_plus)
+    width = s_plus - s_minus
+    return (s_plus * f_minus - s_minus * f_plus) / width + s_plus * s_minus / width * (v_plus - v_minus - dv)
+
+
+def draw_flux_arguments(data, shape):
+    """Traces and fluxes of ``shape`` in [-1e3, 1e3] and one-sided speeds of
+    its shape without the component axis, from +-DELTA to +-1e150."""
+    speeds = shape[1:] if len(shape) == 3 else shape
+
+    def draw(shape, lo, hi):  # the bounds themselves are drawn often
+        return data.draw(hnp.arrays(np.float64, shape, elements=st.floats(lo, hi) | st.sampled_from((lo, hi))))
+
+    return [draw(shape, -1e3, 1e3) for _ in range(4)] + [draw(speeds, -1e150, -DELTA), draw(speeds, DELTA, 1e150)]
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (4, 5, 3)])
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@hypothesis.seed(20261020)
+@given(data=st.data())
+def test_cu_flux_matches_the_textbook_flux(shape, data):
+    v_minus, v_plus, f_minus, f_plus, s_minus, s_plus = args = draw_flux_arguments(data, shape)
+    expected = textbook_cu_flux(*args)
+    got = cu_flux(*args)
+    scale = np.abs(f_minus) + np.abs(f_plus) + np.maximum(s_plus, -s_minus) * (np.abs(v_minus) + np.abs(v_plus))
+    assert np.all(np.abs(got - expected) <= 1e-14 * scale)
 
 
 @pytest.mark.parametrize("shape", [(), (7,), (4, 5, 3)])
@@ -213,28 +261,35 @@ class TestFluxes:
 @hypothesis.seed(20261019)
 @given(data=st.data())
 def test_in_place_kernels_leave_their_arguments_unchanged(shape, data):
-    # cu_flux and antidiffusion work in place, on scratch arrays of their own
-    def draw(lo, hi):
-        return data.draw(hnp.arrays(np.float64, shape, elements=st.floats(lo, hi)))
-
-    args = [draw(-1e3, 1e3) for _ in range(4)] + [draw(-1e3, -1e-3), draw(1e-3, 1e3)]
+    # cu_flux works in place, on scratch arrays of its own or on the
+    # caller's, of which the fourth may be f_plus
+    args = draw_flux_arguments(data, shape)
     before = [a.tobytes() for a in args]
-    for kernel in (cu_flux, antidiffusion):
-        kernel(*args)
-        assert [a.tobytes() for a in args] == before, kernel.__name__
+    expected = cu_flux(*args).tobytes() if shape else cu_flux(*args)
+    assert [a.tobytes() for a in args] == before
+    if shape:
+        f_plus = args[3]
+        work = [np.empty(shape) for _ in range(3)] + [f_plus] + [np.empty(args[4].shape) for _ in range(3)]
+        assert cu_flux(*args, work).tobytes() == expected
+        assert [a.tobytes() for i, a in enumerate(args) if i != 3] == before[:3] + before[4:]
 
 
 def test_speed_differences_are_inverted_once_and_shared():
-    # antidiffusion leaves 1/(s+ - s-) in its last work array, cu_flux in
-    # its fourth, and nonstiff_rate in its first one-component buffer
+    # cu_flux leaves v+ - v-, a = s+/(s+ - s-) and b = s-/(s+ - s-) in its
+    # work arrays, and nonstiff_rate keeps a and b in its first two
+    # one-component buffers for the psi weights
     rng = np.random.default_rng(30)
     v_minus, v_plus, f_minus, f_plus = rng.standard_normal((4, 4, 9, 5))
     s_minus, s_plus = -0.1 - rng.random((9, 5)), 0.1 + rng.random((9, 5))
-    expected = np.divide(1.0, s_plus - s_minus)
-    for kernel, count in ((antidiffusion, 4), (cu_flux, 5)):
-        work = [np.empty((4, 9, 5)) for _ in range(3)] + [np.empty((9, 5)) for _ in range(count - 3)]
-        kernel(v_minus, v_plus, f_minus, f_plus, s_minus, s_plus, work)
-        assert work[3].tobytes() == expected.tobytes(), kernel.__name__
+
+    def weights(s_minus, s_plus):
+        inv = np.divide(1.0, s_plus - s_minus)
+        return (s_plus * inv).tobytes(), (s_minus * inv).tobytes()
+
+    work = [np.empty((4, 9, 5)) for _ in range(4)] + [np.empty((9, 5)) for _ in range(3)]
+    cu_flux(v_minus, v_plus, f_minus, f_plus, s_minus, s_plus, work)
+    assert work[0].tobytes() == (v_plus - v_minus).tobytes()
+    assert (work[4].tobytes(), work[5].tobytes()) == weights(s_minus, s_plus)
 
     grid = GridSpec(12, 7, 0.0, 1.0, 0.0, 0.8)
     V = random_state(grid, rng)
@@ -247,7 +302,7 @@ def test_speed_differences_are_inverted_once_and_shared():
         work = [np.empty(minus.size) for _ in range(5)], [np.empty(minus[0].size) for _ in range(5)]
         Vbar = along(V.array[grid.interior], axis)
         nonstiff_rate(Vbar, (minus, plus), s, cfg, axis, grid.spacing(axis), work)
-        assert work[1][0].tobytes() == np.divide(1.0, s_plus - s_minus).tobytes(), axis
+        assert (work[1][0].tobytes(), work[1][1].tobytes()) == weights(s_minus, s_plus), axis
 
 
 def test_folded_constants_stay_finite_at_the_smallest_eps():

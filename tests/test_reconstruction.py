@@ -68,6 +68,19 @@ def test_minmod_out_may_be_any_argument(data, count, size):
         assert np.array_equal(got, expected)
 
 
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@hypothesis.seed(20261020)
+@given(data=st.data(), count=st.sampled_from((2, 3)), size=st.integers(1, 8))
+def test_minmod_equals_the_sum_of_its_clipped_extremes(data, count, size):
+    # min(max(lo, 0), hi) selects the same values as max(lo, 0) + min(hi, 0),
+    # infinities and NaN included; zeros compare equal whatever their sign
+    values = st.lists(st.floats() | st.sampled_from((0.0, -0.0)), min_size=size, max_size=size)
+    zs = [np.array(data.draw(values)) for _ in range(count)]
+    lo, hi = np.minimum.reduce(zs), np.maximum.reduce(zs)
+    summed = np.maximum(lo, 0.0) + np.minimum(hi, 0.0)
+    assert np.array_equal(minmod(*zs), summed, equal_nan=True)
+
+
 class TestSlopes:
     def test_linear_data_reproduced_exactly(self):
         grid = GridSpec(8, 8, 0.0, 1.0, 0.0, 1.0, bc_x="outflow", bc_y="outflow")

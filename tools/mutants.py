@@ -60,12 +60,14 @@ MUTANTS = [
      "pressure-gradient coefficient of the normal velocity with its sign flipped"),
     ("nonstiff.py", "np.subtract(scalars.p_min, p, out=neg_g)", "np.subtract(p, scalars.p_min, out=neg_g)",
      "dilatation coefficient of the pressure with its sign flipped"),
-    ("nonstiff.py", "rate += np.multiply(np.multiply(s_minus[1:], inv[1:],",
-     "rate += np.multiply(np.multiply(s_plus[1:], inv[1:],",
+    ("nonstiff.py", "rate += np.multiply(b[1:], psi[:, 1:]", "rate += np.multiply(a[1:], psi[:, 1:]",
      "right fluctuation weighted by the wrong speed"),
-    ("nonstiff.py", "rate -= np.multiply(np.multiply(s_plus[:-1], inv[:-1],",
-     "rate -= np.multiply(np.multiply(s_minus[:-1], inv[:-1],",
+    ("nonstiff.py", "rate -= np.multiply(a[:-1], psi[:, :-1]", "rate -= np.multiply(b[:-1], psi[:, :-1]",
      "left fluctuation weighted by the wrong speed"),
+    ("nonstiff.py", "flux *= b\n", "flux *= a\n", "central-upwind flux weights A by s+ instead of s-"),
+    ("nonstiff.py", "B -= A", "B += A", "anti-diffusion's second jump (s+ - s-)(v+ - v-) + A"),
+    ("reconstruction.py", "np.maximum(lo, 0.0, out=lo)", "np.minimum(lo, 0.0, out=lo)",
+     "minmod clips its minimum from above instead of below"),
     ("nonstiff.py", "c *= 1.0 / eps", "c *= 1.0 / eps**2", "modified sound speed scaled by 1/eps^2"),
     ("nonstiff.py", "radicand *= gamma / scalars.rho_max", "radicand *= gamma * scalars.rho_max",
      "modified sound speed multiplied by rho_max instead of divided"),
