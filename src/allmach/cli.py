@@ -69,7 +69,7 @@ def _config_args(path: str, known: set[str]) -> list[str]:
 
 def _scheme_overrides(ns: argparse.Namespace) -> dict:
     """SolverConfig fields that were given; the rest keep the case's values."""
-    fields = {"cfl": "k_cfl", "theta": "theta", "order": "order", "dt_override": "dt_override"}
+    fields = {"cfl": "k_cfl", "theta": "theta", "dt_override": "dt_override"}
     return {f: getattr(ns, key) for key, f in fields.items() if getattr(ns, key, None) is not None}
 
 
@@ -85,7 +85,6 @@ def build_parser() -> _Parser:
     def scheme_and_output(p):
         p.add_argument("--cfl", type=float, help="CFL number (default: the case's)")
         p.add_argument("--theta", type=float, help="limiter parameter in [1, 2] (default 1.3)")
-        p.add_argument("--order", type=int, choices=(1, 2), help="order in time (default 2)")
         p.add_argument("--t-final", type=float, help="end time (default: the case's)")
         p.add_argument("--out-dir")
 

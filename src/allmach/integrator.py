@@ -6,12 +6,12 @@ prediction V* = V - dt * E, solve the pressure system of V*, push each
 velocity component by the new pressure's difference along its axis, and
 advance the conservative copy by dt times its rate.  The blend of the two
 copies, ``post_process``, follows.
-A step owns one operator pair, E and the conservative rate.  The predictor
-applies it with the old stage's operators; with order=2 the predicted
-stage's operators and the difference of the matched stiff operators are
-added on top, and the corrector applies the halved sum, the trapezoidal
-mean, with the predicted stage's extrema.  The pair is freed before the
-last blend.
+A step is a predictor and a trapezoidal corrector, and owns one operator
+pair, E and the conservative rate.  The predictor applies it with the old
+stage's operators; then the predicted stage's operators and the difference
+of the matched stiff operators are added on top, and the corrector applies
+the halved sum, the trapezoidal mean, with the predicted stage's extrema.
+The pair is freed before the last blend.
 
 The blend weight depends only on the Mach number: at high Mach the
 conservative (shock correct) branch wins, at low Mach the pressure-robust
@@ -268,13 +268,13 @@ def si_dec_step(
 ) -> tuple[DualState, StepReport]:
     """Advance both solution copies by one step.
 
-    Each stage is ``_advance`` and then the blend.  The step owns one zeroed
-    operator pair, E and the conservative rate.  With order=2 the corrector
-    starts from ``state`` again, so of the predictor it needs only that
-    pair: the predicted stage's operators are added into it, then the stiff
-    difference row by row, and the sum is halved.  The predicted V and U
-    are freed before the corrector's ``_advance``, and the operator pair
-    before the last blend.
+    Each stage, predictor and then corrector, is ``_advance`` and then the
+    blend.  The step owns one zeroed operator pair, E and the conservative
+    rate.  The corrector starts from ``state`` again, so of the predictor it
+    needs only that pair: the predicted stage's operators are added into it,
+    then the stiff difference row by row, and the sum is halved.  The
+    predicted V and U are freed before the corrector's ``_advance``, and the
+    operator pair before the last blend.
 
     Propagates NonPhysicalState and NoConvergence; the state is untouched on
     failure.
@@ -284,23 +284,21 @@ def si_dec_step(
     scalars = build_stage(state.V, grid, cfg, E, cons_rate)
     if dt is None:
         dt = compute_dt(state.V, scalars, grid, cfg)
-    V, U, res = _advance(state, E, cons_rate, scalars, dt, grid, cfg)
-    residuals = (res,)
+    V, U, res_n = _advance(state, E, cons_rate, scalars, dt, grid, cfg)
+    V_s = post_process(V, U, grid, cfg).validate(grid)
+    del V, U  # the predictor's U is dead: the corrector starts from state
 
-    if cfg.order == 2:
-        V_s = post_process(V, U, grid, cfg).validate(grid)
-        del V, U  # the predictor's U is dead: the corrector starts from state
-        # E = 0.5*(N_n + N_s + L_nn - L_ss), cons_rate = 0.5*(D_n + D_s)
-        scalars_s = build_stage(V_s, grid, cfg, E, cons_rate)
-        for row in (1, 2, 3):  # the stiff operator's density row is zero
-            diff = stiff_row(scalars, cfg, state.V, grid, row)
-            diff -= stiff_row(scalars_s, cfg, V_s, grid, row)
-            E[row] += diff
-        del V_s, diff
-        E *= 0.5
-        cons_rate *= 0.5
-        V, U, res = _advance(state, E, cons_rate, scalars_s, dt, grid, cfg)
-        residuals += (res,)
+    # E = 0.5*(N_n + N_s + L_nn - L_ss), cons_rate = 0.5*(D_n + D_s)
+    scalars_s = build_stage(V_s, grid, cfg, E, cons_rate)
+    for row in (1, 2, 3):  # the stiff operator's density row is zero
+        diff = stiff_row(scalars, cfg, state.V, grid, row)
+        diff -= stiff_row(scalars_s, cfg, V_s, grid, row)
+        E[row] += diff
+    del V_s, diff
+    E *= 0.5
+    cons_rate *= 0.5
+    V, U, res_s = _advance(state, E, cons_rate, scalars_s, dt, grid, cfg)
+    residuals = (res_n, res_s)
 
     del E, cons_rate
     V = post_process(V, U, grid, cfg).validate(grid)

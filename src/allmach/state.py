@@ -28,7 +28,7 @@ from .grid import GridSpec
 
 @dataclass
 class SolverConfig:
-    """Run parameters: Mach number, gas, CFL number, limiter, order.
+    """Run parameters: Mach number, gas, CFL number, limiter.
 
     dt_override, when set to ``(count, value)`` with an integer count, pins
     the first ``count`` time steps to ``value`` before the CFL rule takes
@@ -41,7 +41,6 @@ class SolverConfig:
     gamma: float = 1.4
     k_cfl: float = 0.475
     theta: float = 1.3
-    order: int = 2
     dt_override: Optional[tuple[int, float]] = None
 
     def __post_init__(self):
@@ -63,8 +62,6 @@ class SolverConfig:
                 raise ValueError("dt_override needs an integer count >= 0 and a positive finite step")
         if not 1.0 <= self.theta <= 2.0:
             raise ValueError("theta must lie in [1, 2]")
-        if self.order not in (1, 2):
-            raise ValueError("order must be 1 or 2")
 
 
 class _Field:

@@ -195,7 +195,8 @@ def test_config_file_supplies_values_and_flags_win(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "line, key", [("epss = 0.1", "epss"), ("elliptic-tol = 1e-3", "elliptic_tol")]
+    "line, key",
+    [("epss = 0.1", "epss"), ("elliptic-tol = 1e-3", "elliptic_tol"), ("order = 2", "order")],
 )
 def test_config_file_unknown_key_is_config_error(tmp_path, capsys, line, key):
     # a misspelt or removed key must not be silently ignored
@@ -239,6 +240,8 @@ def test_convergence_lists_from_config_file_match_flags(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["diagnose", "--cfl", "0.1"],
     ["convergence", "--case", "vortex", "--nx", "64"],
+    ["run", "--case", "gresho", "--order", "2"],
+    ["convergence", "--case", "vortex", "--order", "1"],
 ])
 def test_flag_the_subcommand_does_not_read_is_usage_error(argv):
     assert cli.main(argv) == 4

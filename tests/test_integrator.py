@@ -198,9 +198,9 @@ class TestStep:
         assert np.abs(new.V.u).max() < 1e-13
         assert new.t == pytest.approx(0.01)
 
-    @pytest.mark.parametrize("eps, order, built", [(1e-3, 2, 2), (0.3, 2, 2), (1e-3, 1, 1)])
-    def test_conservative_copies_built_per_step(self, monkeypatch, eps, order, built):
-        # every stage advances U, whatever the blend weight
+    @pytest.mark.parametrize("eps", [1e-3, 0.3])
+    def test_conservative_copies_built_per_step(self, monkeypatch, eps):
+        # both stages advance U, whatever the blend weight
         made = []
 
         class Counted(ConservativeField):
@@ -208,20 +208,11 @@ class TestStep:
                 made.append(1)
                 super().__init__(array)
 
-        grid, cfg, state = CASES["gresho"].start(eps, 16, 16, order=order)
+        grid, cfg, state = CASES["gresho"].start(eps, 16, 16)
         monkeypatch.setattr(integrator, "ConservativeField", Counted)
         new, _ = si_dec_step(state, grid, cfg)
-        assert len(made) == built
+        assert len(made) == 2
         assert isinstance(new.U, Counted)
-
-    def test_first_order_mode_runs_single_stage(self):
-        grid, cfg1, s1 = CASES["gresho"].start(0.1, 16, 16, order=1)
-        _, cfg2, s2 = CASES["gresho"].start(0.1, 16, 16, order=2)
-        n1, rep1 = si_dec_step(s1, grid, cfg1, dt=1e-3)
-        n2, rep2 = si_dec_step(s2, grid, cfg2, dt=1e-3)
-        assert len(rep1.solve_residuals) == 1
-        assert len(rep2.solve_residuals) == 2
-        assert not np.allclose(n1.V.u, n2.V.u)
 
     def test_oversized_step_trips_definiteness_guard(self):
         # explosion at unit Mach: the shifted pressure operator loses
@@ -234,18 +225,17 @@ class TestStep:
     def test_step_holds_few_full_grid_arrays(self):
         # tracemalloc peak of one step after a warm-up step, in state arrays:
         # the two new solution copies, the step's one operator pair, and the
-        # transients of each stage; at 128^2 measured 4.36 at order 1 and 5.11
-        # at order 2, where the corrector's strip workspace sets the peak.  At
-        # unit Mach the blend writes the transform of U into the stage's
-        # primitive buffer, so 200^2 at eps 1 holds the order-2 peak of
-        # eps 0.9, measured 4.45
-        for eps, n, order, bound in ((0.9, 128, 1, 4.61), (0.9, 128, 2, 5.36), (1.0, 200, 2, 4.70)):
+        # transients of each stage; at 128^2 measured 5.11, where the
+        # corrector's strip workspace sets the peak.  At unit Mach the blend
+        # writes the transform of U into the stage's primitive buffer, so
+        # 200^2 at eps 1 holds the peak of eps 0.9, measured 4.45
+        for eps, n, bound in ((0.9, 128, 5.36), (1.0, 200, 4.70)):
             unit = 4 * (n + 4) ** 2 * 8
-            grid, cfg, state = CASES["explosion"].start(eps, n, n, order=order)
+            grid, cfg, state = CASES["explosion"].start(eps, n, n)
             state, _ = si_dec_step(state, grid, cfg)
             assert state.V.array.nbytes == unit
             peak = traced_peak(lambda: si_dec_step(state, grid, cfg))
-            assert peak <= bound * unit, (eps, n, order, peak / unit)
+            assert peak <= bound * unit, (eps, n, peak / unit)
 
     def test_blowup_raises(self):
         # advective blow-up with a positive shift: density goes negative
@@ -423,8 +413,6 @@ def reference_step(state, grid, cfg):
     R, D, n = stage_operators(Vn, grid, cfg)
     dt = compute_dt(Vn, n, grid, cfg)
     star, res1 = stage(R, D, n, dt)
-    if cfg.order == 1:
-        return star, dt, (res1,)
 
     # the corrector's stage adds into the predictor's operator pair
     s = build_stage(star.V, grid, cfg, R, D)
@@ -435,19 +423,17 @@ def reference_step(state, grid, cfg):
 
 
 class TestReferenceStep:
-    @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("name,eps,n", [
         ("explosion", 0.9, 24),
         ("double_shear", 0.3, 32),
         ("gresho", 1e-3, 32),
         ("gresho", 1e-6, 24),
     ])
-    def test_step_matches_stage_by_stage_reference(self, name, eps, n, order):
-        self.check_steps(*CASES[name].start(eps, n, n, order=order))
+    def test_step_matches_stage_by_stage_reference(self, name, eps, n):
+        self.check_steps(*CASES[name].start(eps, n, n))
 
-    @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("eps", [1e-3, 0.3])  # weight 1, blended
-    def test_non_square_grid_with_unequal_spacing(self, eps, order):
+    def test_non_square_grid_with_unequal_spacing(self, eps):
         # a smooth state, periodic along x and outflow along y, dx != dy
         grid = GridSpec(12, 9, 0.0, 1.0, 0.0, 2.0, bc_x=PERIODIC, bc_y=OUTFLOW)
         X, Y = grid.cell_centers()
@@ -458,7 +444,7 @@ class TestReferenceStep:
             v=-0.1 + 0.3 * np.sin(2.0 * np.pi * X) * Y * (2.0 - Y),
             p=1.0 + eps**2 * np.cos(2.0 * np.pi * X) * np.cos(0.5 * np.pi * Y),
         )
-        cfg = SolverConfig(epsilon=eps, order=order)
+        cfg = SolverConfig(epsilon=eps)
         self.check_steps(grid, cfg, DualState.from_primitive(V, grid, cfg))
 
     @staticmethod

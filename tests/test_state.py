@@ -150,7 +150,7 @@ class TestConfig:
     def test_defaults_match_reference_setup(self):
         # every benchmark case inherits these unless it states its own
         cfg = SolverConfig(epsilon=0.5)
-        assert (cfg.gamma, cfg.k_cfl, cfg.theta, cfg.order) == (1.4, 0.475, 1.3, 2)
+        assert (cfg.gamma, cfg.k_cfl, cfg.theta) == (1.4, 0.475, 1.3)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -158,7 +158,7 @@ class TestConfig:
             {"epsilon": 0.0},
             {"epsilon": 1.5},
             {"epsilon": 0.5, "theta": 2.5},
-            {"epsilon": 0.5, "order": 3},
+            {"epsilon": 0.5, "theta": 0.5},
             {"epsilon": 0.5, "k_cfl": 0.0},
             {"epsilon": 0.5, "k_cfl": -0.5},
             {"epsilon": 0.5, "dt_override": (-1, 1e-3)},

@@ -82,6 +82,9 @@ MUTANTS = [
     ("integrator.py", "diff -= stiff_row(scalars_s, cfg, V_s, grid, row)",
      "diff += stiff_row(scalars_s, cfg, V_s, grid, row)",
      "corrector adds the predicted stiff operator instead of subtracting it"),
+    ("integrator.py", "E *= 0.5", "E *= 1.0", "corrector without the trapezoidal half of E"),
+    ("integrator.py", "cons_rate *= 0.5", "cons_rate *= 1.0",
+     "corrector without the trapezoidal half of the conservative rate"),
     ("integrator.py", "V_raw.array *= s", "V_raw.array *= 1.0 - s",
      "in-place blend scales the primitive copy by the conservative weight"),
     ("integrator.py", "V_raw.array[c] = values", "V_raw.array[c] += values",

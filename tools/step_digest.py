@@ -1,10 +1,10 @@
 """Twenty-step digests of the semi-implicit step on a fixed set of runs.
 
-Each run steps one benchmark case 20 times at its CFL step, at orders 1 and
-2, and prints one sha256 over the final V, U and t and every StepReport.  A
-refactor that keeps the arithmetic keeps every digest.  Next to the digest it
-prints the tracemalloc peak of the run's second step (the first one after a
-warm-up) in state arrays, a state array being the bytes of one ghost-padded
+Each run steps one benchmark case 20 times at its CFL step and prints one
+sha256 over the final V, U and t and every StepReport.  A refactor that
+keeps the arithmetic keeps every digest.  Next to the digest it prints the
+tracemalloc peak of the run's second step (the first one after a warm-up)
+in state arrays, a state array being the bytes of one ghost-padded
 four-component field.
 
     PYTHONPATH=src python tools/step_digest.py
@@ -52,11 +52,11 @@ RUNS = [  # (case, eps, n)
 PEAK_SLACK = 0.05  # state arrays a step peak may rise above its saved value
 
 
-def run(name: str, eps: float, n: int, order: int, ulp: bool = False) -> dict:
+def run(name: str, eps: float, n: int, ulp: bool = False) -> dict:
     """Final V, U and t, the step reports as rows (dt, residuals..., max|div
     u|, p fluctuation), their digest and the second step's memory peak in
     state arrays; the initial values are raised by one ulp when ``ulp``."""
-    grid, cfg, state = CASES[name].start(eps, n, n, order=order)
+    grid, cfg, state = CASES[name].start(eps, n, n)
     if ulp:
         state.V.array[:] = np.nextafter(state.V.array, np.inf)
         state = DualState.from_primitive(state.V, grid, cfg)
@@ -121,27 +121,26 @@ def main(argv=None) -> int:
     store = {}
     worst, identical, risen = 0.0, 0, []
     for name, eps, n in RUNS:
-        for order in (1, 2):
-            label = f"{name}_{eps:g}_{n}_o{order}"
-            try:
-                out = run(name, eps, n, order)
-            except (NonPhysicalState, NoConvergence) as exc:
-                print(f"{label:28s} FAILED: {exc}")
-                continue
-            print(f"{label:28s} {out['digest']}  step peak {out['step_peak']:5.2f} state arrays",
-                  flush=True)
-            if ns.save:
-                keys = ("V", "U", "t", "reports", "digest", "step_peak")
-                store.update({f"{label}.{k}": out[k] for k in keys})
-                store[f"{label}.V_ulp"] = run(name, eps, n, order, ulp=True)["V"]
-            if saved is None:
-                continue
-            if f"{label}.V" not in saved:
-                print("    no saved run")
-                continue
-            ratio, same, rose = compare(out, saved, label)
-            worst, identical = max(worst, ratio), identical + same
-            risen += [label] * rose
+        label = f"{name}_{eps:g}_{n}"
+        try:
+            out = run(name, eps, n)
+        except (NonPhysicalState, NoConvergence) as exc:
+            print(f"{label:28s} FAILED: {exc}")
+            continue
+        print(f"{label:28s} {out['digest']}  step peak {out['step_peak']:5.2f} state arrays",
+              flush=True)
+        if ns.save:
+            keys = ("V", "U", "t", "reports", "digest", "step_peak")
+            store.update({f"{label}.{k}": out[k] for k in keys})
+            store[f"{label}.V_ulp"] = run(name, eps, n, ulp=True)["V"]
+        if saved is None:
+            continue
+        if f"{label}.V" not in saved:
+            print("    no saved run")
+            continue
+        ratio, same, rose = compare(out, saved, label)
+        worst, identical = max(worst, ratio), identical + same
+        risen += [label] * rose
     if ns.save:
         np.savez(ns.save, **store)
     if saved is None:
@@ -149,8 +148,8 @@ def main(argv=None) -> int:
     print(f"largest ratio of max|delta| to the 1-ulp sensitivity: {worst:.3g}")
     if risen:
         print(f"step peak risen by more than {PEAK_SLACK} state arrays: {' '.join(risen)}")
-    print(f"bit-identical: {identical} of {2 * len(RUNS)} runs")
-    return 0 if identical == 2 * len(RUNS) and not risen else 1
+    print(f"bit-identical: {identical} of {len(RUNS)} runs")
+    return 0 if identical == len(RUNS) and not risen else 1
 
 
 if __name__ == "__main__":
