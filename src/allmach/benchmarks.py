@@ -75,9 +75,9 @@ class BenchmarkCase:
         grid = self.make_grid(nx, ny, eps)
         return grid, cfg, DualState.from_primitive(self.initial_state(grid, eps), grid, cfg)
 
-    def initial_dt(self, n: int, eps: float, **overrides) -> float:
+    def initial_dt(self, n: int, eps: float) -> float:
         """CFL step of the initial state on the n x n grid."""
-        grid, cfg, state = self.start(eps, n, n, **overrides)
+        grid, cfg, state = self.start(eps, n, n)
         return compute_dt(state.V, split_scalars(state.V, grid, eps), grid, cfg)
 
 
@@ -262,13 +262,12 @@ def run_case(
     nx: int,
     ny: int,
     t_final: Optional[float] = None,
-    callback=None,
     **cfg_overrides,
 ) -> tuple[GridSpec, DualState, RunReport, SolverConfig]:
     """Set up and run one benchmark to its final (or a given) time."""
     grid, cfg, state = case.start(eps, nx, ny, **cfg_overrides)
     t_end = case.final_time(eps) if t_final is None else t_final
-    state, report = run(state, grid, cfg, t_end, callback=callback)
+    state, report = run(state, grid, cfg, t_end)
     return grid, state, report, cfg
 
 
@@ -297,16 +296,13 @@ def convergence_study(
     eps_list,
     n_list,
     t_final: Optional[float] = None,
-    uniform_steps: bool = False,
     **cfg_overrides,
 ) -> ErrorTable:
-    """Errors against the exact solution over a mesh/Mach sweep.
-
-    With ``uniform_steps`` and no ``dt_override`` given, a row runs the fewest
-    equal steps at or below the CFL step of its initial state, so refinement
-    studies do not end on a clipped remainder step.  A run that blows up or
-    whose pressure solve fails marks its row and the study continues; a
-    configuration error propagates.
+    """Errors against the exact solution over a mesh/Mach sweep.  Each row
+    is ``run_case(case, eps, n, n, t_end, **cfg_overrides)``, t_end being
+    ``t_final`` or the case's final time, scored by ``l1_error`` against
+    ``exact_state``.  A run that blows up or whose pressure solve fails
+    marks its row and the study continues; a configuration error propagates.
     """
     if not case.has_exact:
         raise ValueError(f"case {case.name!r} has no exact solution")
@@ -318,12 +314,8 @@ def convergence_study(
         previous: Optional[ErrorRow] = None
         for n in n_list:
             t_end = case.final_time(eps) if t_final is None else t_final
-            overrides = dict(cfg_overrides)
             try:
-                if uniform_steps and "dt_override" not in cfg_overrides:
-                    k = max(1, math.ceil(t_end / case.initial_dt(n, eps, **overrides)))
-                    overrides["dt_override"] = (k, t_end / k)
-                grid, state, _, _ = run_case(case, eps, n, n, t_end, **overrides)
+                grid, state, _, _ = run_case(case, eps, n, n, t_end, **cfg_overrides)
                 errors = l1_error(state.V, case.exact_state(grid, eps, t_end), grid)
             except (NonPhysicalState, NoConvergence) as exc:
                 rows.append(ErrorRow(n, eps, np.full(4, np.nan), failed=str(exc)))

@@ -16,7 +16,7 @@ import allmach.integrator
 from allmach.benchmarks import CASES, ap_probes, convergence_study, local_mach, run_case
 from allmach.elliptic import HelmholtzSystem, compact_laplacian, solve_helmholtz
 from allmach.grid import GridSpec, padded
-from allmach.integrator import si_dec_step
+from allmach.integrator import run, si_dec_step
 from allmach.nonstiff import SplitScalars, modified_sound_speed
 from allmach.reconstruction import minmod
 
@@ -32,12 +32,11 @@ def report(criterion, passed, details):
 
 @pytest.fixture(scope="module")
 def vortex_table():
-    # theta=1.1 and uniform steps keep the pinned 1-3 step refinement runs in
-    # the asymptotic range; rates are least-squares slopes over the sweep
+    # theta=1.1 keeps the pinned 1-3 step refinement runs in the asymptotic
+    # range; rates are least-squares slopes over the sweep
     start = time.time()
     table = convergence_study(
-        CASES["vortex"], [1.0, 0.01], [64, 128, 256],
-        t_final=0.1, theta=1.1, uniform_steps=True,
+        CASES["vortex"], [1.0, 0.01], [64, 128, 256], t_final=0.1, theta=1.1
     )
     table.elapsed = time.time() - start
     return table
@@ -81,9 +80,8 @@ def explosion_triple():
             _r.append(ring == 0.0)
             return True
 
-        grid, state, rep, cfg = run_case(
-            CASES["explosion"], 1.0, n, n, t_final=0.25, callback=record
-        )
+        grid, cfg, state = CASES["explosion"].start(1.0, n, n)
+        state, _ = run(state, grid, cfg, 0.25, callback=record)
         runs[n] = (grid, state, np.array(masses), np.array(ring_static))
     return runs
 
@@ -268,8 +266,7 @@ def test_criterion_11_operator_unit_oracles():
 )
 def test_criterion_01_extended_sweep():
     table = convergence_study(
-        CASES["vortex"], [0.1, 0.001], [64, 128, 256, 512],
-        t_final=0.1, theta=1.1, uniform_steps=True,
+        CASES["vortex"], [0.1, 0.001], [64, 128, 256, 512], t_final=0.1, theta=1.1
     )
     print(table.format_text())
     rows = {(r.n, r.eps): r for r in table.rows}

@@ -112,12 +112,8 @@ MUTANTS = [
      "cfg = self.config(eps, **overrides)\n        grid = self.make_grid(nx, ny, eps)\n",
      "grid = self.make_grid(nx, ny, eps)\n        cfg = self.config(eps, **overrides)\n",
      "start builds the grid before the config checks eps"),
-    ("benchmarks.py", "math.ceil(t_end / case.initial_dt(", "math.floor(t_end / case.initial_dt(",
-     "uniform steps above the CFL step"),
-    ("benchmarks.py", 'if uniform_steps and "dt_override" not in cfg_overrides:', "if uniform_steps:",
-     "uniform steps override the caller's dt_override"),
-    ("benchmarks.py", 'if uniform_steps and "dt_override" not in cfg_overrides:',
-     'if "dt_override" not in cfg_overrides:', "uniform steps whether or not they are asked for"),
+    ("benchmarks.py", "previous = row", "previous = None",
+     "convergence rows never get a rate from the coarser row"),
     ("benchmarks.py", "rho = 1.0 - eps**2 / (16.0 * math.pi**2) * e_full",
      "rho = 1.0 - eps**2 / (8.0 * math.pi**2) * e_full",
      "vortex density dip doubled"),
