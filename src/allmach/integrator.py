@@ -22,11 +22,25 @@ asymptotically Mach independent.
 ``run`` steps to one end time and clips its last step to land on it.  A
 caller that needs the solution at several times runs to each in turn on one
 ``RunReport``, whose list of ``StepReport`` is the record of the whole run.
+
+The two explicit operators of a stage share one reconstruction and nothing
+else.  On a grid of at least PARALLEL_CELLS cells, in a single-threaded
+Linux process that may use two CPUs, ``run`` forks one worker process for
+the length of the call (``_Worker``).  At each stage the parent copies the
+stage's V into memory shared with the worker and builds the nonstiff
+operator while the worker reconstructs the same V and builds the
+conservative rate into a shared array; the parent then waits for it.  The
+results equal the serial ones bit for bit.  Every direct ``si_dec_step`` or
+``build_stage`` call, and every other run, builds both in this process.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import platform
+import sys
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -61,6 +75,27 @@ EPS0, EPS1, ALPHA = 0.15, 0.4, 14.0
 # and 64 took 41.5, 36.3 and 42.5 at explosion 200^2 and 19.9, 15.1 and 17.0
 # at gresho eps 1e-3 128^2.
 STRIP = 32
+
+# Grid cells from which ``run`` forks a worker for the conservative rate.
+# In-process runs of 20 steps, fork included, on a 2-core Xeon (numpy 2.4,
+# one BLAS thread): median ms per run, serial -> worker, and how many of 10
+# alternating pairs the worker won, explosion 0.9 | gresho 1e-3 at n^2:
+#   n = 16   42.5 ->  48.6 (3)  |   47.7 ->  49.0 (4)
+#   n = 24   63.5 ->  63.3 (5)  |   56.6 ->  57.9 (6)
+#   n = 32   69.4 ->  64.4 (6)  |   62.7 ->  67.6 (1)
+#   n = 48  104.4 ->  94.9 (9)  |  125.2 -> 107.1 (9)
+#   n = 64  162.7 -> 133.8 (9)  |  133.4 -> 127.9 (7)
+#   n = 96  281.7 -> 233.5 (9)  |  228.2 -> 176.8 (10)
+# 48 is the smallest n at which the worker won 9 of 10 on both.  A step
+# alone was faster with the worker from n = 24 (0.8x); smaller runs lose
+# the fork, about 1.4 ms with the kill, and the copy-on-write faults after it.
+PARALLEL_CELLS = 48 * 48
+
+# Seconds a side waiting for the other spins, yielding its CPU on every turn,
+# before it blocks on its pipe; while blocked it checks every POLL_S that the
+# other process is alive.
+SPIN_S = 0.05
+POLL_S = 0.05
 
 
 @dataclass
@@ -105,27 +140,40 @@ def build_stage(
 ) -> SplitScalars:
     """Add a stage's nonstiff operator into ``R`` and its conservative rate
     into ``D``, both (4, nx, ny), from one reconstruction pass; return the
-    stage's split scalars.
+    stage's split scalars.  ``_strips`` cuts the grid and holds the strip
+    arrays; every cell adds its x and then its y part, so the result does
+    not depend on the strip width.
+    """
+    scalars = split_scalars(Vf, grid, cfg.epsilon)
+    for cells, traces, axis, h, work, cut in _strips(Vf.array, grid, cfg):
+        along(R, axis)[cut] += nonstiff_rate(cells, traces, scalars, cfg, axis, h, work)
+        along(D, axis)[cut] -= flux_divergence(traces, cfg, axis, h, work)
+    return scalars
+
+
+def _strips(Va: np.ndarray, grid: GridSpec, cfg: SolverConfig):
+    """Reconstruct the ghost-filled state array ``Va`` strip by strip and
+    yield, for each strip, ``(cells, traces, axis, h, work, cut)``: the
+    strip's cell averages and traces, axis first, the axis and its spacing,
+    the operators' workspace, and the index of the strip in a (4, nx, ny)
+    rate viewed with the axis first, ``along(rate, axis)[cut]``.
 
     Each axis, x before y, is cut into strips of STRIP interior cells across
     it, each with its full ghost padding along it.  A strip runs the whole
-    pipeline (traces, nonstiff rate, conservative flux divergence) while its
-    arrays stay in cache, where whole-grid passes would stream every
-    temporary from memory.  Every cell adds its x and then its y part, so
-    the result does not depend on the strip width.
+    pipeline (traces, then the operators) while its arrays stay in cache,
+    where whole-grid passes would stream every temporary from memory.
 
     The kernels write every array of a strip into one workspace, made here
-    and dropped on return: seven flat buffers of four components and five
-    of one, each sized for the widest strip and starting on a 64-byte
-    boundary.  The traces are built in the first four, which hold a block,
-    and kept in the first two.  The operators work in the last five and in
-    those of one component; the conservative flux also works in the traces
-    once it no longer reads them.  Allocating every strip array anew
-    instead, most of them off a 64-byte boundary, made a step 1.2-1.3 times
-    as long and raised this function's own peak at 200^2 from 1.39 to 1.59
-    state arrays.
+    and dropped with the generator: seven flat buffers of four components
+    and five of one, each sized for the widest strip and starting on a
+    64-byte boundary.  The traces are built in the first four, which hold a
+    block, and kept in the first two.  The operators work in the last five
+    and in those of one component; the conservative flux also works in the
+    traces once it no longer reads them, so it goes last.  Allocating every
+    strip array anew instead, most of them off a 64-byte boundary, made a
+    step 1.2-1.3 times as long and raised build_stage's own peak at 200^2
+    from 1.39 to 1.59 state arrays.
     """
-    scalars = split_scalars(Vf, grid, cfg.epsilon)
     g = grid.ghost
 
     def cells(extra):  # doubles of one component of the widest strip, n + extra rows long
@@ -135,15 +183,13 @@ def build_stage(
     quads = [_aligned(4 * cells(2 * g)) for _ in range(4)] + [_aligned(4 * cells(1)) for _ in range(3)]
     operators = (quads[2:], [_aligned(cells(1)) for _ in range(5)])
     for axis in (AXIS_X, AXIS_Y):
-        Vs, Rs, Ds, h = along(Vf.array, axis), along(R, axis), along(D, axis), grid.spacing(axis)
-        m = Rs.shape[-1]
+        Vs, h = along(Va, axis), grid.spacing(axis)
+        m = Vs.shape[-1] - 2 * g
         for j0 in range(0, m, STRIP):
             j1 = min(j0 + STRIP, m)
             block = Vs[..., g + j0:g + j1]
             traces = limited_traces(block, h, cfg.theta, axis, j0, quads[:4])
-            Rs[..., j0:j1] += nonstiff_rate(block[:, g:-g], traces, scalars, cfg, axis, h, operators)
-            Ds[..., j0:j1] -= flux_divergence(traces, cfg, axis, h, operators)
-    return scalars
+            yield block[:, g:-g], traces, axis, h, operators, (..., slice(j0, j1))
 
 
 def _aligned(size: int) -> np.ndarray:
@@ -265,6 +311,8 @@ def si_dec_step(
     grid: GridSpec,
     cfg: SolverConfig,
     dt: Optional[float] = None,
+    *,
+    worker: Optional[_Worker] = None,
 ) -> tuple[DualState, StepReport]:
     """Advance both solution copies by one step.
 
@@ -276,12 +324,21 @@ def si_dec_step(
     predicted V and U are freed before the corrector's ``_advance``, and the
     operator pair before the last blend.
 
+    ``worker`` is ``run``'s: with it, the conservative rate is the worker's
+    shared one and the worker builds it; without it, every direct call, this
+    process builds both operators.  The results are the same bit for bit.
+
     Propagates NonPhysicalState and NoConvergence; the state is untouched on
     failure.
     """
-    E = np.zeros((4, grid.nx, grid.ny))
-    cons_rate = np.zeros_like(E)
-    scalars = build_stage(state.V, grid, cfg, E, cons_rate)
+    if worker is None:
+        E = np.zeros((4, grid.nx, grid.ny))
+        cons_rate = np.zeros_like(E)
+        stage = build_stage
+    else:
+        E, cons_rate = worker.pair()
+        stage = worker.build_stage
+    scalars = stage(state.V, grid, cfg, E, cons_rate)
     if dt is None:
         dt = compute_dt(state.V, scalars, grid, cfg)
     V, U, res_n = _advance(state, E, cons_rate, scalars, dt, grid, cfg)
@@ -289,7 +346,7 @@ def si_dec_step(
     del V, U  # the predictor's U is dead: the corrector starts from state
 
     # E = 0.5*(N_n + N_s + L_nn - L_ss), cons_rate = 0.5*(D_n + D_s)
-    scalars_s = build_stage(V_s, grid, cfg, E, cons_rate)
+    scalars_s = stage(V_s, grid, cfg, E, cons_rate)
     for row in (1, 2, 3):  # the stiff operator's density row is zero
         diff = stiff_row(scalars, cfg, state.V, grid, row)
         diff -= stiff_row(scalars_s, cfg, V_s, grid, row)
@@ -333,6 +390,11 @@ def run(
     counts in ``RunReport.rejections``.  A forced step is never retried.  The
     failure that ends the run is re-raised as the same exception type,
     prefixed with the step index and its start time.
+
+    When ``_forks(grid)`` holds and there is a step to take, the steps build
+    their conservative rates in a ``_Worker`` forked for this call.  It is
+    killed and reaped before run returns or raises; ChildProcessError ends
+    the run if it dies before that.
     """
     if not math.isfinite(t_final):
         raise ValueError(f"t_final must be finite, got {t_final}")
@@ -340,23 +402,202 @@ def run(
         raise ValueError("t_final precedes the current time")
     report = RunReport() if report is None else report
     rel_eps = 1e-12 * max(1.0, abs(t_final))
-    while state.t < t_final - rel_eps:
-        forced = cfg.dt_override is not None and report.steps < cfg.dt_override[0]
-        if forced:
-            dt = cfg.dt_override[1]
-        else:
-            dt = compute_dt(state.V, split_scalars(state.V, grid, cfg.epsilon), grid, cfg)
-        dt = min(dt, t_final - state.t)
-        for attempt in range(MAX_REJECTIONS + 1):
-            try:
-                state, step_rep = si_dec_step(state, grid, cfg, dt)
+    worker = _Worker(grid, cfg) if state.t < t_final - rel_eps and _forks(grid) else None
+    try:
+        while state.t < t_final - rel_eps:
+            forced = cfg.dt_override is not None and report.steps < cfg.dt_override[0]
+            if forced:
+                dt = cfg.dt_override[1]
+            else:
+                dt = compute_dt(state.V, split_scalars(state.V, grid, cfg.epsilon), grid, cfg)
+            dt = min(dt, t_final - state.t)
+            for attempt in range(MAX_REJECTIONS + 1):
+                try:
+                    state, step_rep = si_dec_step(state, grid, cfg, dt, worker=worker)
+                    break
+                except (NonPhysicalState, NoConvergence) as exc:
+                    if forced or attempt == MAX_REJECTIONS:
+                        raise type(exc)(f"step {report.steps}, t={state.t:.6g}: {exc}") from exc
+                    report.rejections += 1
+                    dt *= 0.5
+            report.reports.append(step_rep)
+            if callback is not None and callback(state.t, state, step_rep) is False:
                 break
-            except (NonPhysicalState, NoConvergence) as exc:
-                if forced or attempt == MAX_REJECTIONS:
-                    raise type(exc)(f"step {report.steps}, t={state.t:.6g}: {exc}") from exc
-                report.rejections += 1
-                dt *= 0.5
-        report.reports.append(step_rep)
-        if callback is not None and callback(state.t, state, step_rep) is False:
-            break
+    finally:
+        if worker is not None:
+            worker.close()
     return state, report
+
+
+def _forks(grid: GridSpec) -> bool:
+    """Whether ``run`` on ``grid`` forks a worker: the grid has at least
+    PARALLEL_CELLS cells, and this is a Linux process on x86-64 that runs
+    one thread and may run on two CPUs or more.
+
+    x86-64 keeps each side's stores in order, which the shared counters rely
+    on.  A second thread, such as a BLAS pool's, makes the fork unsafe, and
+    it competes with the worker for the second CPU: beside OpenBLAS's
+    default pool, explosion 0.9 200^2 took 41.7-54.0 ms per step with the
+    worker against 48.9-51.2 without it.
+    """
+    return (
+        grid.nx * grid.ny >= PARALLEL_CELLS
+        and sys.platform == "linux"
+        and platform.machine() == "x86_64"
+        and len(os.sched_getaffinity(0)) >= 2
+        and len(os.listdir("/proc/self/task")) == 1
+    )
+
+
+def _current_cpu() -> int:
+    """The CPU this thread last ran on."""
+    with open("/proc/thread-self/stat") as f:
+        return int(f.read().rsplit(")", 1)[1].split()[36])
+
+
+def _wait(ready: Callable[[], bool], fd: int, alive: Callable[[], None]) -> None:
+    """Return once ``ready()``.  Spin for SPIN_S, yielding the CPU on every
+    turn, then block on ``fd``, the read end of the pipe the other side
+    writes a byte to after each change of a counter, and call ``alive()``,
+    which raises or exits when the other process is gone, every POLL_S."""
+    import select  # here and in _Worker, so that importing allmach does not pay for them
+
+    start = time.perf_counter()
+    while not ready():
+        if time.perf_counter() - start < SPIN_S:
+            os.sched_yield()
+            continue
+        select.select([fd], [], [], POLL_S)
+        try:
+            os.read(fd, 4096)
+        except BlockingIOError:
+            pass
+        alive()
+
+
+def _wake(fd: int) -> None:
+    """Write a byte to the other side's pipe.  A full pipe already holds one."""
+    try:
+        os.write(fd, b"\0")
+    except BlockingIOError:
+        pass
+
+
+class _Worker:
+    """A forked process that builds each stage's conservative rate while the
+    parent builds the nonstiff operator, for the length of one ``run``.
+
+    The two share, in one anonymous shared mapping, two counters, the
+    stage's ghost-filled primitive array V and the step's conservative rate.
+    The parent copies a stage's V in and bumps ``posted``; the worker
+    reconstructs it on its own, subtracts each strip's flux divergence from
+    the rate, x strips before y as ``build_stage`` does, and sets ``done``
+    to ``posted``.  The parent touches neither V nor the rate again until
+    ``done`` equals ``posted``.  The worker only runs numpy kernels on the
+    shared arrays; it ignores SIGINT and is killed by ``close``.
+
+    The worker binds itself to an allowed CPU other than the one the parent
+    last ran on.  Left to the scheduler, the two shared one CPU for a second
+    and more, and explosion 0.9 200^2 took 37.6-38.2 ms per step with the
+    worker against 33.6-35.0 without it.
+    """
+
+    def __init__(self, grid: GridSpec, cfg: SolverConfig):
+        import mmap
+        import signal
+
+        self.grid, self.cfg = grid, cfg
+        v_size, rate_size = 4 * grid.shape[0] * grid.shape[1], 4 * grid.nx * grid.ny
+        self._mem = mmap.mmap(-1, 64 + 8 * (v_size + rate_size))  # page-aligned, shared
+        self._head = np.frombuffer(self._mem, np.int64, 2)  # posted, done
+        self.V = np.frombuffer(self._mem, np.float64, v_size, 64).reshape(4, *grid.shape)
+        self.rate = np.frombuffer(self._mem, np.float64, rate_size, 64 + 8 * v_size).reshape(
+            4, grid.nx, grid.ny
+        )
+        (to_worker, self._posts), (self._dones, to_parent) = os.pipe(), os.pipe()
+        fds = (to_worker, self._posts, self._dones, to_parent)
+        for fd in fds:
+            os.set_blocking(fd, False)
+        self._parent = os.getpid()
+        cpus = os.sched_getaffinity(0)
+        here = _current_cpu()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                os.sched_setaffinity(0, {min(cpus - {here})})
+                os.close(self._posts)
+                os.close(self._dones)
+                self._serve(to_worker, to_parent)
+            except BaseException:
+                sys.excepthook(*sys.exc_info())
+            finally:
+                os._exit(1)
+        os.close(to_worker)
+        os.close(to_parent)
+
+    def pair(self) -> tuple[np.ndarray, np.ndarray]:
+        """A step's zeroed operator pair: a new E and the shared rate."""
+        self._await_done()
+        self.rate.fill(0.0)
+        return np.zeros((4, self.grid.nx, self.grid.ny)), self.rate
+
+    def build_stage(
+        self, Vf: PrimitiveField, grid: GridSpec, cfg: SolverConfig, R: np.ndarray, D: np.ndarray
+    ) -> SplitScalars:
+        """``build_stage`` with the conservative rate built by the worker
+        into ``D``, the shared rate of ``pair``, while this process builds
+        the nonstiff operator into ``R``."""
+        np.copyto(self.V, Vf.array)
+        self._head[0] += 1
+        _wake(self._posts)
+        scalars = split_scalars(Vf, grid, cfg.epsilon)
+        for cells, traces, axis, h, work, cut in _strips(Vf.array, grid, cfg):
+            along(R, axis)[cut] += nonstiff_rate(cells, traces, scalars, cfg, axis, h, work)
+        self._await_done()
+        return scalars
+
+    def close(self) -> None:
+        """Kill and reap the worker, and close this side's pipes."""
+        import signal
+
+        if self.pid:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = 0
+        os.close(self._posts)
+        os.close(self._dones)
+
+    def _await_done(self) -> None:
+        head = self._head
+        _wait(lambda: head[1] == head[0], self._dones, self._check_worker)
+
+    def _check_worker(self) -> None:
+        pid, status = os.waitpid(self.pid, os.WNOHANG)
+        if pid:
+            self.pid = 0
+            raise ChildProcessError(f"the conservative worker ended (wait status {status})")
+
+    def _serve(self, posts: int, dones: int) -> None:
+        """The worker's loop: build every posted stage's conservative rate."""
+        head, seen = self._head, 0
+
+        def parent_alive():
+            if os.getppid() != self._parent:
+                os._exit(1)
+
+        while True:
+            _wait(lambda: head[0] != seen, posts, parent_alive)
+            seen = int(head[0])
+            try:
+                for _, traces, axis, h, work, cut in _strips(self.V, self.grid, self.cfg):
+                    along(self.rate, axis)[cut] -= flux_divergence(traces, self.cfg, axis, h, work)
+            except NonPhysicalState:
+                pass  # the parent's own reconstruction of the stage raises it too
+            head[1] = seen
+            _wake(dones)

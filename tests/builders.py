@@ -1,6 +1,7 @@
 """Inputs that the test files build alike: fields, the primitive transform of
 a conservative copy, whole-grid traces, one stage's explicit operators,
-padded scalars and the scripts under ``tools/``.
+padded scalars and the scripts under ``tools/``; and this process's
+children.
 
 pytest does not collect this file (its name does not start with ``test_``)
 and puts this directory on ``sys.path``, so a test file imports it as
@@ -8,6 +9,7 @@ and puts this directory on ``sys.path``, so a test file imports it as
 """
 
 import importlib.util
+import os
 from pathlib import Path
 
 import numpy as np
@@ -78,3 +80,20 @@ def load_tool(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def children():
+    """Pids of this process's child processes, running or not yet reaped,
+    read from the parent pid field of every ``/proc/<pid>/stat``."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as f:
+                ppid = int(f.read().rsplit(")", 1)[1].split()[1])
+        except (OSError, IndexError, ValueError):  # gone meanwhile
+            continue
+        if ppid == os.getpid():
+            found.append(int(entry))
+    return found

@@ -292,7 +292,7 @@ class TestRun:
         dt = min(case.initial_dt(16, 0.1), 0.05)
         attempts = []
 
-        def failing(state, grid, cfg, dt):
+        def failing(state, grid, cfg, dt, worker):
             attempts.append(dt)
             raise error("boom")
 
@@ -305,7 +305,7 @@ class TestRun:
         grid, cfg, state = CASES["gresho"].start(0.1, 16, 16, dt_override=(3, 1e-3))
         attempts = []
 
-        def failing(state, grid, cfg, dt):
+        def failing(state, grid, cfg, dt, worker):
             attempts.append(dt)
             raise NonPhysicalState("boom")
 
@@ -322,7 +322,7 @@ class TestRun:
         mid, _ = run(state, grid, cfg, t_final=0.0025, report=report)
         assert mid.t == pytest.approx(0.0025, abs=1e-15) and report.steps == 3
 
-        def failing(state, grid, cfg, dt):
+        def failing(state, grid, cfg, dt, worker):
             raise NonPhysicalState("boom")
 
         with monkeypatch.context() as m:

@@ -85,6 +85,13 @@ MUTANTS = [
     ("integrator.py", "E *= 0.5", "E *= 1.0", "corrector without the trapezoidal half of E"),
     ("integrator.py", "cons_rate *= 0.5", "cons_rate *= 1.0",
      "corrector without the trapezoidal half of the conservative rate"),
+    ("integrator.py", "[cut] -= flux_divergence(traces, self.cfg, axis, h, work)",
+     "[cut] -= flux_divergence(traces, self.cfg, axis, h, work) if axis == AXIS_X else 0.0",
+     "the conservative worker skips the y strips"),
+    ("integrator.py", "        self._await_done()\n        self.rate.fill(0.0)\n", "        self.rate.fill(0.0)\n",
+     "the parent zeroes the shared rate and overwrites the shared V before the worker has done its stage"),
+    ("integrator.py", "        self.rate.fill(0.0)\n", "",
+     "the shared conservative rate is not zeroed at the start of a step"),
     ("integrator.py", "V_raw.array *= s", "V_raw.array *= 1.0 - s",
      "in-place blend scales the primitive copy by the conservative weight"),
     ("integrator.py", "V_raw.array[c] = values", "V_raw.array[c] += values",
